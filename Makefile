@@ -40,9 +40,12 @@ soak:
 # feeds arbitrary bytes to the durable-checkpoint decoder, which must error —
 # never panic, and never allocate beyond the input's actual size.
 # FuzzProfileDecode does the same for the hand-rolled gzip+protobuf pprof
-# decoder behind /profilez.
+# decoder behind /profilez. FuzzRowExec holds the row-program clones every
+# served job runs against RunChecked over the per-point kernel, bit for bit,
+# on whatever source text compiles.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDSL -fuzztime=30s -run '^FuzzDSL$$' ./internal/compiler
+	$(GO) test -fuzz=FuzzRowExec -fuzztime=30s -run '^FuzzRowExec$$' ./internal/compiler
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s -run '^FuzzWireDecode$$' ./internal/wire
 	$(GO) test -fuzz=FuzzProfileDecode -fuzztime=30s -run '^FuzzProfileDecode$$' ./internal/profile
 

@@ -9,6 +9,7 @@ package pochoir_test
 
 import (
 	"context"
+	"os"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"pochoir/internal/benchdef"
 	"pochoir/internal/cachesim"
 	"pochoir/internal/cilkview"
+	"pochoir/internal/compiler"
 	"pochoir/internal/core"
 	"pochoir/internal/profile"
 	"pochoir/internal/shape"
@@ -512,6 +514,49 @@ func BenchmarkPhase1VsPhase2(b *testing.B) {
 		}, up)
 	})
 	b.Run("Phase2Specialized", func(b *testing.B) {
+		benchJob(b, func() stencils.Job {
+			return f.New(w.Sizes, w.Steps).Pochoir(pochoir.Options{})
+		}, up)
+	})
+}
+
+// BenchmarkDSLHeat2D puts the served path beside the library path on one
+// box: DSL Heat 2p through Instance.Run (the row-program clones every
+// pochoird job runs) against the hand-written stencils Heat 2p clones. The
+// ratio is the gap left to ROADMAP item 2's "within 2x of hand-written".
+func BenchmarkDSLHeat2D(b *testing.B) {
+	w := benchdef.AblationHeat2D
+	up := float64(w.Updates())
+	b.Run("DSLRowProgram", func(b *testing.B) {
+		// The Fig. 6 program in the specification language: the same
+		// update as stencils' Heat 2p.
+		src, err := os.ReadFile("examples/dsl/specs/heat2d.pch")
+		if err != nil {
+			b.Fatal(err)
+		}
+		checked, err := compiler.CompileSource(string(src))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		insts := make([]*compiler.Instance, b.N)
+		for i := range insts {
+			if insts[i], err = checked.NewInstance(w.Sizes...); err != nil {
+				b.Fatal(err)
+			}
+			insts[i].Arrays["u"].Fill(0, 1)
+		}
+		b.ResetTimer()
+		for _, inst := range insts {
+			if err := inst.Run(w.Steps, pochoir.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(up*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpts/s")
+	})
+	b.Run("HandWritten", func(b *testing.B) {
+		f := stencils.NewHeat2DFactory(true)
 		benchJob(b, func() stencils.Job {
 			return f.New(w.Sizes, w.Steps).Pochoir(pochoir.Options{})
 		}, up)

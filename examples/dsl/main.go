@@ -1,13 +1,19 @@
 // DSL: the two-phase compilation methodology end to end. The stencil
 // specification in specs/heat2d.pch is
 //
-//	Phase 1: parsed, checked (shape inference + the Pochoir Guarantee),
-//	         and executed directly by the interpreter; then
+//	Phase 1: parsed, checked (shape inference + the Pochoir Guarantee) and
+//	         run per point through the checked Array API (RunChecked);
+//	served:  the same checked tree lowered to the row program every
+//	         pochoird job runs (Instance.Run) — interior clone plus the
+//	         row-splitting boundary clone; and
 //	Phase 2: the committed output of `pochoirgen` (gen/heat2d_gen.go) runs
-//	         the same computation with the compiled split-pointer kernel,
+//	         the same computation with the compiled split-pointer interior
+//	         kernel and a per-point boundary clone,
 //
-// and the program verifies the two produce bit-identical results while
-// timing both — the compiled path is the same algorithm, only faster.
+// and the program verifies the paths produce bit-identical results while
+// timing the last two. On a periodic grid this small the generated code's
+// per-point boundary clone carries a large share of the zoids, which is why
+// the row program — whose boundary clone is also row-compiled — can win.
 //
 // Run from the repository root with:
 //
@@ -69,12 +75,12 @@ func main() {
 	}
 	fmt.Println("Phase 1: specification is Pochoir-compliant (2 checked steps)")
 
-	// Interpreted execution of the remaining steps.
+	// The remaining steps on the row-program clones.
 	start := time.Now()
 	if err := inst.Run(steps-2, pochoir.Options{}); err != nil {
 		log.Fatal(err)
 	}
-	interpTime := time.Since(start)
+	rowTime := time.Since(start)
 	want := make([]float64, xSize*ySize)
 	if err := inst.Arrays["u"].CopyOut(steps, want); err != nil {
 		log.Fatal(err)
@@ -100,11 +106,10 @@ func main() {
 
 	for i := range got {
 		if got[i] != want[i] {
-			log.Fatalf("compiled and interpreted paths diverge at %d: %g vs %g", i, got[i], want[i])
+			log.Fatalf("generated and row-program paths diverge at %d: %g vs %g", i, got[i], want[i])
 		}
 	}
-	fmt.Printf("Phase 2: compiled output matches the interpreter bit for bit\n\n")
-	fmt.Printf("interpreted (template library): %v\n", interpTime)
-	fmt.Printf("compiled (split-pointer):       %v  (%.1fx faster)\n",
-		compiledTime, interpTime.Seconds()/compiledTime.Seconds())
+	fmt.Printf("Phase 2: generated code matches the checked + row-program run bit for bit\n\n")
+	fmt.Printf("row program (Instance.Run, %d steps): %v\n", steps-2, rowTime)
+	fmt.Printf("generated split-pointer (%d steps):   %v\n", steps, compiledTime)
 }

@@ -106,7 +106,7 @@ func main() {
 	// with slow jobs, then burst — the excess must shed with 429, never
 	// buffer without bound.
 	for i := 0; i < 6; i++ {
-		post(base, gateway.Submission{Spec: spec, Sizes: []int{512}, Steps: 4000, Seed: int64(10 + i)})
+		post(base, gateway.Submission{Spec: spec, Sizes: []int{1 << 15}, Steps: 2000, Seed: int64(10 + i)})
 	}
 	accepted, shed := 0, 0
 	retryAfter := ""

@@ -15,33 +15,7 @@ import (
 // CI runs a short -fuzz smoke of this target; `go test` alone replays the
 // seed corpus plus any crashers checked into testdata/fuzz.
 func FuzzDSL(f *testing.F) {
-	seeds := []string{
-		heatSrc,
-		// 1D three-point average.
-		"stencil s { dims: 1; array u; kernel { u(t+1,x) = (u(t,x-1)+u(t,x)+u(t,x+1))/3; } }",
-		// Constant boundary, depth-2 access.
-		"stencil w { dims: 1; param C = 2; array u; boundary u: constant 0;\n" +
-			"  kernel { u(t+1,x) = C*u(t,x) - u(t-1,x); } }",
-		// Structurally broken inputs: the fuzzer mutates from these too.
-		"stencil s { dims: 1; array u; kernel { u(t+1,x) = u(t+2,x); } }",
-		"stencil s { dims: 0; }",
-		"stencil s { dims: 2; array u; kernel { u(t+1,x,y) = v(t,x,y); } }",
-		"stencil",
-		"# just a comment\n",
-		"",
-		// Front-door limit probes: an oversized source, a token flood, and
-		// deep expression nesting must all surface as typed *LimitError —
-		// never a stack overflow or a multi-second parse.
-		"stencil s { dims: 1; array u; kernel { u(t+1,x) = u(t,x); } }" +
-			strings.Repeat("# pad\n", MaxSourceBytes/6+1),
-		"stencil s { dims: 1; array u; kernel { u(t+1,x) = 0" +
-			strings.Repeat("+0", MaxTokens/2+64) + "; } }",
-		"stencil s { dims: 1; array u; kernel { u(t+1,x) = " +
-			strings.Repeat("(", 4*MaxExprDepth) + "u(t,x)" + strings.Repeat(")", 4*MaxExprDepth) + "; } }",
-		"stencil s { dims: 1; array u; kernel { u(t+1,x) = " +
-			strings.Repeat("-", 4*MaxExprDepth) + "u(t,x); } }",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -81,4 +55,34 @@ func FuzzDSL(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzSeeds is the seed corpus FuzzDSL and FuzzRowExec share.
+func fuzzSeeds() []string {
+	return []string{
+		heatSrc,
+		// 1D three-point average.
+		"stencil s { dims: 1; array u; kernel { u(t+1,x) = (u(t,x-1)+u(t,x)+u(t,x+1))/3; } }",
+		// Constant boundary, depth-2 access.
+		"stencil w { dims: 1; param C = 2; array u; boundary u: constant 0;\n" +
+			"  kernel { u(t+1,x) = C*u(t,x) - u(t-1,x); } }",
+		// Structurally broken inputs: the fuzzer mutates from these too.
+		"stencil s { dims: 1; array u; kernel { u(t+1,x) = u(t+2,x); } }",
+		"stencil s { dims: 0; }",
+		"stencil s { dims: 2; array u; kernel { u(t+1,x,y) = v(t,x,y); } }",
+		"stencil",
+		"# just a comment\n",
+		"",
+		// Front-door limit probes: an oversized source, a token flood, and
+		// deep expression nesting must all surface as typed *LimitError —
+		// never a stack overflow or a multi-second parse.
+		"stencil s { dims: 1; array u; kernel { u(t+1,x) = u(t,x); } }" +
+			strings.Repeat("# pad\n", MaxSourceBytes/6+1),
+		"stencil s { dims: 1; array u; kernel { u(t+1,x) = 0" +
+			strings.Repeat("+0", MaxTokens/2+64) + "; } }",
+		"stencil s { dims: 1; array u; kernel { u(t+1,x) = " +
+			strings.Repeat("(", 4*MaxExprDepth) + "u(t,x)" + strings.Repeat(")", 4*MaxExprDepth) + "; } }",
+		"stencil s { dims: 1; array u; kernel { u(t+1,x) = " +
+			strings.Repeat("-", 4*MaxExprDepth) + "u(t,x); } }",
+	}
 }

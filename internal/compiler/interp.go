@@ -2,19 +2,32 @@ package compiler
 
 import (
 	"fmt"
+	"sync"
 
 	"pochoir"
 )
 
-// Instance is an executable stencil built from a checked specification:
-// the Phase-1 path. The kernel is evaluated directly from the expression
-// tree through the checked Array API, so a specification that runs here is
-// Pochoir-compliant by construction — the compiled Phase-2 code is then
-// guaranteed to behave identically (the Pochoir Guarantee).
+// Instance is an executable stencil built from a checked specification. It
+// carries the kernel twice. The point kernel (Kernel) evaluates the
+// expression tree per point through the checked Array API — the Phase-1
+// path, Pochoir-compliant by construction, and what RunChecked and shadow
+// verification execute. The row program (rowprog.go) is the same tree
+// lowered once to elementwise operations over unit-stride rows; its two
+// base-case clones are attached to Stencil, so Run and every supervised run
+// of Stencil execute them, bit-identical to the point kernel.
+//
+// Both forms are built on first use, not by NewInstance: a job that is
+// admitted and then shed, coalesced or expired in the queue never pays for
+// them.
 type Instance struct {
 	Checked *Checked
 	Stencil *pochoir.Stencil[float64]
 	Arrays  map[string]*pochoir.Array[float64]
+
+	clones pochoir.BaseKernels
+
+	lowerOnce sync.Once
+	rows      *rowProgram
 }
 
 // NewInstance allocates arrays of the given spatial sizes, registers
@@ -49,28 +62,44 @@ func (c *Checked) NewInstance(sizes ...int) (*Instance, error) {
 		}
 		inst.Arrays[decl.Name] = a
 	}
+	// §4's two clones: interior zoids walk their rows in true coordinates,
+	// everything else takes the row-splitting boundary clone (rowexec.go).
+	inst.clones = pochoir.BaseKernels{
+		Interior: func(z pochoir.Zoid) { inst.lowered().exec(z, false) },
+		Boundary: func(z pochoir.Zoid) { inst.lowered().exec(z, true) },
+	}
+	inst.Stencil.AttachBaseKernels(inst.clones)
 	return inst, nil
 }
 
-// evalFn evaluates one expression at a kernel point.
-type evalFn func(t int, x []int) float64
+// lowered returns the row program, building it and the point kernel's
+// closure trees on the first call. Base cases run concurrently, hence the
+// Once; after the first call it costs one atomic load per base case.
+func (inst *Instance) lowered() *rowProgram {
+	inst.lowerOnce.Do(func() { inst.rows = lowerRows(inst) })
+	return inst.rows
+}
+
+// evalFn evaluates one expression at the kernel point (t, x). idx is the
+// evaluation's index scratch, len(x) long: each array access composes its
+// coordinates there instead of allocating, and is done with it before any
+// other node runs.
+type evalFn func(t int, x, idx []int) float64
 
 // compileExpr lowers an expression tree to nested closures.
 func (inst *Instance) compileExpr(e Expr) evalFn {
 	switch n := e.(type) {
 	case *Num:
 		v := n.Value
-		return func(int, []int) float64 { return v }
+		return func(int, []int, []int) float64 { return v }
 	case *Ref:
 		v := inst.Checked.Param(n.Name)
-		return func(int, []int) float64 { return v }
+		return func(int, []int, []int) float64 { return v }
 	case *Access:
 		arr := inst.Arrays[n.Array]
 		dt := n.DT
 		dx := append([]int(nil), n.DX...)
-		d := len(dx)
-		return func(t int, x []int) float64 {
-			idx := make([]int, d)
+		return func(t int, x, idx []int) float64 {
 			for i := range idx {
 				idx[i] = x[i] + dx[i]
 			}
@@ -78,32 +107,32 @@ func (inst *Instance) compileExpr(e Expr) evalFn {
 		}
 	case *Unary:
 		x := inst.compileExpr(n.X)
-		return func(t int, xs []int) float64 { return -x(t, xs) }
+		return func(t int, xs, idx []int) float64 { return -x(t, xs, idx) }
 	case *Binary:
 		l, r := inst.compileExpr(n.L), inst.compileExpr(n.R)
 		switch n.Op {
 		case '+':
-			return func(t int, xs []int) float64 { return l(t, xs) + r(t, xs) }
+			return func(t int, xs, idx []int) float64 { return l(t, xs, idx) + r(t, xs, idx) }
 		case '-':
-			return func(t int, xs []int) float64 { return l(t, xs) - r(t, xs) }
+			return func(t int, xs, idx []int) float64 { return l(t, xs, idx) - r(t, xs, idx) }
 		case '*':
-			return func(t int, xs []int) float64 { return l(t, xs) * r(t, xs) }
+			return func(t int, xs, idx []int) float64 { return l(t, xs, idx) * r(t, xs, idx) }
 		default:
-			return func(t int, xs []int) float64 { return l(t, xs) / r(t, xs) }
+			return func(t int, xs, idx []int) float64 { return l(t, xs, idx) / r(t, xs, idx) }
 		}
 	case *Call:
 		a, b := inst.compileExpr(n.Args[0]), inst.compileExpr(n.Args[1])
 		if n.Name == "max" {
-			return func(t int, xs []int) float64 {
-				va, vb := a(t, xs), b(t, xs)
+			return func(t int, xs, idx []int) float64 {
+				va, vb := a(t, xs, idx), b(t, xs, idx)
 				if va >= vb {
 					return va
 				}
 				return vb
 			}
 		}
-		return func(t int, xs []int) float64 {
-			va, vb := a(t, xs), b(t, xs)
+		return func(t int, xs, idx []int) float64 {
+			va, vb := a(t, xs, idx), b(t, xs, idx)
 			if va <= vb {
 				return va
 			}
@@ -113,37 +142,50 @@ func (inst *Instance) compileExpr(e Expr) evalFn {
 	panic(fmt.Sprintf("compiler: unknown expression node %T", e))
 }
 
-// Kernel returns the interpreted point kernel.
-func (inst *Instance) Kernel() pochoir.Kernel {
-	type stmt struct {
-		arr *pochoir.Array[float64]
-		rhs evalFn
-	}
-	var stmts []stmt
+// pointStmt is one kernel statement of the point kernel.
+type pointStmt struct {
+	arr *pochoir.Array[float64]
+	rhs evalFn
+}
+
+func (inst *Instance) compileStmts() []pointStmt {
+	var stmts []pointStmt
 	for _, st := range inst.Checked.Prog.Kernel {
-		stmts = append(stmts, stmt{
+		stmts = append(stmts, pointStmt{
 			arr: inst.Arrays[st.LHS.Array],
 			rhs: inst.compileExpr(st.RHS),
 		})
 	}
-	homeDT := inst.Checked.HomeDT
-	return func(t int, x []int) {
-		for _, s := range stmts {
-			s.arr.Set(t+homeDT, s.rhs(t, x), x...)
-		}
+	return stmts
+}
+
+// applyPoint is the checked point kernel: every statement evaluated at
+// (t, x) through Array.Get/Set and the registered boundary functions.
+func (p *rowProgram) applyPoint(t int, x, idx []int) {
+	for _, s := range p.point {
+		s.arr.Set(t+p.homeDT, s.rhs(t, x, idx), x...)
 	}
 }
 
-// Run executes the interpreted stencil for steps time steps.
-func (inst *Instance) Run(steps int, opts pochoir.Options) error {
-	inst.Stencil.SetOptions(opts)
-	return inst.Stencil.Run(steps, inst.Kernel())
+// Kernel returns the checked point kernel in the form Stencil's run methods
+// take; RunChecked and shadow verification execute it.
+func (inst *Instance) Kernel() pochoir.Kernel {
+	p := inst.lowered()
+	return func(t int, x []int) {
+		p.applyPoint(t, x, make([]int, len(x)))
+	}
 }
 
-// RunChecked executes with the Pochoir Guarantee enforced: any access
-// outside the inferred shape is reported. Because the shape is inferred
-// from these very accesses this should never fire; it exists to guard the
-// compiler itself and is exercised by the test suite.
+// Run executes the stencil for steps time steps on the row-program clones.
+func (inst *Instance) Run(steps int, opts pochoir.Options) error {
+	inst.Stencil.SetOptions(opts)
+	return inst.Stencil.RunSpecialized(steps, inst.clones)
+}
+
+// RunChecked executes the point kernel with the Pochoir Guarantee enforced:
+// any access outside the inferred shape is reported. Because the shape is
+// inferred from these very accesses this should never fire; it exists to
+// guard the compiler itself and is exercised by the test suite.
 func (inst *Instance) RunChecked(steps int) error {
 	return inst.Stencil.RunChecked(steps, inst.Kernel())
 }

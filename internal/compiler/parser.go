@@ -402,10 +402,3 @@ func (p *parser) factor() (Expr, error) {
 	}
 	return nil, errf(t.pos, "expected an expression, found %s", t)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

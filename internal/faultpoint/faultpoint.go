@@ -95,6 +95,11 @@ type Spec struct {
 	Panic any
 	// Sleep is the stall duration for KindSleep.
 	Sleep time.Duration
+	// Gate, when non-nil, makes KindSleep block until the channel is closed
+	// instead of for a duration: a test holds visitors at the site, sets up
+	// the state it wants them to find, and releases them. It has no
+	// environment-grammar form.
+	Gate <-chan struct{}
 	// Prob, when positive, makes each matching visit fire only with this
 	// probability (the soak-test mode); zero keeps the fully deterministic
 	// behaviour. Visits that lose the roll count toward After but not
@@ -238,7 +243,11 @@ func Visit(site Site, depth int) {
 	}
 	switch spec.Kind {
 	case KindSleep:
-		time.Sleep(spec.Sleep)
+		if spec.Gate != nil {
+			<-spec.Gate
+		} else {
+			time.Sleep(spec.Sleep)
+		}
 	default:
 		v := spec.Panic
 		if v == nil {

@@ -268,6 +268,9 @@ type job struct {
 	seed     int64
 	deadline time.Time
 
+	// inst holds the job's grids and stencil from admission until its
+	// outcome is recorded; runJob then drops it, so the job table retains
+	// only status-sized records.
 	inst *compiler.Instance
 
 	// trace is the job's causal trace (nil when tracing is disabled) and
@@ -879,6 +882,7 @@ func (g *Gateway) runJob(j *job) {
 
 	now = g.cfg.now()
 	j.mu.Lock()
+	j.inst = nil
 	j.finishedAt = now
 	if rep != nil {
 		j.retries = rep.Retries

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"pochoir/internal/faultpoint"
 	"pochoir/internal/flight"
 	"pochoir/internal/metrics"
 )
@@ -21,6 +23,28 @@ kernel { u(t+1,x) = 0.25*u(t,x-1) + 0.5*u(t,x) + 0.25*u(t,x+1); } }`
 func sub(steps, size int, seed int64) Submission {
 	return Submission{Spec: testSpec, Sizes: []int{size}, Steps: steps, Seed: seed}
 }
+
+// holdWorkers arms a gated faultpoint that stops the next n base cases, so
+// the n jobs that reach them first stay "running" until release is called
+// (test cleanup calls it too). Tests that need a busy pool hold a small job
+// this way; a job sized to be slow stops being slow when the executor gets
+// faster.
+func holdWorkers(t *testing.T, n int) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	release = sync.OnceFunc(func() { close(gate) })
+	faultpoint.Arm(faultpoint.SiteBase, faultpoint.Spec{
+		Kind: faultpoint.KindSleep, Depth: faultpoint.AnyDepth, Gate: gate, Times: n})
+	t.Cleanup(func() {
+		release()
+		faultpoint.DisarmAll()
+	})
+	return release
+}
+
+// blockerJob is one base case of work: exactly one gated visit under
+// holdWorkers.
+func blockerJob(seed int64) Submission { return sub(8, 64, seed) }
 
 // waitDone blocks until job id is terminal.
 func waitDone(t *testing.T, g *Gateway, id string) *JobStatus {
@@ -94,8 +118,9 @@ func TestGatewayQueueFullSheds(t *testing.T) {
 	g := New(Config{Workers: 1, QueueDepth: 2, TenantBurst: 1000, TenantMaxConcurrent: 100})
 	defer g.Close()
 
-	// A slow blocker occupies the single worker; two more fill the queue.
-	blocker, serr := g.Submit("t", sub(4000, 512, 1))
+	// A held blocker occupies the single worker; two more fill the queue.
+	release := holdWorkers(t, 1)
+	blocker, serr := g.Submit("t", blockerJob(1))
 	if serr != nil {
 		t.Fatalf("blocker: %v", serr)
 	}
@@ -115,8 +140,9 @@ func TestGatewayQueueFullSheds(t *testing.T) {
 		}
 		admitted = append(admitted, st.ID)
 	}
-	if shed == 0 {
-		t.Fatalf("burst past queue capacity shed nothing (admitted %d)", len(admitted))
+	release()
+	if shed < 8-2-1 {
+		t.Fatalf("burst of 8 past a held worker and a 2-deep queue shed only %d (admitted %d)", shed, len(admitted))
 	}
 	// Zero accepted-job losses: every admitted job still reaches "done".
 	for _, id := range admitted {
@@ -150,7 +176,8 @@ func TestGatewayTenantQuota(t *testing.T) {
 func TestGatewayTenantConcurrency(t *testing.T) {
 	g := New(Config{Workers: 1, QueueDepth: 8, TenantMaxConcurrent: 1, TenantBurst: 1000})
 	defer g.Close()
-	st, serr := g.Submit("t", sub(2000, 512, 1))
+	release := holdWorkers(t, 1)
+	st, serr := g.Submit("t", blockerJob(1))
 	if serr != nil {
 		t.Fatalf("first job: %v", serr)
 	}
@@ -158,6 +185,7 @@ func TestGatewayTenantConcurrency(t *testing.T) {
 	if serr == nil || serr.Reason != "concurrency" {
 		t.Fatalf("second in-flight job not shed: %+v", serr)
 	}
+	release()
 	waitDone(t, g, st.ID)
 	if _, serr = g.Submit("t", sub(4, 16, 3)); serr != nil {
 		t.Fatalf("slot not released after completion: %v", serr)
@@ -172,7 +200,8 @@ func TestGatewayCoalesce(t *testing.T) {
 	g := New(Config{Workers: 1, QueueDepth: 8, Metrics: reg, TenantBurst: 1000})
 	defer g.Close()
 
-	blocker, serr := g.Submit("t", sub(2000, 512, 1))
+	release := holdWorkers(t, 1)
+	blocker, serr := g.Submit("t", blockerJob(1))
 	if serr != nil {
 		t.Fatalf("blocker: %v", serr)
 	}
@@ -200,6 +229,7 @@ func TestGatewayCoalesce(t *testing.T) {
 	if n := len(g.JobList()); n != 3 {
 		t.Fatalf("expected 3 distinct jobs, have %d", n)
 	}
+	release()
 	waitDone(t, g, blocker.ID)
 	waitDone(t, g, first.ID)
 	// After the job finishes it must NOT coalesce: a rerun is a new job.
@@ -235,7 +265,8 @@ func TestGatewayDeadline(t *testing.T) {
 func TestGatewayPriority(t *testing.T) {
 	g := New(Config{Workers: 1, QueueDepth: 8, TenantBurst: 1000})
 	defer g.Close()
-	blocker, _ := g.Submit("t", sub(2000, 512, 1))
+	release := holdWorkers(t, 1)
+	blocker, _ := g.Submit("t", blockerJob(1))
 	low, serr := g.Submit("t", Submission{Spec: testSpec, Sizes: []int{64}, Steps: 16, Priority: "low", Seed: 2})
 	if serr != nil {
 		t.Fatalf("low: %v", serr)
@@ -244,6 +275,7 @@ func TestGatewayPriority(t *testing.T) {
 	if serr != nil {
 		t.Fatalf("high: %v", serr)
 	}
+	release()
 	waitDone(t, g, blocker.ID)
 	waitDone(t, g, low.ID)
 	waitDone(t, g, high.ID)
@@ -324,11 +356,13 @@ func TestGatewayMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	g := New(Config{Workers: 1, QueueDepth: 1, Metrics: reg, TenantBurst: 1000, TenantMaxConcurrent: 100})
 	defer g.Close()
-	blocker, _ := g.Submit("alice", sub(2000, 512, 1))
-	g.Submit("alice", sub(8, 32, 2)) // queued
+	release := holdWorkers(t, 1)
+	blocker, _ := g.Submit("alice", blockerJob(1))
+	g.Submit("alice", sub(8, 32, 2)) // queued, or running once the blocker is
 	for i := 0; i < 6; i++ {
-		g.Submit("alice", sub(8, 32, int64(10+i))) // mostly shed
+		g.Submit("alice", sub(8, 32, int64(10+i))) // all but one shed
 	}
+	release()
 	waitDone(t, g, blocker.ID)
 
 	var buf bytes.Buffer
@@ -349,6 +383,43 @@ func TestGatewayMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("exposition missing %s", want)
+		}
+	}
+}
+
+// TestGatewayDropsFinishedInstances: once a job's outcome is recorded the
+// job table keeps its status, not its grids — done or failed.
+func TestGatewayDropsFinishedInstances(t *testing.T) {
+	g := New(Config{Workers: 2, QueueDepth: 32, TenantBurst: 1000, TenantMaxConcurrent: 1000})
+	defer g.Close()
+	var ids []string
+	for i := 0; i < 12; i++ {
+		st, serr := g.Submit("t", sub(16, 256, int64(i)))
+		if serr != nil {
+			t.Fatalf("submit %d: %v", i, serr)
+		}
+		ids = append(ids, st.ID)
+	}
+	late, serr := g.Submit("t", Submission{Spec: testSpec, Sizes: []int{1024}, Steps: 50000, DeadlineMS: 1, Seed: 99})
+	if serr != nil {
+		t.Fatalf("submit: %v", serr)
+	}
+	for _, id := range ids {
+		if fin := waitDone(t, g, id); fin.State != StateDone || fin.Checksum == "" {
+			t.Fatalf("job %s: %+v", id, fin)
+		}
+	}
+	if fin := waitDone(t, g, late.ID); fin.State != StateFailed {
+		t.Fatalf("a 1ms deadline was met: %+v", fin)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for id, j := range g.jobs {
+		j.mu.Lock()
+		held := j.inst != nil
+		j.mu.Unlock()
+		if held {
+			t.Errorf("finished job %s still holds its Instance", id)
 		}
 	}
 }

@@ -184,6 +184,13 @@ func (s *Server) Close() error {
 // the smoke test re-executes it as a child process to prove the signal
 // path end to end.
 func Daemon(cfg Config, addr string, drainTimeout time.Duration, out io.Writer) error {
+	// The handler goes in before the address is announced: a supervisor
+	// may signal the moment it reads the listen line, and a SIGTERM with no
+	// handler yet would kill the process instead of draining it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sig)
+
 	g := New(cfg)
 	s, err := Serve(addr, g)
 	if err != nil {
@@ -191,10 +198,7 @@ func Daemon(cfg Config, addr string, drainTimeout time.Duration, out io.Writer) 
 	}
 	fmt.Fprintf(out, "pochoird listening on %s\n", s.URL())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	got := <-sig
-	signal.Stop(sig)
 	fmt.Fprintf(out, "pochoird: %v: draining\n", got)
 
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)

@@ -97,21 +97,20 @@ func TestGatewaySmoke(t *testing.T) {
 	defer srv.Close()
 	base := srv.URL()
 
-	// Phase 1 — overload: occupy both workers with slow jobs, then burst
-	// far past queue capacity. Excess must shed with 429 + Retry-After;
-	// every accepted job must still complete.
+	// Phase 1 — overload: hold both workers at their first base case on a
+	// gated faultpoint, burst far past queue capacity, then open the gate.
+	// Two jobs are held and four fit the queue, so most of the burst must
+	// shed with 429 + Retry-After however fast a job runs; every accepted
+	// job must still complete.
+	openGate := holdWorkers(t, 2)
 	var accepted []string
 	for i := 0; i < 2; i++ {
-		st, shed, code, _ := postJob(t, base, "burst", sub(4000, 512, int64(1+i)))
+		st, shed, code, _ := postJob(t, base, "burst", blockerJob(int64(1+i)))
 		if code != 202 {
 			t.Fatalf("blocker %d: %d %+v", i, code, shed)
 		}
 		accepted = append(accepted, st.ID)
 	}
-	// Each burst job costs strictly more CPU than serving its POST (1M
-	// point-updates vs a localhost roundtrip), so on a shared core the
-	// backlog must grow and the 4-deep queue must overflow — the shed
-	// below is deterministic, not a timing accident.
 	var sheds int
 	for i := 0; i < 24; i++ {
 		st, shed, code, hdr := postJob(t, base, "burst", sub(2000, 512, int64(100+i)))
@@ -130,8 +129,9 @@ func TestGatewaySmoke(t *testing.T) {
 			t.Fatalf("unexpected status %d (%+v)", code, shed)
 		}
 	}
-	if sheds == 0 {
-		t.Fatalf("burst of 24 past a 4-deep queue shed nothing (%d accepted)", len(accepted))
+	openGate()
+	if sheds < 24-4-2 {
+		t.Fatalf("burst of 24 past two held workers and a 4-deep queue shed only %d (%d accepted)", sheds, len(accepted))
 	}
 	for _, id := range accepted {
 		if st := waitJob(t, base, id); st.State != StateDone || st.Checksum == "" {
@@ -222,6 +222,64 @@ func TestPochoirdDaemonChild(t *testing.T) {
 	}
 }
 
+// startDaemonChild re-execs this binary as a pochoird daemon (see
+// TestPochoirdDaemonChild) and returns it once it has announced its address,
+// with the scanner positioned just past the listen line.
+func startDaemonChild(t *testing.T, env ...string) (cmd *exec.Cmd, sc *bufio.Scanner, base string) {
+	t.Helper()
+	cmd = exec.Command(os.Args[0], "-test.run=TestPochoirdDaemonChild$", "-test.v")
+	cmd.Env = append(append(os.Environ(), childEnv+"=1", "POCHOIRD_SPILL_DIR="+t.TempDir()), env...)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill()
+		_, _ = cmd.Process.Wait()
+	})
+	sc = bufio.NewScanner(stdout)
+	for sc.Scan() {
+		if rest, ok := strings.CutPrefix(sc.Text(), "pochoird listening on "); ok {
+			return cmd, sc, strings.TrimSpace(rest)
+		}
+	}
+	t.Fatalf("child never announced its address: %v", sc.Err())
+	return nil, nil, ""
+}
+
+// awaitDrain reads the child's drain summary and requires a clean exit.
+func awaitDrain(t *testing.T, cmd *exec.Cmd, sc *bufio.Scanner) DrainSummary {
+	t.Helper()
+	var sum struct {
+		Drain DrainSummary `json:"drain"`
+	}
+	found := false
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if strings.HasPrefix(line, `{"drain":`) {
+			if err := json.Unmarshal([]byte(line), &sum); err != nil {
+				t.Fatalf("drain summary %q: %v", line, err)
+			}
+			found = true
+			break
+		}
+	}
+	if !found {
+		t.Fatalf("no drain summary on child stdout: %v", sc.Err())
+	}
+	for sc.Scan() {
+		// Drain the pipe so the child can exit.
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("child exit: %v", err)
+	}
+	return sum.Drain
+}
+
 // TestPochoirdSIGTERM re-execs this binary as a pochoird daemon, bursts
 // jobs at it, SIGTERMs it mid-flight, and requires a clean graceful drain:
 // every admitted job completes (the child also carries a POCHOIR_FAULTPOINTS
@@ -231,38 +289,9 @@ func TestPochoirdSIGTERM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess harness skipped in -short")
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=TestPochoirdDaemonChild$", "-test.v")
-	cmd.Env = append(os.Environ(),
-		childEnv+"=1",
-		"POCHOIRD_SPILL_DIR="+t.TempDir(),
-		// One injected worker panic inside the daemon: the drain must still
-		// complete every job, proving the supervisor absorbs it in service.
-		faultpoint.EnvVar+"=walker/base=panic:after=1,times=1",
-	)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		_ = cmd.Process.Kill()
-		_, _ = cmd.Process.Wait()
-	}()
-
-	sc := bufio.NewScanner(stdout)
-	base := ""
-	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(sc.Text(), "pochoird listening on "); ok {
-			base = strings.TrimSpace(rest)
-			break
-		}
-	}
-	if base == "" {
-		t.Fatalf("child never announced its address: %v", sc.Err())
-	}
+	// One injected worker panic inside the daemon: the drain must still
+	// complete every job, proving the supervisor absorbs it in service.
+	cmd, sc, base := startDaemonChild(t, faultpoint.EnvVar+"=walker/base=panic:after=1,times=1")
 
 	// Burst admitted work, then SIGTERM while it is still in flight.
 	admitted := 0
@@ -287,30 +316,26 @@ func TestPochoirdSIGTERM(t *testing.T) {
 		t.Logf("post-SIGTERM submission answered %d", code)
 	}
 
-	var sum struct {
-		Drain DrainSummary `json:"drain"`
+	if sum := awaitDrain(t, cmd, sc); sum.TimedOut || sum.Completed != admitted || sum.Failed != 0 {
+		t.Fatalf("drain lost admitted jobs: %+v (want %d completed)", sum, admitted)
 	}
-	found := false
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, `{"drain":`) {
-			if err := json.Unmarshal([]byte(line), &sum); err != nil {
-				t.Fatalf("drain summary %q: %v", line, err)
-			}
-			found = true
-			break
+}
+
+// TestPochoirdSIGTERMAtAnnounce: a SIGTERM sent the moment the listen line
+// is read — before the daemon has served anything — must still drain and
+// print the summary, not kill the process: the handler is installed before
+// the address is announced.
+func TestPochoirdSIGTERMAtAnnounce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess harness skipped in -short")
+	}
+	for i := 0; i < 5; i++ {
+		cmd, sc, _ := startDaemonChild(t)
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Fatalf("no drain summary on child stdout: %v", sc.Err())
-	}
-	for sc.Scan() {
-		// Drain the pipe so the child can exit.
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("child exit: %v", err)
-	}
-	if sum.Drain.TimedOut || sum.Drain.Completed != admitted || sum.Drain.Failed != 0 {
-		t.Fatalf("drain lost admitted jobs: %+v (want %d completed)", sum.Drain, admitted)
+		if sum := awaitDrain(t, cmd, sc); sum != (DrainSummary{}) {
+			t.Fatalf("launch %d: idle daemon drained %+v", i, sum)
+		}
 	}
 }

@@ -230,7 +230,9 @@ func TestTraceSmoke(t *testing.T) {
 	// Phase 3 — SLO burn: a burst of deadline-doomed jobs must drive the
 	// job-success objective into a fast-burn breach...
 	for i := 0; i < 12; i++ {
-		job := sub(2000, 128, int64(9000+i))
+		// 6.4M updates against a 1 ms deadline: doomed at any executor
+		// speed, and cancelled at the deadline, so no slower to fail.
+		job := sub(50000, 128, int64(9000+i))
 		job.DeadlineMS = 1
 		st, _, _ := postJobTraced(t, base, "smoke", "", job)
 		if fin := waitJob(t, base, st.ID); fin.State != StateFailed {

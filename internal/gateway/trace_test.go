@@ -25,9 +25,10 @@ func TestCoalescedJobLinkSpans(t *testing.T) {
 	})
 	defer g.Close()
 
-	// Occupy the single worker so the primary stays queued while its
+	// Hold the single worker so the primary stays queued while its
 	// duplicate arrives.
-	blocker, serr := g.Submit("a", sub(3000, 512, 1))
+	release := holdWorkers(t, 1)
+	blocker, serr := g.Submit("a", blockerJob(1))
 	if serr != nil {
 		t.Fatal(serr)
 	}
@@ -45,6 +46,7 @@ func TestCoalescedJobLinkSpans(t *testing.T) {
 	if joiner.Coalesced != 1 {
 		t.Fatalf("coalesced count = %d, want 1", joiner.Coalesced)
 	}
+	release()
 	waitDone(t, g, blocker.ID)
 	if st := waitDone(t, g, primary.ID); st.State != StateDone {
 		t.Fatalf("primary failed: %+v", st)

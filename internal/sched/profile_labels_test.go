@@ -13,6 +13,7 @@ import (
 	"context"
 	"math"
 	"runtime/pprof"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +21,9 @@ import (
 	"pochoir/internal/sched"
 )
 
-var labelBurnSink float64
+// labelBurnSink keeps the burn loop's result alive; several workers store
+// to it at once.
+var labelBurnSink atomic.Uint64
 
 func labelBurn(d time.Duration) {
 	deadline := time.Now().Add(d)
@@ -30,7 +33,7 @@ func labelBurn(d time.Duration) {
 			x = math.Sqrt(x*x + 1.0001)
 		}
 	}
-	labelBurnSink = x
+	labelBurnSink.Store(math.Float64bits(x))
 }
 
 func TestSpawnedWorkersInheritProfilerLabels(t *testing.T) {

@@ -141,6 +141,9 @@ type Stencil[T any] struct {
 	opts      Options
 	stepsRun  int
 	lastStats *RunStats
+	// compiled holds the base-case clones attached with AttachBaseKernels;
+	// the zero value means none.
+	compiled BaseKernels
 	// metSet is the walker instrument set resolved against metReg; both
 	// are managed by runMetrics (see monitor.go). activeProg, when
 	// non-nil, is a run-spanning progress estimator (set by RunSupervised
@@ -469,6 +472,15 @@ type BaseKernels struct {
 func (s *Stencil[T]) GenericBase(kern Kernel) BaseFunc {
 	return s.pointExecutor(kern)
 }
+
+// AttachBaseKernels makes the stencil carry compiled base-case clones of its
+// point kernel: from then on the segments of RunSupervised and
+// ResumeSupervised execute b, on every rung of the degradation ladder, in
+// place of the generic executor over the kernel they are handed. That kernel
+// must be the clones' point form — it remains what shadow verification
+// re-executes, which makes VerifyPolicy a live cross-check of the clones
+// against Phase 1. Run and RunChecked are unaffected. b.Boundary is required.
+func (s *Stencil[T]) AttachBaseKernels(b BaseKernels) { s.compiled = b }
 
 // RunSpecialized executes the stencil for steps time steps using compiled
 // base-case kernels — the Phase-2 path.

@@ -275,6 +275,58 @@ func TestRunSupervisedShadowVerifyCatchesCorruption(t *testing.T) {
 	mustMatch(t, u, steps, want)
 }
 
+// TestRunSupervisedRunsAttachedClones: a stencil carrying compiled clones
+// runs its segments on them on every rung of the ladder, while shadow
+// verification keeps re-executing the point kernel — so clones that
+// silently disagree with it (here: one plane scaled by 2, once) are caught
+// by the cross-check, rolled back and retried.
+func TestRunSupervisedRunsAttachedClones(t *testing.T) {
+	const X, Y, steps, seed = 32, 32, 8, 13
+	opts := pochoir.Options{Serial: true}
+	want := unfaultedHeat2D(t, opts, X, Y, steps, seed)
+
+	st, u, kern := heatStencil(t, opts, X, Y, seed)
+	generic := st.GenericBase(kern)
+	var bases, pointCalls, corrupted atomic.Int64
+	clone := func(z pochoir.Zoid) {
+		bases.Add(1)
+		generic(z)
+		if corrupted.CompareAndSwap(0, 1) {
+			// The first base case leaves its last plane scaled, the way a
+			// miscompiled clone would: no panic, no error, plausible values.
+			last := z.T1 - 1
+			for x := 0; x < X; x++ {
+				for y := 0; y < Y; y++ {
+					u.Set(last, 2*u.Get(last, x, y), x, y)
+				}
+			}
+		}
+	}
+	st.AttachBaseKernels(pochoir.BaseKernels{Interior: clone, Boundary: clone})
+	counted := pochoir.Kernel(func(tt int, x []int) {
+		pointCalls.Add(1)
+		kern(tt, x)
+	})
+	rep, err := st.RunSupervised(context.Background(), steps, counted, pochoir.SupervisePolicy{
+		SegmentSteps: 4,
+		BaseDelay:    time.Microsecond,
+		Verify:       pochoir.VerifyPolicy{Enabled: true},
+	})
+	if err != nil {
+		t.Fatalf("supervised run failed: %v (report %+v)", err, rep)
+	}
+	if bases.Load() == 0 {
+		t.Fatal("segments did not run the attached clones")
+	}
+	if pointCalls.Load() == 0 || pointCalls.Load() >= int64(X*Y*steps) {
+		t.Fatalf("point kernel applied %d times: want only the shadow cones, not the %d-point run", pointCalls.Load(), X*Y*steps)
+	}
+	if rep.VerifyMismatches != 1 || rep.Retries != 1 {
+		t.Fatalf("report = %+v, want the corrupt clone caught once and retried", rep)
+	}
+	mustMatch(t, u, steps, want)
+}
+
 // TestRunSupervisedHappyPathIsPlainRun: with checkpointing disabled and no
 // faults, the supervisor adds bookkeeping only — same result, one segment,
 // no checkpoint copies.

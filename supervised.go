@@ -65,6 +65,10 @@ const (
 // generic checked executor and compared within the tolerance; a mismatch is
 // treated as a segment failure.
 //
+// A stencil that carries compiled clones (AttachBaseKernels) runs its
+// segments on them, on every rung of the ladder; kern is then what shadow
+// verification re-executes per point.
+//
 // The returned RunReport is non-nil in all cases and records every
 // supervisor decision; the same events flow to p.Telemetry (defaulted to
 // Options.Telemetry). On success the stencil has advanced by steps, exactly
@@ -138,12 +142,19 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 			tr.EndSpan(runSpan, status, attrs...)
 		}()
 	}
+	// Segments run the attached compiled clones when the stencil carries
+	// them (AttachBaseKernels); shadow verification always re-executes the
+	// point kernel.
 	exec := s.pointExecutor(kern)
+	clones := s.compiled
+	if clones.Boundary == nil {
+		clones = BaseKernels{Interior: exec, Boundary: exec}
+	}
 	var cpStart *Checkpoint[T]
 	d := resilience.Driver{
 		Steps: steps,
 		Run: func(ctx context.Context, eng resilience.Engine, fromStep, n int) error {
-			return s.runSegment(ctx, eng, exec, n)
+			return s.runSegment(ctx, eng, clones, n)
 		},
 		Checkpoint: func() error {
 			cp, err := s.Checkpoint()
@@ -201,7 +212,7 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 // EngineFull keeps the stencil's configured options; the lower rungs
 // override the decomposition — and for LOOPS also force serial execution,
 // so the last rung shares nothing with the failure modes above it.
-func (s *Stencil[T]) runSegment(ctx context.Context, eng resilience.Engine, exec BaseFunc, n int) error {
+func (s *Stencil[T]) runSegment(ctx context.Context, eng resilience.Engine, b BaseKernels, n int) error {
 	w, err := s.newWalker()
 	if err != nil {
 		return err
@@ -213,8 +224,8 @@ func (s *Stencil[T]) runSegment(ctx context.Context, eng resilience.Engine, exec
 		w.Algorithm = core.LOOPS
 		w.Serial = true
 	}
-	w.Boundary = exec
-	w.Interior = exec
+	w.Boundary = b.Boundary
+	w.Interior = b.Interior
 	return s.runWalker(ctx, w, n)
 }
 
