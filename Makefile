@@ -42,12 +42,17 @@ soak:
 # FuzzProfileDecode does the same for the hand-rolled gzip+protobuf pprof
 # decoder behind /profilez. FuzzRowExec holds the row-program clones every
 # served job runs against RunChecked over the per-point kernel, bit for bit,
-# on whatever source text compiles.
+# on whatever source text compiles. FuzzWalkerCover draws walker
+# configurations (1-4 dimensions, degenerate extents, slopes 0-2, mixed
+# periodicity, random coarsening and grain, TRAP/STRAP, serial/parallel) and
+# requires every space-time point executed exactly once, after its
+# dependency cone.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDSL -fuzztime=30s -run '^FuzzDSL$$' ./internal/compiler
 	$(GO) test -fuzz=FuzzRowExec -fuzztime=30s -run '^FuzzRowExec$$' ./internal/compiler
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s -run '^FuzzWireDecode$$' ./internal/wire
 	$(GO) test -fuzz=FuzzProfileDecode -fuzztime=30s -run '^FuzzProfileDecode$$' ./internal/profile
+	$(GO) test -fuzz=FuzzWalkerCover -fuzztime=30s -run '^FuzzWalkerCover$$' ./internal/core
 
 # crash-soak hammers the durable-checkpoint crash path end to end: each
 # iteration re-execs the test binary as a child running a spilling supervised
@@ -62,9 +67,10 @@ crash-soak:
 
 # bench checks the telemetry acceptance criterion: Heat2D/NoTelemetry
 # (nil-recorder fast path) must match seed throughput, and Heat2D/Telemetry
-# reports the decomposition counters.
+# reports the decomposition counters. WalkOnly is the walker's own cost —
+# time, allocations and spawns per walk with clones that do nothing.
 bench:
-	$(GO) test -run '^$$' -bench Heat2D -benchtime 10x .
+	$(GO) test -run '^$$' -bench 'Heat2D|WalkOnly' -benchtime 10x .
 
 # monitor-smoke runs the self-scraping monitoring experiment: a supervised
 # run scraped twice over HTTP from its own embedded monitor server, every

@@ -482,6 +482,60 @@ func BenchmarkCoarsening(b *testing.B) {
 	}
 }
 
+// BenchmarkWalkOnly times the decomposition alone: the two library boxes of
+// the repository benchmark (Heat 4 on 32^4 x 32, where the walker is the
+// profile, and Heat 2p on 2048^2 x 32, where it must stay invisible) through
+// RunSpecialized at default options with clones that do nothing. What it
+// reports — ns, allocations and spawns per walk — is the walker's whole
+// cost; ROADMAP item 4 wants the serial rows at zero allocations and the
+// parallel rows no slower than the serial ones.
+func BenchmarkWalkOnly(b *testing.B) {
+	for _, c := range []struct {
+		name, bench string
+		w           benchdef.Workload
+	}{
+		{"Heat4", "Heat 4", benchdef.Workload{Sizes: []int{32, 32, 32, 32}, Steps: 32}},
+		{"Heat2p", "Heat 2p", benchdef.Workload{Sizes: []int{2048, 2048}, Steps: 32}},
+	} {
+		for _, mode := range []string{"serial", "parallel"} {
+			b.Run(c.name+"/"+mode, func(b *testing.B) {
+				f, ok := stencils.Lookup(c.bench)
+				if !ok {
+					b.Fatalf("unknown benchmark %q", c.bench)
+				}
+				sh := f.Shape()
+				u, err := pochoir.NewArray[float64](sh.Depth(), c.w.Sizes...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				u.RegisterBoundary(pochoir.ZeroBoundary[float64]())
+				noop := func(pochoir.Zoid) {}
+				walk := func(opts pochoir.Options) {
+					opts.Serial = mode == "serial"
+					st := pochoir.NewWithOptions[float64](sh, opts)
+					if err := st.RegisterArray(u); err != nil {
+						b.Fatal(err)
+					}
+					if err := st.RunSpecialized(c.w.Steps, pochoir.BaseKernels{Interior: noop, Boundary: noop}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					walk(pochoir.Options{})
+				}
+				b.StopTimer()
+				// One more walk, untimed, with a recorder armed: the spawn
+				// count is a decision, the same on every walk.
+				rec := pochoir.NewRecorder()
+				walk(pochoir.Options{Telemetry: rec})
+				b.ReportMetric(float64(rec.Snapshot().Spawns), "spawns/op")
+			})
+		}
+	}
+}
+
 // BenchmarkAblationHyperspaceVsSpaceCuts measures the wall-clock effect of
 // the hyperspace-cut strategy itself (TRAP vs STRAP execution) — the
 // design choice Fig. 9 analyzes — on a real kernel.

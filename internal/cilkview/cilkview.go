@@ -111,16 +111,16 @@ func (a *Analyzer) Analyze(t0, t1 int) Metrics {
 	}
 	z := zoid.Box(t0, t1, a.W.Sizes[:a.W.NDims])
 	if a.W.Algorithm == core.LOOPS {
-		return a.analyzeLoops(z)
+		return a.analyzeLoops(&z)
 	}
-	return a.analyze(z)
+	return a.analyze(&z)
 }
 
 // analyzeLoops accounts the LOOPS engine exactly as core.Walker.runLoops
 // executes it: each time step is swept as height-1 base cases chunked along
 // dimension 0, in order on one strand — so the span equals the work and the
 // parallelism is 1.
-func (a *Analyzer) analyzeLoops(z zoid.Zoid) Metrics {
+func (a *Analyzer) analyzeLoops(z *zoid.Zoid) Metrics {
 	chunk := a.W.SpaceCutoff[0]
 	width := z.Hi[0] - z.Lo[0]
 	if chunk < 1 {
@@ -134,7 +134,7 @@ func (a *Analyzer) analyzeLoops(z zoid.Zoid) Metrics {
 
 // key builds the canonical translation-invariant signature of z: height
 // plus, per dimension, (bottom base, slopes, full-circle flag).
-func (a *Analyzer) key(z zoid.Zoid) string {
+func (a *Analyzer) key(z *zoid.Zoid) string {
 	buf := make([]byte, 0, 8+z.N*16)
 	buf = fmt.Appendf(buf, "%d", z.Height())
 	for i := 0; i < z.N; i++ {
@@ -154,7 +154,7 @@ func lg(n int) int64 {
 	return int64(bits.Len(uint(n - 1)))
 }
 
-func (a *Analyzer) analyze(z zoid.Zoid) Metrics {
+func (a *Analyzer) analyze(z *zoid.Zoid) Metrics {
 	k := a.key(z)
 	if m, ok := a.memo[k]; ok {
 		return m
@@ -164,20 +164,22 @@ func (a *Analyzer) analyze(z zoid.Zoid) Metrics {
 	return m
 }
 
-func (a *Analyzer) analyzeUncached(z zoid.Zoid) Metrics {
-	cuts := a.W.CutSet(z)
-	if len(cuts) > 0 {
-		switch a.W.Algorithm {
-		case core.STRAP:
-			return a.strapCut(z, cuts[0])
-		default:
-			return a.trapCut(z, cuts)
+func (a *Analyzer) analyzeUncached(z *zoid.Zoid) Metrics {
+	var cutBuf [zoid.MaxDims]zoid.Cut
+	if cuts := a.W.CutSet(z, cutBuf[:0]); len(cuts) > 0 {
+		if a.W.Algorithm == core.STRAP {
+			// Frigo–Strumpen-style serial space cuts: one dimension is cut,
+			// yielding 2 parallel steps, and the recursion rediscovers the
+			// remaining dimensions one at a time — so k cut dimensions cost
+			// 2k parallel steps instead of TRAP's k+1.
+			cuts = cuts[:1]
 		}
+		return a.spaceCut(z, cuts)
 	}
 	if h := z.Height(); h > a.W.TimeCutoffEffective() {
 		lower, upper := z.TimeCut()
-		ml := a.analyze(lower)
-		mu := a.analyze(upper)
+		ml := a.analyze(&lower)
+		mu := a.analyze(&upper)
 		return Metrics{
 			Work:   ml.Work + mu.Work,
 			Span:   ml.Span + mu.Span,
@@ -191,69 +193,32 @@ func (a *Analyzer) analyzeUncached(z zoid.Zoid) Metrics {
 	return Metrics{Work: vol, Span: vol, Zoids: 1, Bases: 1}
 }
 
-// trapCut accounts a hyperspace cut: levels run serially; within a level
-// everything runs in parallel, costing the max child span plus the spawn
-// bookkeeping for the parallel step.
-func (a *Analyzer) trapCut(z zoid.Zoid, cuts []zoid.Cut) Metrics {
-	lv := zoid.HyperspaceCut(z, cuts)
+// spaceCut accounts a cut along every dimension in cuts at once, walking
+// the same enumeration the engine executes: levels run serially; within a
+// level everything runs in parallel, costing the max child span plus the
+// spawn bookkeeping for the parallel step.
+func (a *Analyzer) spaceCut(z *zoid.Zoid, cuts []zoid.Cut) Metrics {
+	var hc zoid.HyperCut
+	hc.Init(z, cuts)
 	out := Metrics{Zoids: 1}
-	for _, level := range lv.Zoids {
+	sub := *z
+	for l := 0; l <= hc.NumCut; l++ {
+		hc.Start(l)
+		n := hc.Left()
 		var maxSpan int64
-		for _, c := range level {
-			m := a.analyze(c)
+		for hc.Next(&sub) {
+			m := a.analyze(&sub)
 			out.Work += m.Work
 			out.Zoids += m.Zoids
 			out.Bases += m.Bases
 			out.Spawns += m.Spawns
 			out.Syncs += m.Syncs
-			if m.Span > maxSpan {
-				maxSpan = m.Span
-			}
+			maxSpan = max(maxSpan, m.Span)
 		}
-		out.Span += maxSpan + a.Costs.Spawn*lg(len(level)) + a.Costs.Sync
-		out.Spawns += int64(len(level) - 1)
+		out.Span += maxSpan + a.Costs.Spawn*lg(n) + a.Costs.Sync
+		out.Spawns += int64(n - 1)
 		out.Syncs++
 	}
-	return out
-}
-
-// strapCut accounts Frigo–Strumpen-style serial space cuts: one dimension
-// is cut, yielding 2 parallel steps, and the recursion rediscovers the
-// remaining dimensions one at a time — so k cut dimensions cost 2k parallel
-// steps instead of TRAP's k+1.
-func (a *Analyzer) strapCut(z zoid.Zoid, c zoid.Cut) Metrics {
-	out := Metrics{Zoids: 1}
-	addParallel := func(zs []zoid.Zoid) {
-		var maxSpan int64
-		for _, s := range zs {
-			m := a.analyze(s)
-			out.Work += m.Work
-			out.Zoids += m.Zoids
-			out.Bases += m.Bases
-			out.Spawns += m.Spawns
-			out.Syncs += m.Syncs
-			if m.Span > maxSpan {
-				maxSpan = m.Span
-			}
-		}
-		out.Span += maxSpan + a.Costs.Spawn*lg(len(zs)) + a.Costs.Sync
-		out.Spawns += int64(len(zs) - 1)
-		out.Syncs++
-	}
-	if c.Kind == zoid.CutCircle {
-		sub, _ := z.CircleCut(c.Dim, c.Slope, c.Size)
-		addParallel(sub[0:2]) // blacks
-		addParallel(sub[2:4]) // grays
-		return out
-	}
-	sub, upright := z.SpaceCut(c.Dim, c.Slope)
-	if upright {
-		addParallel([]zoid.Zoid{sub[0], sub[2]})
-		addParallel([]zoid.Zoid{sub[1]})
-		return out
-	}
-	addParallel([]zoid.Zoid{sub[1]})
-	addParallel([]zoid.Zoid{sub[0], sub[2]})
 	return out
 }
 

@@ -16,6 +16,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime/debug"
 	"runtime/pprof"
 	"sync/atomic"
@@ -138,9 +140,10 @@ type Walker struct {
 	TimeCutoff  int
 	SpaceCutoff [zoid.MaxDims]int
 
-	// Grain is the minimum approximate zoid volume (height x product of
-	// widths) for which subzoids are processed on fresh goroutines.
-	// Zero means DefaultGrain. Serial disables parallelism entirely.
+	// Grain is the minimum approximate volume (height x product of mean
+	// widths) a subzoid must have to be processed on a fresh goroutine;
+	// smaller ones run inline on the goroutine that cut them out. Zero
+	// means DefaultGrain. Serial disables parallelism entirely.
 	Grain  int64
 	Serial bool
 
@@ -341,7 +344,7 @@ func (w *Walker) RunContext(ctx context.Context, t0, t1 int) (err error) {
 	}()
 
 	if w.Rec == nil {
-		w.exec(z, nil)
+		w.exec(&z, nil)
 		return nil
 	}
 	w.Rec.RunStarted()
@@ -352,17 +355,17 @@ func (w *Walker) RunContext(ctx context.Context, t0, t1 int) (err error) {
 		w.Rec.Release(sh)
 		w.Rec.RunFinished()
 	}()
-	w.exec(z, sh)
+	w.exec(&z, sh)
 	return nil
 }
 
 // exec dispatches the root zoid to the configured engine.
-func (w *Walker) exec(z zoid.Zoid, sh *telemetry.Shard) {
+func (w *Walker) exec(z *zoid.Zoid, sh *telemetry.Shard) {
 	if w.Algorithm == LOOPS {
 		w.runLoops(z, sh)
 		return
 	}
-	w.walk(z, sh, 0)
+	w.walk(z, sh, 0, true)
 }
 
 // runLoops is the LOOPS engine: every time step is swept as height-1 zoids
@@ -371,11 +374,12 @@ func (w *Walker) exec(z zoid.Zoid, sh *telemetry.Shard) {
 // faultpoint behave exactly as in the recursive engines. Chunks of one time
 // step only read older time slots, so sweeping them in order is correct;
 // cancellation is checked once per chunk.
-func (w *Walker) runLoops(z zoid.Zoid, sh *telemetry.Shard) {
+func (w *Walker) runLoops(z *zoid.Zoid, sh *telemetry.Shard) {
 	chunk := w.SpaceCutoff[0]
 	if chunk < 1 {
 		chunk = z.Hi[0] - z.Lo[0]
 	}
+	step := *z
 	for t := z.T0; t < z.T1; t++ {
 		for lo := z.Lo[0]; lo < z.Hi[0]; lo += chunk {
 			if c := w.cancelled; c != nil && c.Load() {
@@ -384,13 +388,9 @@ func (w *Walker) runLoops(z zoid.Zoid, sh *telemetry.Shard) {
 			if m := w.Met; m != nil {
 				m.Zoids.Inc()
 			}
-			step := z
 			step.T0, step.T1 = t, t+1
-			step.Lo[0] = lo
-			if hi := lo + chunk; hi < z.Hi[0] {
-				step.Hi[0] = hi
-			}
-			w.base(step, sh, 0)
+			step.Lo[0], step.Hi[0] = lo, min(lo+chunk, z.Hi[0])
+			w.base(&step, sh, 0)
 		}
 	}
 }
@@ -429,20 +429,12 @@ func (w *Walker) timeCutoff() int {
 	return w.TimeCutoff
 }
 
-// CutSet collects the hyperspace-cut candidates for z: every dimension
-// along which a parallel space cut (or, for a still-complete periodic
-// dimension, a circle cut) is allowed. It is exported so analytical
-// replays of the decomposition (internal/cilkview, internal/cachesim) make
-// exactly the decisions the execution engine makes.
-func (w *Walker) CutSet(z zoid.Zoid) []zoid.Cut {
-	return w.cuttable(z, nil)
-}
-
-// TimeCutoffEffective returns the base-case height threshold in effect.
-func (w *Walker) TimeCutoffEffective() int { return w.timeCutoff() }
-
-// cuttable collects hyperspace-cut candidates into buf.
-func (w *Walker) cuttable(z zoid.Zoid, buf []zoid.Cut) []zoid.Cut {
+// CutSet collects into buf the hyperspace-cut candidates for z: every
+// dimension along which a parallel space cut (or, for a still-complete
+// periodic dimension, a circle cut) is allowed. It is exported so analytical
+// replays of the decomposition (internal/cilkview) make exactly the decisions
+// the execution engine makes.
+func (w *Walker) CutSet(z *zoid.Zoid, buf []zoid.Cut) []zoid.Cut {
 	buf = buf[:0]
 	for i := 0; i < w.NDims; i++ {
 		s := w.Slopes[i]
@@ -459,18 +451,27 @@ func (w *Walker) cuttable(z zoid.Zoid, buf []zoid.Cut) []zoid.Cut {
 	return buf
 }
 
-// approxVolume returns a cheap overestimate of the zoid's point count, used
-// only for the spawn-grain decision.
-func (w *Walker) approxVolume(z zoid.Zoid) int64 {
-	v := int64(z.Height())
-	for i := 0; i < w.NDims; i++ {
-		wd := z.Width(i)
-		if wd <= 0 {
-			return 0
+// TimeCutoffEffective returns the base-case height threshold in effect.
+func (w *Walker) TimeCutoffEffective() int { return w.timeCutoff() }
+
+// approxVolume returns a cheap estimate of the zoid's point count, used only
+// for the spawn-grain decision: height times the mean of the two bases along
+// every dimension. (The longer base instead over-counts a zoid that is
+// minimal in k dimensions 2^k-fold and more — on Heat 4 it passed 5 k-point
+// slivers off as 65 k-point tasks.) It saturates at math.MaxInt64: a wrapped
+// product would read as a tiny or negative volume and silently flip the
+// decision on exactly the zoids most worth spawning.
+func (w *Walker) approxVolume(z *zoid.Zoid) int64 {
+	v := uint64(max(z.Height(), 0))
+	for i := 0; i < w.NDims && v > 0; i++ {
+		mean := (z.BottomBase(i) + z.TopBase(i) + 1) / 2
+		hi, lo := bits.Mul64(v, uint64(max(mean, 0)))
+		if hi != 0 || lo > math.MaxInt64 {
+			return math.MaxInt64
 		}
-		v *= int64(wd)
+		v = lo
 	}
-	return v
+	return int64(v)
 }
 
 func (w *Walker) grain() int64 {
@@ -480,11 +481,19 @@ func (w *Walker) grain() int64 {
 	return DefaultGrain
 }
 
-// walk recursively decomposes and executes z (Fig. 2). sh is the telemetry
-// shard of the current worker goroutine, nil when telemetry is disabled;
-// depth is the decomposition depth (root zoid at 0), consumed by the
-// cancellation-latency bound and the fault-injection sites.
-func (w *Walker) walk(z zoid.Zoid, sh *telemetry.Shard, depth int) {
+// walk recursively decomposes and executes z (Fig. 2), which it only reads.
+// sh is the telemetry shard of the current worker goroutine, nil when
+// telemetry is disabled; depth is the decomposition depth (root zoid at 0),
+// consumed by the cancellation-latency bound and the fault-injection sites;
+// top says that no cut above z has forked — this strand is still the whole
+// walk (see forkLevel).
+//
+// Zoids travel through the recursion by pointer — the struct is 280 bytes —
+// and every level keeps what it makes (the two halves of a time cut, the one
+// subzoid a space cut enumerates into) in its own frame, so the serial walk
+// allocates nothing. Only a base case, whose BaseFunc takes the zoid by
+// value, and a spawned subwalk, which must outlive the enumeration, copy.
+func (w *Walker) walk(z *zoid.Zoid, sh *telemetry.Shard, depth int, top bool) {
 	// Cooperative cancellation, checked at cut granularity: once per zoid,
 	// never inside a base case. Abandoning the zoid here is safe — the
 	// run's results are discarded wholesale on cancellation.
@@ -495,17 +504,17 @@ func (w *Walker) walk(z zoid.Zoid, sh *telemetry.Shard, depth int) {
 		m.Zoids.Inc()
 	}
 	var cutBuf [zoid.MaxDims]zoid.Cut
-	cuts := w.cuttable(z, cutBuf[:0])
-	if len(cuts) > 0 {
+	if cuts := w.CutSet(z, cutBuf[:0]); len(cuts) > 0 {
 		if faultpoint.Armed() {
 			faultpoint.Visit(faultpoint.SiteCut, depth)
 		}
-		switch w.Algorithm {
-		case STRAP:
-			w.spaceCutSerialDims(z, cuts[0], sh, depth)
-		default:
-			w.hyperspaceCut(z, cuts, sh, depth)
+		if w.Algorithm == STRAP {
+			// Cut one dimension only and let the recursion discover the
+			// rest one at a time: 2 parallel steps per cut dimension
+			// (Fig. 7) against the k+1 of TRAP's hyperspace cut.
+			cuts = cuts[:1]
 		}
+		w.spaceCut(z, cuts, sh, depth, top)
 		return
 	}
 	if h := z.Height(); h > w.timeCutoff() {
@@ -521,8 +530,8 @@ func (w *Walker) walk(z zoid.Zoid, sh *telemetry.Shard, depth int) {
 		if sh != nil {
 			span = sh.TimeCut(h)
 		}
-		w.walk(lower, sh, depth+1)
-		w.walk(upper, sh, depth+1)
+		w.walk(&lower, sh, depth+1, top)
+		w.walk(&upper, sh, depth+1, top)
 		if sh != nil {
 			sh.End(span)
 		}
@@ -531,114 +540,119 @@ func (w *Walker) walk(z zoid.Zoid, sh *telemetry.Shard, depth int) {
 	w.base(z, sh, depth)
 }
 
-// hyperspaceCut processes all subzoids level by level, each level in
-// parallel (Fig. 2, lines 11–15).
-func (w *Walker) hyperspaceCut(z zoid.Zoid, cuts []zoid.Cut, sh *telemetry.Shard, depth int) {
-	lv := zoid.HyperspaceCut(z, cuts)
-	if m := w.Met; m != nil {
-		m.HyperCuts.Inc()
-	}
-	w.Flight.Record(flight.EvCut, flight.CutHyper, int64(lv.NumCut), int64(lv.Total()))
+// spaceCut cuts z along every dimension in cuts at once and processes the
+// subzoids dependency level by dependency level (Fig. 2, lines 11–15): all
+// of cuts for TRAP's hyperspace cut, a single one for STRAP. The subzoids
+// are enumerated one at a time into sub, never materialised.
+func (w *Walker) spaceCut(z *zoid.Zoid, cuts []zoid.Cut, sh *telemetry.Shard, depth int, top bool) {
+	var hc zoid.HyperCut
+	hc.Init(z, cuts)
 	span := -1
-	if sh != nil {
-		span = sh.HyperCut(lv.NumCut, lv.Total(), len(lv.Zoids))
-	}
-	parallel := !w.Serial && w.approxVolume(z) >= w.grain()
-	for _, level := range lv.Zoids {
-		w.walkAll(level, parallel, sh, depth+1)
-	}
-	if sh != nil {
-		sh.End(span)
-	}
-}
-
-// spaceCutSerialDims is the STRAP strategy: cut only along one dimension,
-// process its pieces in the 2 parallel steps of Fig. 7, and let the
-// recursion discover further cuttable dimensions one at a time.
-func (w *Walker) spaceCutSerialDims(z zoid.Zoid, c zoid.Cut, sh *telemetry.Shard, depth int) {
-	if m := w.Met; m != nil {
-		m.SpaceCuts.Inc()
-	}
-	cutCode := int64(flight.CutSpace)
-	if c.Kind == zoid.CutCircle {
-		cutCode = flight.CutCircle
-	}
-	w.Flight.Record(flight.EvCut, cutCode, int64(c.Dim), 0)
-	span := -1
-	if sh != nil {
-		span = sh.SpaceCut(c.Dim, c.Kind == zoid.CutCircle)
-	}
-	parallel := !w.Serial && w.approxVolume(z) >= w.grain()
-	if c.Kind == zoid.CutCircle {
-		sub, _ := z.CircleCut(c.Dim, c.Slope, c.Size)
-		w.walkAll(sub[0:2], parallel, sh, depth+1) // blacks
-		w.walkAll(sub[2:4], parallel, sh, depth+1) // grays
-	} else if sub, upright := z.SpaceCut(c.Dim, c.Slope); upright {
-		w.walkAll([]zoid.Zoid{sub[0], sub[2]}, parallel, sh, depth+1)
-		w.walk(sub[1], sh, depth+1)
-	} else {
-		w.walk(sub[1], sh, depth+1)
-		w.walkAll([]zoid.Zoid{sub[0], sub[2]}, parallel, sh, depth+1)
-	}
-	if sh != nil {
-		sh.End(span)
-	}
-}
-
-// walkAll processes a set of mutually independent zoids. Tasks that sched
-// runs on the calling goroutine keep the caller's shard; spawned tasks
-// acquire their own (see task), which is what gives the trace one track
-// per worker.
-func (w *Walker) walkAll(zs []zoid.Zoid, parallel bool, sh *telemetry.Shard, depth int) {
-	switch len(zs) {
-	case 0:
-	case 1:
-		w.walk(zs[0], sh, depth)
-	case 2:
-		// Do2 contract: a is spawned, b runs on the calling goroutine.
-		sched.Do2Counted(parallel, w.counter(sh),
-			w.task(zs[0], parallel, sh, depth),
-			func() { w.walk(zs[1], sh, depth) })
-	default:
-		// DoAll contract: the final function runs on the calling goroutine.
-		fns := make([]func(), len(zs))
-		for i := range zs {
-			zz := zs[i]
-			if i == len(zs)-1 {
-				fns[i] = func() { w.walk(zz, sh, depth) }
-			} else {
-				fns[i] = w.task(zz, parallel, sh, depth)
-			}
+	if w.Algorithm == STRAP {
+		c := cuts[0]
+		if m := w.Met; m != nil {
+			m.SpaceCuts.Inc()
 		}
-		sched.DoAllCounted(parallel, w.counter(sh), fns)
+		cutCode := int64(flight.CutSpace)
+		if c.Kind == zoid.CutCircle {
+			cutCode = flight.CutCircle
+		}
+		w.Flight.Record(flight.EvCut, cutCode, int64(c.Dim), 0)
+		if sh != nil {
+			span = sh.SpaceCut(c.Dim, c.Kind == zoid.CutCircle)
+		}
+	} else {
+		if m := w.Met; m != nil {
+			m.HyperCuts.Inc()
+		}
+		total := hc.Total()
+		w.Flight.Record(flight.EvCut, flight.CutHyper, int64(hc.NumCut), int64(total))
+		if sh != nil {
+			span = sh.HyperCut(hc.NumCut, total, hc.NumCut+1)
+		}
+	}
+	// A subzoid is never larger than the zoid it was cut from, so below
+	// the grain no level can spawn and none opens a fork-join region.
+	fork := !w.Serial && w.approxVolume(z) >= w.grain()
+	sub := *z
+	for l := 0; l <= hc.NumCut; l++ {
+		hc.Start(l)
+		if fork {
+			w.forkLevel(&hc, &sub, sh, depth+1, top)
+			continue
+		}
+		w.inlined(sh, hc.Left())
+		for hc.Next(&sub) {
+			w.walk(&sub, sh, depth+1, false) // under the grain: nothing below forks
+		}
+	}
+	if sh != nil {
+		sh.End(span)
 	}
 }
 
-// task wraps a subwalk that the scheduler may run on a fresh goroutine:
-// with telemetry enabled it acquires a worker shard for the goroutine's
-// lifetime so recording stays contention-free. The release is deferred so
-// a panicking subwalk still returns its shard (with any open spans closed)
-// before the panic reaches the scheduler's sync point.
-func (w *Walker) task(z zoid.Zoid, parallel bool, sh *telemetry.Shard, depth int) func() {
-	if m := w.Met; m != nil && parallel {
+// forkLevel processes the mutually independent subzoids of hc's current
+// level as one fork-join region. A subzoid gets a goroutine only if its own
+// approximate volume reaches the grain — spawning by the parent's volume
+// hands 3^k-1 goroutines a sliver each — and the level's last subzoid stays
+// on the caller, which would otherwise only wait. Everything else runs
+// inline, in enumeration order, with no closure and no scheduler call.
+//
+// The exception is a top cut: with no forking cut above it, its strand is
+// all that is running, and a box too small to yield grain-sized subzoids
+// (LBM 3 on 16x16x20: 82 k points, 14 ms of work) would otherwise never
+// leave one core. There every subzoid but the last is spawned.
+func (w *Walker) forkLevel(hc *zoid.HyperCut, sub *zoid.Zoid, sh *telemetry.Shard, depth int, top bool) {
+	rg := sched.Region{Counter: w.counter(sh)}
+	defer rg.Wait()
+	grain, inline := w.grain(), 0
+	for hc.Next(sub) {
+		if hc.Left() > 0 && (top || w.approxVolume(sub) >= grain) {
+			rg.Go(w.task(*sub, sh, depth))
+			continue
+		}
+		inline++
+		w.walk(sub, sh, depth, false)
+	}
+	w.inlined(sh, inline)
+}
+
+// task wraps a subwalk for a fresh goroutine, which owns its copy of the
+// zoid. With telemetry enabled the goroutine acquires a worker shard for its
+// lifetime so recording stays contention-free — which is what gives the
+// trace one track per worker. The release is deferred so a panicking subwalk
+// still returns its shard (with any open spans closed) before the panic
+// reaches the region's sync point.
+func (w *Walker) task(z zoid.Zoid, sh *telemetry.Shard, depth int) func() {
+	if m := w.Met; m != nil {
 		m.ForkDepth.Observe(int64(depth))
 	}
-	if sh == nil || !parallel {
-		return func() { w.walk(z, sh, depth) }
+	if sh == nil {
+		return func() { w.walk(&z, nil, depth, false) }
 	}
 	rec := w.Rec
 	return func() {
 		s2 := rec.Acquire()
 		defer rec.Release(s2)
-		w.walk(z, s2, depth)
+		w.walk(&z, s2, depth, false)
+	}
+}
+
+// inlined counts n subzoids run on the goroutine that cut them out.
+func (w *Walker) inlined(sh *telemetry.Shard, n int) {
+	if sh != nil {
+		sh.Inlined(n)
+	}
+	if w.metObs != nil {
+		w.metObs.Inlined(n)
 	}
 }
 
 // counter adapts the current goroutine's possibly-nil shard, plus the
-// run's metrics observer, to sched.Counter without producing a non-nil
-// interface holding a nil pointer. With only one system armed the cached
-// value is returned directly; only the both-armed case allocates a
-// combining adapter, once per fork-join region.
+// run's metrics observer, to the sched.Counter of a fork-join region without
+// producing a non-nil interface holding a nil pointer. With only one system
+// armed the cached value is returned directly; only the both-armed case
+// allocates a combining adapter, once per region.
 func (w *Walker) counter(sh *telemetry.Shard) sched.Counter {
 	if w.metObs == nil {
 		if sh == nil {
@@ -683,18 +697,8 @@ func (c *instr) WorkerFinished() { c.obs.WorkerFinished() }
 // *KernelPanicError carrying the stack and the zoid, so by the time it
 // reaches Run's recover the failure is fully located. The recover costs one
 // open-coded defer per base case, amortized over the zoid's whole point set.
-func (w *Walker) base(z zoid.Zoid, sh *telemetry.Shard, depth int) {
-	defer func() {
-		if r := recover(); r != nil {
-			switch r.(type) {
-			case *KernelPanicError, *sched.PanicError:
-				panic(r) // already located by a nested region
-			}
-			w.Flight.Record(flight.EvPanic,
-				flight.PackPair(z.T0, z.T1), flight.PackPair(z.Lo[0], z.Hi[0]), flight.PanicBase)
-			panic(&KernelPanicError{Value: r, Stack: debug.Stack(), Zoid: z})
-		}
-	}()
+func (w *Walker) base(z *zoid.Zoid, sh *telemetry.Shard, depth int) {
+	defer w.locatePanic(z)
 	// The faultpoint fires inside the recover scope: an injected base-site
 	// panic surfaces exactly like a crashing kernel, zoid coordinates
 	// included.
@@ -702,18 +706,22 @@ func (w *Walker) base(z zoid.Zoid, sh *telemetry.Shard, depth int) {
 		faultpoint.Visit(faultpoint.SiteBase, depth)
 	}
 	interior := w.Interior != nil && w.IsInterior(z)
+	// Volume is a T x N loop: computed once, and only for an armed sink.
+	var vol int64
+	if w.Flight != nil || w.Met != nil || w.Prog != nil || sh != nil {
+		vol = z.Volume()
+	}
 	if fr := w.Flight; fr != nil {
 		bit := int64(0)
 		if interior {
 			bit = 1
 		}
 		fr.Record(flight.EvBase,
-			flight.PackPair(z.T0, z.T1), flight.PackPair(z.Lo[0], z.Hi[0]), z.Volume()<<1|bit)
+			flight.PackPair(z.T0, z.T1), flight.PackPair(z.Lo[0], z.Hi[0]), vol<<1|bit)
 	}
 	if m := w.Met; m != nil {
-		// One volume computation and a handful of atomic adds per base
-		// case, amortized over the zoid's whole point set.
-		vol := z.Volume()
+		// A handful of atomic adds per base case, amortized over the
+		// zoid's whole point set.
 		if interior {
 			m.BaseInterior.Inc()
 		} else {
@@ -726,7 +734,7 @@ func (w *Walker) base(z zoid.Zoid, sh *telemetry.Shard, depth int) {
 		}
 	}
 	if p := w.Prog; p != nil {
-		p.Add(z.Volume())
+		p.Add(vol)
 	}
 	// While a continuous-profiling capture window is armed, re-label the
 	// kernel invocation phase=base/boundary so CPU samples attribute to
@@ -739,32 +747,45 @@ func (w *Walker) base(z zoid.Zoid, sh *telemetry.Shard, depth int) {
 				ls = profile.LabelsBase
 			}
 			pprof.Do(lc, ls, func(context.Context) {
-				w.invokeKernel(z, sh, interior)
+				w.invokeKernel(z, sh, interior, vol)
 			})
 			return
 		}
 	}
-	w.invokeKernel(z, sh, interior)
+	w.invokeKernel(z, sh, interior, vol)
 }
 
-// invokeKernel runs the selected clone, bracketed by the telemetry span
-// when a shard is attached.
-func (w *Walker) invokeKernel(z zoid.Zoid, sh *telemetry.Shard, interior bool) {
-	if sh != nil {
-		span := sh.Base(z.Volume(), interior, z.Height())
-		if interior {
-			w.Interior(z)
-		} else {
-			w.Boundary(z)
-		}
-		sh.End(span)
+// locatePanic is base's deferred recover: it stamps a kernel's panic with
+// the zoid whose base case was executing.
+func (w *Walker) locatePanic(z *zoid.Zoid) {
+	r := recover()
+	if r == nil {
 		return
 	}
+	switch r.(type) {
+	case *KernelPanicError, *sched.PanicError:
+		panic(r) // already located by a nested region
+	}
+	w.Flight.Record(flight.EvPanic,
+		flight.PackPair(z.T0, z.T1), flight.PackPair(z.Lo[0], z.Hi[0]), flight.PanicBase)
+	panic(&KernelPanicError{Value: r, Stack: debug.Stack(), Zoid: *z})
+}
+
+// invokeKernel runs the selected clone on z, of volume vol, bracketed by the
+// telemetry span when a shard is attached. The call is where the zoid is
+// copied: BaseFunc takes it by value.
+func (w *Walker) invokeKernel(z *zoid.Zoid, sh *telemetry.Shard, interior bool, vol int64) {
+	clone := w.Boundary
 	if interior {
-		w.Interior(z)
+		clone = w.Interior
+	}
+	if sh == nil {
+		clone(*z)
 		return
 	}
-	w.Boundary(z)
+	span := sh.Base(vol, interior, z.Height())
+	clone(*z)
+	sh.End(span)
 }
 
 // IsInterior reports whether every kernel application within z accesses
@@ -774,7 +795,7 @@ func (w *Walker) invokeKernel(z zoid.Zoid, sh *telemetry.Shard, interior bool) {
 // coordinates fail this test and take the boundary clone, which performs
 // the modulo reduction — this is what unifies periodic and nonperiodic
 // boundary handling (§4).
-func (w *Walker) IsInterior(z zoid.Zoid) bool {
+func (w *Walker) IsInterior(z *zoid.Zoid) bool {
 	for i := 0; i < w.NDims; i++ {
 		minLo, maxHi := z.Extremes(i)
 		if minLo-w.Reach[i] < 0 || maxHi+w.Reach[i] > w.Sizes[i] {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,14 +14,16 @@ import (
 // space-time point, verifies exactly-once execution, and — because the
 // engine promises that all data dependencies are satisfied before a point
 // runs — checks that every neighbor within the stencil slope at t-1 has
-// already executed (wrapping when periodic). done flags are atomic so the
-// checks are meaningful under parallel execution as well.
+// already executed (wrapping when periodic) — which, by induction over t, is
+// the point's whole dependency cone. Slopes and periodicity are per
+// dimension. done flags are atomic so the checks are meaningful under
+// parallel execution as well.
 type recorder struct {
-	t        *testing.T
+	t        testing.TB
 	nd       int
 	sizes    []int
-	slope    int
-	periodic bool
+	slope    []int
+	periodic []bool
 	t0       int
 	steps    int
 	done     []atomic.Int32 // (t-t0)*spatial + idx
@@ -29,7 +32,7 @@ type recorder struct {
 	firstErr string
 }
 
-func newRecorder(t *testing.T, sizes []int, slope int, periodic bool, t0, steps int) *recorder {
+func newRecorder(t testing.TB, sizes, slope []int, periodic []bool, t0, steps int) *recorder {
 	total := 1
 	for _, s := range sizes {
 		total *= s
@@ -82,9 +85,9 @@ func (r *recorder) visit(t int, x []int) {
 			}
 			return
 		}
-		for dx := -r.slope; dx <= r.slope; dx++ {
+		for dx := -r.slope[d]; dx <= r.slope[d]; dx++ {
 			v := x[d] + dx
-			if r.periodic {
+			if r.periodic[d] {
 				v = ((v % r.sizes[d]) + r.sizes[d]) % r.sizes[d]
 			} else if v < 0 || v >= r.sizes[d] {
 				continue
@@ -145,31 +148,106 @@ func (r *recorder) checkComplete() {
 	}
 }
 
-func runScenario(t *testing.T, sizes []int, steps, slope int, periodic bool, alg Algorithm, serial bool, timeCut int, spaceCut int) {
+// coverCase is one walker configuration for the coverage-and-ordering
+// property: every space-time point executed exactly once, after its
+// dependency cone.
+type coverCase struct {
+	sizes, slopes, spaceCut []int
+	periodic                []bool
+	steps, timeCut          int
+	grain                   int64
+	alg                     Algorithm
+	serial                  bool
+}
+
+func (c coverCase) run(t testing.TB) {
 	t.Helper()
-	r := newRecorder(t, sizes, slope, periodic, 1, steps)
+	r := newRecorder(t, c.sizes, c.slopes, c.periodic, 1, c.steps)
 	w := &Walker{
-		NDims:      len(sizes),
-		Algorithm:  alg,
-		Serial:     serial,
-		TimeCutoff: timeCut,
-		Grain:      1, // spawn aggressively to stress parallel paths
+		NDims:      len(c.sizes),
+		Algorithm:  c.alg,
+		Serial:     c.serial,
+		TimeCutoff: c.timeCut,
+		Grain:      c.grain,
 	}
-	for i, n := range sizes {
+	for i, n := range c.sizes {
 		w.Sizes[i] = n
-		w.Slopes[i] = slope
-		w.Reach[i] = slope
-		w.Periodic[i] = periodic
-		w.SpaceCutoff[i] = spaceCut
+		w.Slopes[i] = c.slopes[i]
+		w.Reach[i] = c.slopes[i]
+		w.Periodic[i] = c.periodic[i]
+		w.SpaceCutoff[i] = c.spaceCut[i]
 	}
 	w.Boundary = r.base()
 	w.Interior = r.base()
-	if err := w.Run(1, 1+steps); err != nil {
-		t.Fatal(err)
+	if err := w.Run(1, 1+c.steps); err != nil {
+		t.Fatalf("%+v: %v", c, err)
 	}
 	if !r.fail.Load() {
 		r.checkComplete()
 	}
+	if t.Failed() {
+		t.Logf("failing case: %+v", c)
+	}
+}
+
+// runScenario is coverCase.run for a stencil uniform across dimensions,
+// spawning aggressively (grain 1) to stress the parallel paths.
+func runScenario(t *testing.T, sizes []int, steps, slope int, periodic bool, alg Algorithm, serial bool, timeCut int, spaceCut int) {
+	t.Helper()
+	c := coverCase{sizes: sizes, steps: steps, timeCut: timeCut, grain: 1, alg: alg, serial: serial}
+	for range sizes {
+		c.slopes = append(c.slopes, slope)
+		c.periodic = append(c.periodic, periodic)
+		c.spaceCut = append(c.spaceCut, spaceCut)
+	}
+	c.run(t)
+}
+
+// randomCoverCase draws a configuration from seed: 1–4 dimensions, extents
+// from degenerate (below twice the slope) up, slopes 0–2 and periodicity per
+// dimension, random coarsening and grain, either algorithm, serial or
+// parallel — sized so the per-point dependency check stays in the
+// milliseconds.
+func randomCoverCase(seed int64) coverCase {
+	rng := rand.New(rand.NewSource(seed))
+	d := 1 + rng.Intn(4)
+	c := coverCase{
+		steps:   1 + rng.Intn(12),
+		timeCut: 1 + rng.Intn(5),
+		grain:   1 << rng.Intn(15),
+		alg:     []Algorithm{TRAP, STRAP}[rng.Intn(2)],
+		serial:  rng.Intn(2) == 0,
+	}
+	maxSide := []int{0, 160, 40, 14, 8}[d]
+	for i := 0; i < d; i++ {
+		size := 1 + rng.Intn(maxSide)
+		if rng.Intn(4) == 0 {
+			size = 1 + rng.Intn(4) // degenerate: at or below 2*slope
+		}
+		c.sizes = append(c.sizes, size)
+		c.slopes = append(c.slopes, rng.Intn(3))
+		c.periodic = append(c.periodic, rng.Intn(2) == 0)
+		c.spaceCut = append(c.spaceCut, rng.Intn(11))
+	}
+	return c
+}
+
+// TestWalkerCoverProperty holds the coverage-and-ordering property over a
+// fixed spread of random configurations; FuzzWalkerCover searches further.
+func TestWalkerCoverProperty(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		randomCoverCase(seed).run(t)
+		if t.Failed() {
+			t.Fatalf("seed %d", seed)
+		}
+	}
+}
+
+func FuzzWalkerCover(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { randomCoverCase(seed).run(t) })
 }
 
 func TestWalkerCoverageAndOrdering(t *testing.T) {
@@ -282,25 +360,25 @@ func TestIsInterior(t *testing.T) {
 		t.Fatal(err)
 	}
 	in, _ := zoid.New(0, 4, []int{10}, []int{20}, []int{0}, []int{0})
-	if !w.IsInterior(in) {
+	if !w.IsInterior(&in) {
 		t.Fatal("fully inside zoid should be interior")
 	}
 	edge, _ := zoid.New(0, 4, []int{0}, []int{20}, []int{0}, []int{0})
-	if w.IsInterior(edge) {
+	if w.IsInterior(&edge) {
 		t.Fatal("zoid touching x=0 reads x=-1: not interior")
 	}
 	right, _ := zoid.New(0, 4, []int{90}, []int{100}, []int{0}, []int{0})
-	if w.IsInterior(right) {
+	if w.IsInterior(&right) {
 		t.Fatal("zoid touching x=N reads x=N: not interior")
 	}
 	virt, _ := zoid.New(0, 2, []int{98}, []int{104}, []int{0}, []int{0})
-	if w.IsInterior(virt) {
+	if w.IsInterior(&virt) {
 		t.Fatal("virtual-coordinate zoid must take the boundary clone")
 	}
 	// Reach larger than slope shrinks the interior region.
 	w.Reach[0] = 3
 	in2, _ := zoid.New(0, 4, []int{2}, []int{20}, []int{0}, []int{0})
-	if w.IsInterior(in2) {
+	if w.IsInterior(&in2) {
 		t.Fatal("lo=2 with reach 3 reads x=-1: not interior")
 	}
 }

@@ -158,3 +158,40 @@ func TestForPanicPropagates(t *testing.T) {
 		t.Fatalf("serial For recovered %v", r)
 	}
 }
+
+// A Region that has spawned nothing is not a parallel region: a panic in
+// the owner's inline code unwinds raw past the deferred Wait.
+func TestRegionWithoutSpawnLeavesPanicAlone(t *testing.T) {
+	r := recovered(func() {
+		var rg Region
+		defer rg.Wait()
+		panic("inline, nothing in flight")
+	})
+	if r != "inline, nothing in flight" {
+		t.Fatalf("recovered %v, want the raw value", r)
+	}
+}
+
+// Once a task is in flight, a panic in the owner's inline code is the
+// region's: the spawned task drains and Wait re-raises a *PanicError.
+func TestRegionInlinePanicDrainsSpawned(t *testing.T) {
+	var drained atomic.Bool
+	release := make(chan struct{})
+	r := recovered(func() {
+		var rg Region
+		defer rg.Wait()
+		rg.Go(func() {
+			<-release
+			drained.Store(true)
+		})
+		close(release)
+		panic("inline, one in flight")
+	})
+	pe, ok := r.(*PanicError)
+	if !ok || pe.Value != "inline, one in flight" {
+		t.Fatalf("recovered %T %v, want *PanicError of the inline panic", r, r)
+	}
+	if !drained.Load() {
+		t.Fatal("spawned task did not drain before the rethrow")
+	}
+}

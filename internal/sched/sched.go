@@ -1,14 +1,19 @@
 // Package sched provides the small fork-join runtime used by the execution
 // engines. It stands in for the Intel Cilk Plus work-stealing scheduler the
 // paper's generated code targets: goroutines multiplexed over GOMAXPROCS
-// threads give the same near-greedy fork-join semantics, and the engines
-// gate spawning by subproblem volume so goroutine-creation overhead stays a
-// small fraction of the work, as base-case coarsening does for Cilk spawns.
+// threads give the same near-greedy fork-join semantics. The engines gate
+// spawning by the volume of the *child* about to be spawned, not of the
+// zoid being cut: a 3^k-way cut of a zoid just over the grain yields
+// children far under it, and a goroutine (a fresh stack, a closure, a
+// WaitGroup round trip) per such child costs more than running it — on
+// Heat 4 the parallel walk alone was slower than the serial one. Gating
+// by the child keeps goroutine creation a small fraction of the work each
+// goroutine receives, as base-case coarsening does for Cilk spawns.
 //
 // Continuous-profiling attribution rides on a runtime guarantee this
 // package relies on and pins with a test (see profile_labels_test.go):
 // goroutines started with the go statement inherit the spawner's pprof
-// label set. Every worker goroutine Do2/DoAll spawns therefore carries the
+// label set. Every worker goroutine a Region spawns therefore carries the
 // calling goroutine's labels (the gateway's tenant/job/priority, the
 // supervisor's engine, the walker's phase) without the scheduler touching
 // its hot path — CPU samples on spawned workers self-attribute for free.
@@ -77,11 +82,14 @@ type panicSlot struct {
 	p atomic.Pointer[PanicError]
 }
 
-// capture is deferred inside every task of a parallel region: it records
-// the first panic (preserving an already-wrapped *PanicError from a nested
-// join) and swallows the rest so the join's WaitGroup always completes.
-func (s *panicSlot) capture() {
-	r := recover()
+// capture is deferred inside every spawned task: it records the first panic
+// and swallows the rest so the join's WaitGroup always completes.
+func (s *panicSlot) capture() { s.record(recover()) }
+
+// record keeps r, a recovered panic value, if it is the region's first,
+// preserving an already-wrapped *PanicError from a nested join. A nil r —
+// no panic — is ignored.
+func (s *panicSlot) record(r any) {
 	if r == nil {
 		return
 	}
@@ -115,17 +123,84 @@ type Counter interface {
 }
 
 // WorkerObserver extends Counter with notifications bracketing the lifetime
-// of each spawned worker goroutine, detected by type assertion on the
-// Counter passed to Do2Counted/DoAllCounted. Unlike the Counter methods,
-// which fire only on the calling goroutine, WorkerStarted and WorkerFinished
-// fire on the spawned goroutine itself, so implementations must be safe for
-// concurrent use (the metrics active-workers gauge is a single atomic).
+// of each spawned worker goroutine, detected by type assertion on a Region's
+// Counter. Unlike the Counter methods, which fire only on the calling
+// goroutine, WorkerStarted and WorkerFinished fire on the spawned goroutine
+// itself, so implementations must be safe for concurrent use (the metrics
+// active-workers gauge is a single atomic).
 type WorkerObserver interface {
 	Counter
 	// WorkerStarted fires on a spawned goroutine before its task runs.
 	WorkerStarted()
 	// WorkerFinished fires when the spawned task returns, panicking or not.
 	WorkerFinished()
+}
+
+// Region is one fork-join region — "cilk_spawn ...; cilk_sync" — for callers
+// that decide task by task whether to spawn:
+//
+//	rg := sched.Region{Counter: c}
+//	defer rg.Wait()
+//	for ... {
+//		if big { rg.Go(task) } else { runInline() }
+//	}
+//
+// The value lives on the caller's stack and stays three words until the
+// first Go, so a region that ends up spawning nothing allocates nothing and
+// touches no synchronisation. Every spawned task runs under a recover; the
+// first panic of the region — in a spawned task, or in the owner's inline
+// code once a task is in flight — wins, the in-flight siblings drain, and
+// Wait re-raises it as a *PanicError on the owner's goroutine. With nothing
+// in flight a panic in the owner unwinds naturally, unwrapped, at no cost.
+//
+// Counter, if set, hears Spawned(1) per Go on the calling goroutine, and
+// WorkerStarted/WorkerFinished on each spawned goroutine when it is also a
+// WorkerObserver. Inline work is the owner's to count.
+type Region struct {
+	Counter Counter
+	st      *regionState // shared with the spawned goroutines; nil until the first Go
+}
+
+type regionState struct {
+	wg    sync.WaitGroup
+	first panicSlot
+	obs   WorkerObserver
+}
+
+// Go runs fn on a fresh goroutine that Wait joins.
+func (r *Region) Go(fn func()) {
+	if r.st == nil {
+		r.st = new(regionState)
+		r.st.obs, _ = r.Counter.(WorkerObserver)
+	}
+	if r.Counter != nil {
+		r.Counter.Spawned(1)
+	}
+	r.st.wg.Add(1)
+	go r.st.run(fn)
+}
+
+func (st *regionState) run(fn func()) {
+	defer st.wg.Done()
+	defer st.first.capture()
+	if st.obs != nil {
+		st.obs.WorkerStarted()
+		defer st.obs.WorkerFinished()
+	}
+	fn()
+}
+
+// Wait is the region's sync point. It must be deferred, directly, by the
+// function that owns the region, before the first Go: that is what lets it
+// recover a panic of the owner's inline code while tasks are in flight.
+func (r *Region) Wait() {
+	st := r.st
+	if st == nil {
+		return // nothing in flight: a panic keeps unwinding, untouched
+	}
+	st.first.record(recover())
+	st.wg.Wait()
+	st.first.rethrow()
 }
 
 // Do2 runs a and b, in parallel when parallel is true ("spawn a; call b;
@@ -136,37 +211,7 @@ func Do2(parallel bool, a, b func()) { Do2Counted(parallel, nil, a, b) }
 
 // Do2Counted is Do2 with the spawn-vs-inline decision reported to c.
 func Do2Counted(parallel bool, c Counter, a, b func()) {
-	if !parallel {
-		if c != nil {
-			c.Inlined(2)
-		}
-		a()
-		b()
-		return
-	}
-	if c != nil {
-		c.Spawned(1)
-		c.Inlined(1)
-	}
-	obs, _ := c.(WorkerObserver)
-	var first panicSlot
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer first.capture()
-		if obs != nil {
-			obs.WorkerStarted()
-			defer obs.WorkerFinished()
-		}
-		a()
-	}()
-	func() {
-		defer first.capture()
-		b()
-	}()
-	wg.Wait()
-	first.rethrow()
+	DoAllCounted(parallel, c, []func(){a, b})
 }
 
 // DoAll runs every function in fns, in parallel when parallel is true.
@@ -174,47 +219,25 @@ func Do2Counted(parallel bool, c Counter, a, b func()) {
 // list never spawns.
 func DoAll(parallel bool, fns []func()) { DoAllCounted(parallel, nil, fns) }
 
-// DoAllCounted is DoAll with the spawn-vs-inline decisions reported to c.
+// DoAllCounted is DoAll with the spawn-vs-inline decisions reported to c:
+// a Region that spawns all but the final function.
 func DoAllCounted(parallel bool, c Counter, fns []func()) {
-	n := len(fns)
-	if n == 0 {
-		return
+	spawn := 0
+	if parallel {
+		spawn = max(len(fns)-1, 0)
 	}
-	if !parallel || n == 1 {
-		if c != nil {
-			c.Inlined(n)
-		}
-		for _, f := range fns {
+	if c != nil && len(fns) > 0 {
+		c.Inlined(len(fns) - spawn)
+	}
+	rg := Region{Counter: c}
+	defer rg.Wait()
+	for i, f := range fns {
+		if i < spawn {
+			rg.Go(f)
+		} else {
 			f()
 		}
-		return
 	}
-	if c != nil {
-		c.Spawned(n - 1)
-		c.Inlined(1)
-	}
-	obs, _ := c.(WorkerObserver)
-	var first panicSlot
-	var wg sync.WaitGroup
-	wg.Add(n - 1)
-	for _, f := range fns[:n-1] {
-		f := f
-		go func() {
-			defer wg.Done()
-			defer first.capture()
-			if obs != nil {
-				obs.WorkerStarted()
-				defer obs.WorkerFinished()
-			}
-			f()
-		}()
-	}
-	func() {
-		defer first.capture()
-		fns[n-1]()
-	}()
-	wg.Wait()
-	first.rethrow()
 }
 
 // For divides the half-open index range [lo, hi) into contiguous chunks of
@@ -244,28 +267,12 @@ func For(parallel bool, lo, hi, grain int, body func(i0, i1 int)) {
 		return
 	}
 	size := (n + chunks - 1) / chunks
-	var first panicSlot
-	var wg sync.WaitGroup
-	for start := lo; start < hi; start += size {
-		end := start + size
-		if end > hi {
-			end = hi
-		}
-		if end == hi {
-			// Run the last chunk inline.
-			func() {
-				defer first.capture()
-				body(start, end)
-			}()
-			break
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			defer first.capture()
-			body(s, e)
-		}(start, end)
+	var rg Region
+	defer rg.Wait()
+	start := lo
+	for ; start+size < hi; start += size {
+		s := start
+		rg.Go(func() { body(s, s+size) })
 	}
-	wg.Wait()
-	first.rethrow()
+	body(start, hi) // the last chunk runs inline
 }

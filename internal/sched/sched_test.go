@@ -136,3 +136,44 @@ func TestDoAllCounted(t *testing.T) {
 	// nil counter must not panic.
 	DoAllCounted(true, nil, mk(3))
 }
+
+// watcher is a test WorkerObserver.
+type watcher struct {
+	tally
+	started, finished atomic.Int32
+}
+
+func (w *watcher) WorkerStarted()  { w.started.Add(1) }
+func (w *watcher) WorkerFinished() { w.finished.Add(1) }
+
+func TestRegionCountsEachSpawn(t *testing.T) {
+	var w watcher
+	var ran atomic.Int32
+	func() {
+		rg := Region{Counter: &w}
+		defer rg.Wait()
+		for i := 0; i < 5; i++ {
+			if i%2 == 0 {
+				rg.Go(func() { ran.Add(1) })
+			} else {
+				ran.Add(1) // inline work is the owner's to run and count
+			}
+		}
+	}()
+	if ran.Load() != 5 || w.spawned != 3 || w.inlined != 0 {
+		t.Fatalf("ran %d, counter %+v; want 5 run, 3 spawned, inlines left to the owner", ran.Load(), w.tally)
+	}
+	if w.started.Load() != 3 || w.finished.Load() != 3 {
+		t.Fatalf("worker notifications %d/%d, want 3/3", w.started.Load(), w.finished.Load())
+	}
+}
+
+func TestRegionThatSpawnsNothingAllocatesNothing(t *testing.T) {
+	n := testing.AllocsPerRun(100, func() {
+		var rg Region
+		defer rg.Wait()
+	})
+	if n != 0 {
+		t.Fatalf("an unused Region cost %v allocations", n)
+	}
+}

@@ -6,6 +6,34 @@ import (
 	"testing/quick"
 )
 
+// levelsOf collects a hyperspace cut's subzoids per dependency level through
+// the enumerator, cross-checking Left against what Next delivers.
+func levelsOf(t *testing.T, z Zoid, cuts []Cut) (levels [][]Zoid, total int) {
+	t.Helper()
+	var hc HyperCut
+	hc.Init(&z, cuts)
+	sub := z
+	for l := 0; l <= hc.NumCut; l++ {
+		hc.Start(l)
+		var zs []Zoid
+		for want := hc.Left(); hc.Next(&sub); want-- {
+			if hc.Left() != want-1 {
+				t.Fatalf("level %d: Left() = %d after a Next, want %d", l, hc.Left(), want-1)
+			}
+			zs = append(zs, sub)
+		}
+		if hc.Left() != 0 || hc.Next(&sub) {
+			t.Fatalf("level %d: enumeration did not end cleanly", l)
+		}
+		levels = append(levels, zs)
+		total += len(zs)
+	}
+	if total != hc.Total() {
+		t.Fatalf("enumerated %d subzoids, Total() = %d", total, hc.Total())
+	}
+	return levels, total
+}
+
 // TestHyperspaceCutCounts verifies Lemma 1's structural claims: cutting k
 // dimensions yields 3^k subzoids (4 per circle-cut dimension) spread over
 // exactly k+1 dependency levels, and the level populations follow the
@@ -21,18 +49,18 @@ func TestHyperspaceCutCounts(t *testing.T) {
 		for i := range cuts {
 			cuts[i] = Cut{Dim: i, Slope: 1}
 		}
-		lv := HyperspaceCut(z, cuts)
+		levels, total := levelsOf(t, z, cuts)
 		want := 1
 		for i := 0; i < k; i++ {
 			want *= 3
 		}
-		if lv.Total() != want {
-			t.Fatalf("k=%d: %d subzoids, want %d", k, lv.Total(), want)
+		if total != want {
+			t.Fatalf("k=%d: %d subzoids, want %d", k, total, want)
 		}
-		if len(lv.Zoids) != k+1 {
-			t.Fatalf("k=%d: %d levels, want %d", k, len(lv.Zoids), k+1)
+		if len(levels) != k+1 {
+			t.Fatalf("k=%d: %d levels, want %d", k, len(levels), k+1)
 		}
-		for l, zs := range lv.Zoids {
+		for l, zs := range levels {
 			if len(zs) == 0 {
 				t.Fatalf("k=%d: level %d empty", k, l)
 			}
@@ -63,9 +91,9 @@ func TestHyperspaceCutVolume(t *testing.T) {
 		if len(cuts) == 0 {
 			continue
 		}
-		lv := HyperspaceCut(z, cuts)
+		levels, _ := levelsOf(t, z, cuts)
 		var vol int64
-		for _, zs := range lv.Zoids {
+		for _, zs := range levels {
 			for _, s := range zs {
 				vol += s.Volume()
 			}
@@ -94,9 +122,9 @@ func TestHyperspaceCutDisjointCover(t *testing.T) {
 			continue
 		}
 		tested++
-		lv := HyperspaceCut(z, cuts)
+		levels, _ := levelsOf(t, z, cuts)
 		var all []Zoid
-		for _, zs := range lv.Zoids {
+		for _, zs := range levels {
 			all = append(all, zs...)
 		}
 		checkDisjointCover(t, z, all)
@@ -129,10 +157,10 @@ func TestDependencyLevelsRespectDataFlow(t *testing.T) {
 			continue
 		}
 		tested++
-		lv := HyperspaceCut(z, cuts)
+		levels, _ := levelsOf(t, z, cuts)
 		type owner struct{ level, id int }
 		find := func(tt, x, y int) (owner, bool) {
-			for l, zs := range lv.Zoids {
+			for l, zs := range levels {
 				for id, c := range zs {
 					if c.Contains(tt, []int{x, y}) {
 						return owner{l, l*1000 + id}, true
@@ -212,15 +240,15 @@ func TestHyperspaceWithCircleCut(t *testing.T) {
 		{Dim: 0, Slope: 1, Kind: CutCircle, Size: nx},
 		{Dim: 1, Slope: 1, Kind: CutTrisect},
 	}
-	lv := HyperspaceCut(z, cuts)
-	if lv.Total() != 4*3 {
-		t.Fatalf("expected 12 subzoids, got %d", lv.Total())
+	levels, total := levelsOf(t, z, cuts)
+	if total != 4*3 {
+		t.Fatalf("expected 12 subzoids, got %d", total)
 	}
-	if len(lv.Zoids) != 3 {
-		t.Fatalf("expected 3 levels, got %d", len(lv.Zoids))
+	if len(levels) != 3 {
+		t.Fatalf("expected 3 levels, got %d", len(levels))
 	}
 	var vol int64
-	for _, zs := range lv.Zoids {
+	for _, zs := range levels {
 		for _, s := range zs {
 			vol += s.Volume()
 		}
@@ -231,7 +259,7 @@ func TestHyperspaceWithCircleCut(t *testing.T) {
 	// Data-flow check with dim-0 wraparound and dim-1 plain.
 	type owner struct{ level, id int }
 	find := func(tt, x, y int) (owner, bool) {
-		for l, zs := range lv.Zoids {
+		for l, zs := range levels {
 			for id, c := range zs {
 				for _, xx := range [...]int{x, x + nx} {
 					if c.Contains(tt, []int{xx, y}) {
@@ -299,5 +327,81 @@ func TestSpaceCutPreservesOtherDims(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHyperCutMatchesPieceProduct holds the enumerator against the
+// definition it replaces: materialise every combination of per-dimension
+// pieces from SpaceCut and CircleCut, bucket by summed contribution in
+// ascending piece-code order (first cut dimension fastest), and require the
+// enumeration to deliver exactly those zoids, level by level, in that order.
+func TestHyperCutMatchesPieceProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	circles := 0
+	defer func() {
+		if circles == 0 && !t.Failed() {
+			t.Error("no circle cut was exercised")
+		}
+	}()
+	for iter, tested := 0, 0; tested < 200; iter++ {
+		if iter > 5000 {
+			t.Fatalf("only exercised %d cuts", tested)
+		}
+		d := 1 + rng.Intn(4)
+		z := randomZoid(rng, d, 1)
+		var cuts []Cut
+		var pieces [][]Zoid
+		var contribs [][]int
+		for i := 0; i < d; i++ {
+			if n := z.Hi[i]; z.IsFullCircle(i, n) && z.CanCircleCut(i, 1, n, 0) && rng.Intn(2) == 0 {
+				sub, con := z.CircleCut(i, 1, n)
+				cuts = append(cuts, Cut{Dim: i, Slope: 1, Kind: CutCircle, Size: n})
+				circles++
+				pieces, contribs = append(pieces, sub[:]), append(contribs, con[:])
+			} else if z.CanSpaceCut(i, 1, 0) {
+				sub, upright := z.SpaceCut(i, 1)
+				con := []int{1, 0, 1}
+				if upright {
+					con = []int{0, 1, 0}
+				}
+				cuts = append(cuts, Cut{Dim: i, Slope: 1})
+				pieces, contribs = append(pieces, sub[:]), append(contribs, con)
+			}
+		}
+		if len(cuts) == 0 {
+			continue
+		}
+		tested++
+		want := make([][]Zoid, len(cuts)+1)
+		digits := make([]int, len(cuts))
+		for done := false; !done; {
+			sz, dep := z, 0
+			for j, c := range cuts {
+				p := pieces[j][digits[j]]
+				sz.Lo[c.Dim], sz.Hi[c.Dim] = p.Lo[c.Dim], p.Hi[c.Dim]
+				sz.DLo[c.Dim], sz.DHi[c.Dim] = p.DLo[c.Dim], p.DHi[c.Dim]
+				dep += contribs[j][digits[j]]
+			}
+			want[dep] = append(want[dep], sz)
+			done = true
+			for j := range digits {
+				if digits[j]++; digits[j] < len(pieces[j]) {
+					done = false
+					break
+				}
+				digits[j] = 0
+			}
+		}
+		got, _ := levelsOf(t, z, cuts)
+		for l := range want {
+			if len(got[l]) != len(want[l]) {
+				t.Fatalf("%v cuts %+v level %d: %d subzoids, want %d", z, cuts, l, len(got[l]), len(want[l]))
+			}
+			for i := range want[l] {
+				if got[l][i] != want[l][i] {
+					t.Fatalf("%v cuts %+v level %d #%d:\n got  %v\n want %v", z, cuts, l, i, got[l][i], want[l][i])
+				}
+			}
+		}
 	}
 }

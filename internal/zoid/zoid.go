@@ -25,6 +25,11 @@ const MaxDims = 8
 
 // Zoid is a (d+1)-dimensional space-time hypertrapezoid.
 // The zero value is an empty 0-dimensional zoid.
+//
+// The struct is 280 bytes and the recursion queries it at every level, so
+// the geometric methods take a pointer: a value receiver costs a full copy
+// per call. Only String keeps a value receiver, so fmt renders Zoid and
+// *Zoid alike.
 type Zoid struct {
 	T0, T1 int          // time extent: T0 <= t < T1
 	N      int          // number of spatial dimensions (d)
@@ -62,21 +67,21 @@ func Box(t0, t1 int, sizes []int) Zoid {
 }
 
 // Height returns the time extent tb - ta.
-func (z Zoid) Height() int { return z.T1 - z.T0 }
+func (z *Zoid) Height() int { return z.T1 - z.T0 }
 
 // BottomBase returns the length of the base at time T0 along dimension i.
-func (z Zoid) BottomBase(i int) int { return z.Hi[i] - z.Lo[i] }
+func (z *Zoid) BottomBase(i int) int { return z.Hi[i] - z.Lo[i] }
 
 // TopBase returns the length of the base at time T1 along dimension i
 // (the side the zoid would have after Height more steps of slope motion).
-func (z Zoid) TopBase(i int) int {
+func (z *Zoid) TopBase(i int) int {
 	dt := z.Height()
 	return (z.Hi[i] + z.DHi[i]*dt) - (z.Lo[i] + z.DLo[i]*dt)
 }
 
 // Width returns the length of the longer of the two bases of the projection
 // trapezoid along dimension i.
-func (z Zoid) Width(i int) int {
+func (z *Zoid) Width(i int) int {
 	b, t := z.BottomBase(i), z.TopBase(i)
 	if b >= t {
 		return b
@@ -86,11 +91,11 @@ func (z Zoid) Width(i int) int {
 
 // Upright reports whether the projection trapezoid along dimension i is
 // upright, i.e. its longer base lies at time T0.
-func (z Zoid) Upright(i int) bool { return z.BottomBase(i) >= z.TopBase(i) }
+func (z *Zoid) Upright(i int) bool { return z.BottomBase(i) >= z.TopBase(i) }
 
 // Minimal reports whether the projection trapezoid along dimension i is
 // minimal: upright with a zero top base, or inverted with a zero bottom base.
-func (z Zoid) MinimalDim(i int) bool {
+func (z *Zoid) MinimalDim(i int) bool {
 	if z.Upright(i) {
 		return z.TopBase(i) == 0
 	}
@@ -98,7 +103,7 @@ func (z Zoid) MinimalDim(i int) bool {
 }
 
 // Minimal reports whether every projection trapezoid of z is minimal.
-func (z Zoid) Minimal() bool {
+func (z *Zoid) Minimal() bool {
 	for i := 0; i < z.N; i++ {
 		if !z.MinimalDim(i) {
 			return false
@@ -109,7 +114,7 @@ func (z Zoid) Minimal() bool {
 
 // WellDefined reports whether z has positive height, positive widths, and
 // nonnegative base lengths in every spatial dimension.
-func (z Zoid) WellDefined() bool {
+func (z *Zoid) WellDefined() bool {
 	if z.Height() <= 0 {
 		return false
 	}
@@ -126,7 +131,7 @@ func (z Zoid) WellDefined() bool {
 }
 
 // Volume returns the number of space-time grid points contained in z.
-func (z Zoid) Volume() int64 {
+func (z *Zoid) Volume() int64 {
 	var vol int64
 	for t := z.T0; t < z.T1; t++ {
 		dt := t - z.T0
@@ -145,15 +150,15 @@ func (z Zoid) Volume() int64 {
 }
 
 // LoAt returns the (inclusive) lower bound along dimension i at time t.
-func (z Zoid) LoAt(i, t int) int { return z.Lo[i] + z.DLo[i]*(t-z.T0) }
+func (z *Zoid) LoAt(i, t int) int { return z.Lo[i] + z.DLo[i]*(t-z.T0) }
 
 // HiAt returns the (exclusive) upper bound along dimension i at time t.
-func (z Zoid) HiAt(i, t int) int { return z.Hi[i] + z.DHi[i]*(t-z.T0) }
+func (z *Zoid) HiAt(i, t int) int { return z.Hi[i] + z.DHi[i]*(t-z.T0) }
 
 // Extremes returns the minimum lower bound and maximum upper bound attained
 // along dimension i over the executed time steps T0 .. T1-1. Because the
 // bounds move linearly the extremes occur at the endpoints.
-func (z Zoid) Extremes(i int) (minLo, maxHi int) {
+func (z *Zoid) Extremes(i int) (minLo, maxHi int) {
 	last := z.Height() - 1
 	minLo = z.Lo[i]
 	if v := z.Lo[i] + z.DLo[i]*last; v < minLo {
@@ -167,7 +172,7 @@ func (z Zoid) Extremes(i int) (minLo, maxHi int) {
 }
 
 // Contains reports whether the space-time point (t, x[0..N)) lies inside z.
-func (z Zoid) Contains(t int, x []int) bool {
+func (z *Zoid) Contains(t int, x []int) bool {
 	if t < z.T0 || t >= z.T1 {
 		return false
 	}
