@@ -577,7 +577,8 @@ func BenchmarkPhase1VsPhase2(b *testing.B) {
 // BenchmarkDSLHeat2D puts the served path beside the library path on one
 // box: DSL Heat 2p through Instance.Run (the row-program clones every
 // pochoird job runs) against the hand-written stencils Heat 2p clones. The
-// ratio is the gap left to ROADMAP item 2's "within 2x of hand-written".
+// target is a ratio within 1.3x of hand-written (benchlab's "DSL Heat 2p"
+// row records the same job in BENCH_baseline.json).
 func BenchmarkDSLHeat2D(b *testing.B) {
 	w := benchdef.AblationHeat2D
 	up := float64(w.Updates())

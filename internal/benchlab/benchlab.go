@@ -29,9 +29,11 @@ import (
 	"time"
 
 	"pochoir"
+	"pochoir/examples/dsl/specs"
 	"pochoir/internal/benchdef"
 	"pochoir/internal/cachesim"
 	"pochoir/internal/cilkview"
+	"pochoir/internal/compiler"
 	"pochoir/internal/core"
 	"pochoir/internal/stencils"
 	"pochoir/internal/telemetry"
@@ -46,11 +48,19 @@ const (
 
 // Suite is the paper benchmark suite the lab executes, in Fig. 3 row order
 // (the Fig. 5 Berkeley kernels last). The names key both the stencils
-// registry and the benchdef workload tables.
+// registry and the benchdef workload tables — all but the last, DSLBenchmark.
 var Suite = []string{
 	"Heat 2", "Heat 2p", "Heat 4", "Life 2p", "Wave 3", "LBM 3",
-	"APOP", "3D 7-point", "3D 27-point",
+	"APOP", "3D 7-point", "3D 27-point", DSLBenchmark,
 }
+
+// DSLBenchmark is the row for what the daemon runs: Heat 2p written in the
+// specification language (examples/dsl/specs/heat2d.pch) and executed by the
+// compiler's row-program clones, on benchdef.AblationHeat2D under either
+// profile so that it sits beside BenchmarkDSLHeat2D. It is measured by wall
+// clock only, under TRAP and LOOPS; the decomposition signals are those of
+// the Heat 2p row.
+const DSLBenchmark = "DSL Heat 2p"
 
 // Engines are the decomposition engines every benchmark runs under:
 // hyperspace cuts (TRAP, the paper's contribution), serial space cuts
@@ -229,6 +239,12 @@ func Collect(cfg Config) (*Report, error) {
 		Profile:   cfg.Profile,
 	}
 	for _, name := range cfg.Benchmarks {
+		if name == DSLBenchmark {
+			if err := collectDSL(&cfg, rep); err != nil {
+				return nil, fmt.Errorf("benchlab: %s: %w", name, err)
+			}
+			continue
+		}
 		f, ok := stencils.Lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("benchlab: unknown benchmark %q", name)
@@ -296,6 +312,54 @@ func collectOne(cfg *Config, f stencils.Factory, w benchdef.Workload, alg core.A
 		}
 	}
 	return run, nil
+}
+
+// collectDSL appends the DSLBenchmark runs to rep.
+func collectDSL(cfg *Config, rep *Report) error {
+	checked, err := compiler.CompileSource(specs.Heat2D)
+	if err != nil {
+		return err
+	}
+	w := benchdef.AblationHeat2D
+	for _, alg := range cfg.Engines {
+		if alg == core.STRAP {
+			continue
+		}
+		job := func() stencils.Job {
+			var inst *compiler.Instance
+			return stencils.Job{
+				Setup: func() {
+					var err error
+					if inst, err = checked.NewInstance(w.Sizes...); err != nil {
+						panic(err)
+					}
+					inst.Arrays["u"].Fill(0, 1)
+				},
+				Compute: func() {
+					if err := inst.Run(w.Steps, pochoir.Options{Algorithm: alg}); err != nil {
+						panic(err)
+					}
+				},
+			}
+		}
+		wall, err := measure(job, cfg.Budget, cfg.MaxReps)
+		if err != nil {
+			return err
+		}
+		wall.MedianMpts = float64(w.Updates()) / wall.MedianSeconds / 1e6
+		rep.Runs = append(rep.Runs, Run{
+			Benchmark: DSLBenchmark,
+			Engine:    alg.String(),
+			Sizes:     append([]int(nil), w.Sizes...),
+			Steps:     w.Steps,
+			Updates:   w.Updates(),
+			Periodic:  []bool{true, true},
+			Wall:      wall,
+		})
+		cfg.Logf("%-12s %-6s median %8.1fms  mad %6.2fms  reps %d",
+			DSLBenchmark, alg, wall.MedianSeconds*1e3, wall.MADSeconds*1e3, wall.Reps)
+	}
+	return nil
 }
 
 // gitCommit returns the current short commit hash, best-effort: empty when

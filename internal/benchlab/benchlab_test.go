@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"pochoir/internal/benchdef"
 )
 
 // TestCollectFusesSignals: a one-benchmark quick session produces one run
@@ -61,6 +63,28 @@ func TestCollectFusesSignals(t *testing.T) {
 	for _, alg := range Engines {
 		if !seen[alg.String()] {
 			t.Fatalf("engine %v missing from report", alg)
+		}
+	}
+}
+
+// TestCollectDSLRow: the served path has a row — the specification-language
+// Heat 2p on the ablation box, wall clock only, under TRAP and LOOPS.
+func TestCollectDSLRow(t *testing.T) {
+	rep, err := Collect(Config{
+		Profile:    "quick",
+		Benchmarks: []string{DSLBenchmark},
+		Budget:     30 * time.Millisecond,
+		MaxReps:    3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Runs) != 2 || rep.Runs[0].Key() != DSLBenchmark+"/TRAP" || rep.Runs[1].Key() != DSLBenchmark+"/LOOPS" {
+		t.Fatalf("got runs %+v, want %s under TRAP and LOOPS", rep.Runs, DSLBenchmark)
+	}
+	for _, r := range rep.Runs {
+		if r.Updates != benchdef.AblationHeat2D.Updates() || r.Wall.Reps < 3 || r.Wall.MedianMpts <= 0 {
+			t.Fatalf("%s: not measured on the ablation box: %+v", r.Key(), r)
 		}
 	}
 }

@@ -16,9 +16,13 @@ import (
 // base-case clones are attached to Stencil, so Run and every supervised run
 // of Stencil execute them, bit-identical to the point kernel.
 //
-// Both forms are built on first use, not by NewInstance: a job that is
-// admitted and then shed, coalesced or expired in the queue never pays for
-// them.
+// Each form is built on its first use, not by NewInstance: a job that is
+// shed, coalesced or expired in the queue pays for neither, and one that is
+// never shadow-verified never builds the point kernel.
+//
+// The instance owns its arrays' boundaries: the clones resolve off-domain
+// accesses from the declared kinds, so a boundary function re-registered on
+// one of Arrays changes the point kernel's answers and is ignored by Run.
 type Instance struct {
 	Checked *Checked
 	Stencil *pochoir.Stencil[float64]
@@ -28,6 +32,9 @@ type Instance struct {
 
 	lowerOnce sync.Once
 	rows      *rowProgram
+
+	pointOnce sync.Once
+	point     []pointStmt
 }
 
 // NewInstance allocates arrays of the given spatial sizes, registers
@@ -72,9 +79,9 @@ func (c *Checked) NewInstance(sizes ...int) (*Instance, error) {
 	return inst, nil
 }
 
-// lowered returns the row program, building it and the point kernel's
-// closure trees on the first call. Base cases run concurrently, hence the
-// Once; after the first call it costs one atomic load per base case.
+// lowered returns the row program, building it on the first call. Base cases
+// run concurrently, hence the Once; after the first call it costs one atomic
+// load per base case.
 func (inst *Instance) lowered() *rowProgram {
 	inst.lowerOnce.Do(func() { inst.rows = lowerRows(inst) })
 	return inst.rows
@@ -159,20 +166,22 @@ func (inst *Instance) compileStmts() []pointStmt {
 	return stmts
 }
 
-// applyPoint is the checked point kernel: every statement evaluated at
-// (t, x) through Array.Get/Set and the registered boundary functions.
-func (p *rowProgram) applyPoint(t int, x, idx []int) {
-	for _, s := range p.point {
-		s.arr.Set(t+p.homeDT, s.rhs(t, x, idx), x...)
-	}
-}
+// idxPool holds the point kernel's index scratch, which escapes.
+var idxPool = sync.Pool{New: func() any { return new([MaxDSLDims]int) }}
 
 // Kernel returns the checked point kernel in the form Stencil's run methods
-// take; RunChecked and shadow verification execute it.
+// take: every statement evaluated at (t, x) through Array.Get/Set and the
+// registered boundary functions. RunChecked and shadow verification execute
+// it; its closure trees are built when it first runs.
 func (inst *Instance) Kernel() pochoir.Kernel {
-	p := inst.lowered()
+	homeDT := inst.Checked.HomeDT
 	return func(t int, x []int) {
-		p.applyPoint(t, x, make([]int, len(x)))
+		inst.pointOnce.Do(func() { inst.point = inst.compileStmts() })
+		idx := idxPool.Get().(*[MaxDSLDims]int)
+		for _, s := range inst.point {
+			s.arr.Set(t+homeDT, s.rhs(t, x, idx[:len(x)]), x...)
+		}
+		idxPool.Put(idx)
 	}
 }
 

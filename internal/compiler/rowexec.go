@@ -1,14 +1,18 @@
 package compiler
 
-import "pochoir"
+import (
+	"math"
+
+	"pochoir"
+)
 
 // exec is both base-case clones (§4, code cloning): it applies the kernel to
 // every point of z, time step by time step. The interior clone (wrap false)
 // receives only zoids whose every access is in domain and walks their rows
 // in true coordinates. The boundary clone (wrap true) receives the rest: it
 // reduces coordinates modulo the extents, splits each row where it wraps,
-// runs the span whose whole footprint is in domain through the same row
-// program, and hands the remaining edge points to the checked point kernel.
+// and runs the same row program, an operand whose access would leave the
+// domain rebound to where the array's boundary kind says the value is.
 func (p *rowProgram) exec(z pochoir.Zoid, wrap bool) {
 	sc := p.getScratch()
 	d := p.dims
@@ -19,7 +23,7 @@ func (p *rowProgram) exec(z pochoir.Zoid, wrap bool) {
 		for i, v := range p.views {
 			sc.slots[i] = v.arr.Slot(t + v.dt)
 		}
-		p.step(sc, t-p.homeDT, &lo, &hi, wrap)
+		p.step(sc, &lo, &hi, wrap)
 		for i := 0; i < d; i++ {
 			lo[i] += z.DLo[i]
 			hi[i] += z.DHi[i]
@@ -29,9 +33,8 @@ func (p *rowProgram) exec(z pochoir.Zoid, wrap bool) {
 }
 
 // step sweeps one time step's box [lo, hi) row by row: an odometer over the
-// outer dimensions, the unit-stride dimension handed to a row routine. kt is
-// the kernel's time argument for the per-point path.
-func (p *rowProgram) step(sc *rowScratch, kt int, lo, hi *[MaxDSLDims]int, wrap bool) {
+// outer dimensions, the unit-stride dimension handed to a row routine.
+func (p *rowProgram) step(sc *rowScratch, lo, hi *[MaxDSLDims]int, wrap bool) {
 	d := p.dims
 	for i := 0; i < d; i++ {
 		if lo[i] >= hi[i] {
@@ -39,8 +42,7 @@ func (p *rowProgram) step(sc *rowScratch, kt int, lo, hi *[MaxDSLDims]int, wrap 
 		}
 	}
 	last := d - 1
-	var vx [MaxDSLDims]int // virtual coordinates of the row; sc.x holds the true ones
-	x := &sc.x
+	var vx, x [MaxDSLDims]int // virtual and true coordinates of the row
 	// rewind puts outer dimension i back at the low edge of the box.
 	rewind := func(i int) {
 		vx[i] = lo[i]
@@ -54,13 +56,13 @@ func (p *rowProgram) step(sc *rowScratch, kt int, lo, hi *[MaxDSLDims]int, wrap 
 	}
 	for {
 		if wrap {
-			p.wrappedRow(sc, kt, lo[last], hi[last])
+			p.wrappedRow(sc, &x, lo[last], hi[last])
 		} else {
 			base := 0
 			for i := 0; i < last; i++ {
 				base += x[i] * p.strides[i]
 			}
-			p.span(sc, base+lo[last], hi[last]-lo[last])
+			p.span(sc, p.offs, false, base, lo[last], hi[last]-lo[last])
 		}
 		i := last - 1
 		for ; i >= 0; i-- {
@@ -88,94 +90,239 @@ func modIdx(v, n int) int {
 	return v
 }
 
-// wrappedRow runs the row at true outer coordinates sc.x over the virtual
-// unit-stride range [vlo, vhi). The range is cut where it wraps; within each
-// in-domain piece the points at least reachLo from the low edge and reachHi
-// from the high edge form the fast span, and the rest are edge points. A row
-// whose outer coordinates are themselves within reach of an edge is all edge
-// points, as is any row of an extent smaller than the footprint.
-func (p *rowProgram) wrappedRow(sc *rowScratch, kt int, vlo, vhi int) {
-	x := &sc.x
+// wrappedRow runs the row at true outer coordinates x over the virtual
+// unit-stride range [vlo, vhi), cut where it wraps into in-domain pieces. A
+// row whose outer coordinates are within reach of an edge runs rebound;
+// where a piece comes within reach of its own ends, span deals with it.
+func (p *rowProgram) wrappedRow(sc *rowScratch, x *[MaxDSLDims]int, vlo, vhi int) {
 	last := p.dims - 1
 	n := p.sizes[last]
-	fastLo, fastHi := p.reachLo[last], n-p.reachHi[last]
-	base := 0
+	at, base, rebound := p.offs, 0, false
 	for i := 0; i < last; i++ {
-		if x[i] < p.reachLo[i] || x[i] >= p.sizes[i]-p.reachHi[i] {
-			fastHi = fastLo // empty fast span
-		}
+		rebound = rebound || x[i] < p.reachLo[i] || x[i] >= p.sizes[i]-p.reachHi[i]
 		base += x[i] * p.strides[i]
+	}
+	if rebound {
+		at, base = p.rebind(sc, x), 0
 	}
 	for v := vlo; v < vhi; {
 		a := modIdx(v, n)
 		b := min(n, a+vhi-v)
 		v += b - a
-		// [a, b) is in domain; [fa, fb) is its fast part.
-		fa, fb := min(max(a, fastLo), b), min(b, fastHi)
-		if fa >= fb {
-			fa, fb = b, b
+		p.span(sc, at, rebound, base, a, b-a)
+	}
+}
+
+// filled is the binding of an operand that reads its view's fill row.
+const filled = math.MinInt
+
+// rebind binds every view operand for the row at true outer coordinates x to
+// its flat offset at unit-stride coordinate 0. A coordinate that leaves the
+// domain is wrapped (periodic) or clamped to the edge (clamp), or puts the
+// operand on the fill row (zero, constant) — what the array's declared
+// boundary function answers. edgeRow does the same for the unit stride.
+func (p *rowProgram) rebind(sc *rowScratch, x *[MaxDSLDims]int) []int {
+	last := p.dims - 1
+refs:
+	for r := range p.refs {
+		ref := &p.refs[r]
+		off := ref.dx[last]
+		for i := 0; i < last; i++ {
+			c, n := x[i]+ref.dx[i], p.sizes[i]
+			if c < 0 || c >= n {
+				switch p.views[ref.view].kind {
+				case BoundaryPeriodic:
+					c = modIdx(c, n)
+				case BoundaryClamp:
+					c = min(max(c, 0), n-1)
+				default:
+					sc.bound[r] = filled
+					continue refs
+				}
+			}
+			off += c * p.strides[i]
 		}
-		p.points(sc, kt, a, fa)
-		p.span(sc, base+fa, fb-fa)
-		p.points(sc, kt, fb, b)
+		sc.bound[r] = off
 	}
+	return sc.bound
 }
 
-// points applies the checked point kernel along the unit-stride range
-// [a, b) of the row at sc.x.
-func (p *rowProgram) points(sc *rowScratch, kt, a, b int) {
-	d := p.dims
-	x, idx := sc.x[:d], sc.idx[:d]
-	for x[d-1] = a; x[d-1] < b; x[d-1]++ {
-		p.applyPoint(kt, x, idx)
-	}
+// chunk is the at most rowChunk points one pass of the ops covers: n of
+// them, view operand ref at flat offset base+at[ref] and unit-stride
+// coordinate x. halo counts the rows edgeRow made up for the current op.
+type chunk struct {
+	*rowScratch
+	at      []int
+	base, x int
+	n       int
+	halo    int
 }
 
-// span runs the row program over n unit-stride points starting at flat
-// offset base, rowChunk at a time. Multi-statement kernels go statement by
-// statement per chunk: reads are strictly earlier than the common write
-// time, so no statement sees another's output.
-func (p *rowProgram) span(sc *rowScratch, base, n int) {
-	for ; n > 0; base, n = base+rowChunk, n-rowChunk {
-		m := min(n, rowChunk)
+// span runs the row program over n unit-stride points from coordinate x,
+// rowChunk at a time, base being the flat offset of coordinate 0 under the
+// binding at. Multi-statement kernels go statement by statement per chunk:
+// reads are strictly earlier than the write time, so none sees another's.
+func (p *rowProgram) span(sc *rowScratch, at []int, rebound bool, base, x, n int) {
+	last := p.dims - 1
+	c := chunk{rowScratch: sc, at: at}
+	var xs [maxSumTerms][]float64
+	for ; n > 0; x, n = x+rowChunk, n-rowChunk {
+		c.base, c.x, c.n = base+x, x, min(n, rowChunk)
+		// Where the boundary may come into a view operand.
+		edge := rebound || x < p.reachLo[last] || x+c.n > p.sizes[last]-p.reachHi[last]
 		for i := range p.ops {
 			op := &p.ops[i]
-			dst := sc.rowOf(&op.dst, base, m)
-			switch {
-			case op.code == opCopy:
-				if op.a.kind == inConst {
-					fill(dst, op.a.val)
-				} else {
-					copy(dst, sc.rowOf(&op.a, base, m))
+			c.halo = 0
+			ts := p.terms[op.t0 : op.t0+op.k]
+			for j := range ts {
+				switch o := &ts[j].x; {
+				case o.kind == inConst:
+				case edge && o.kind == inView:
+					xs[j] = p.edgeRow(&c, o)
+				default:
+					xs[j] = c.rowOf(o)
 				}
+			}
+			dst := c.rowOf(&op.dst) // never off domain
+			switch a, b := &ts[0].x, &ts[len(ts)-1].x; {
+			case op.code == opSum:
+				sumRows(dst, ts, &xs)
+			case op.code == opCopy && a.kind == inConst:
+				fill(dst, a.val)
+			case op.code == opCopy:
+				copy(dst, xs[0])
 			case op.code == opNeg:
-				negR(dst, sc.rowOf(&op.a, base, m))
-			case op.a.kind == inConst:
-				binaryCR(op.code, dst, op.a.val, sc.rowOf(&op.b, base, m))
-			case op.b.kind == inConst:
-				binaryRC(op.code, dst, sc.rowOf(&op.a, base, m), op.b.val)
+				negR(dst, xs[0])
+			case a.kind == inConst:
+				binaryCR(op.code, dst, a.val, xs[1])
+			case b.kind == inConst:
+				binaryRC(op.code, dst, xs[0], b.val)
 			default:
-				binaryRR(op.code, dst, sc.rowOf(&op.a, base, m), sc.rowOf(&op.b, base, m))
+				binaryRR(op.code, dst, xs[0], xs[1])
 			}
 		}
 	}
 }
 
-// rowOf resolves a non-constant operand to its n elements for the chunk at
-// flat offset base.
-func (sc *rowScratch) rowOf(o *operand, base, n int) []float64 {
+// rowOf is the chunk's elements of a row operand or an in-domain view one.
+func (c *chunk) rowOf(o *operand) []float64 {
 	if o.kind == inRow {
-		return sc.rows[o.idx*rowChunk:][:n]
+		return c.rows[o.idx*rowChunk:][:c.n]
 	}
-	at := base + o.off
-	return sc.slots[o.idx][at : at+n]
+	off := c.base + c.at[o.ref]
+	return c.slots[o.idx][off : off+c.n]
+}
+
+// edgeRow is rowOf for a view operand the boundary may come into. One whose
+// accesses leave the unit-stride extent is rebound to a scratch row made up
+// of the part in domain and, element by element, what lies beyond (see
+// rebind).
+func (p *rowProgram) edgeRow(c *chunk, o *operand) []float64 {
+	v, off := &p.views[o.idx], c.at[o.ref]
+	if off == filled {
+		return v.fill[:c.n]
+	}
+	off += c.base
+	src := c.slots[o.idx]
+	n := p.sizes[p.dims-1]
+	s := c.x + p.refs[o.ref].dx[p.dims-1] // unit-stride coordinate of the first access
+	if s >= 0 && s+c.n <= n {
+		return src[off : off+c.n]
+	}
+	row := c.rows[(p.nrows+c.halo)*rowChunk:][:c.n]
+	c.halo++
+	beyond := func(j int) float64 {
+		switch v.kind {
+		case BoundaryPeriodic:
+			return src[off-s+modIdx(s+j, n)]
+		case BoundaryClamp:
+			return src[off-s+min(max(s+j, 0), n-1)]
+		}
+		return v.fill[0]
+	}
+	// row[j0:j1] is in domain.
+	j0, j1 := min(max(-s, 0), c.n), min(max(n-s, 0), c.n)
+	for j := 0; j < j0; j++ {
+		row[j] = beyond(j)
+	}
+	if j0 < j1 {
+		copy(row[j0:j1], src[off+j0:off+j1])
+	}
+	for j := j1; j < c.n; j++ {
+		row[j] = beyond(j)
+	}
+	return row
 }
 
 // The loops below are the whole arithmetic of the executor. Each performs
-// one IEEE operation per element and stores it, in the operand order of the
-// source expression — nothing here may be rewritten as a compound
-// expression such as a*b+c, which arm64 would fuse. max and min keep the
-// point kernel's >= and <= tie and NaN behaviour.
+// the IEEE operations of the source expression in its operand order, every
+// product and partial sum rounded by an explicit conversion, which forbids a
+// fused multiply-add (arm64, GOAMD64=v3). maxOf and minOf are the point
+// kernel's: the first argument on a tie, the second if either is NaN.
+
+// mac is one step of a chain: the accumulator plus a rounded product.
+func mac(s, c, x float64) float64 { return float64(s + float64(c*x)) }
+
+// sumRows is opSum over the terms t, whose operands are x[:len(t)].
+func sumRows(dst []float64, t []term, x *[maxSumTerms][]float64) {
+	n := len(dst)
+	x0, x1, c0, c1 := x[0][:n], x[1][:n], t[0].c, t[1].c
+	switch len(t) {
+	case 2:
+		for i := range dst {
+			dst[i] = mac(float64(c0*x0[i]), c1, x1[i])
+		}
+	case 3:
+		x2, c2 := x[2][:n], t[2].c
+		for i := range dst {
+			dst[i] = mac(mac(float64(c0*x0[i]), c1, x1[i]), c2, x2[i])
+		}
+	case 4:
+		x2, x3, c2, c3 := x[2][:n], x[3][:n], t[2].c, t[3].c
+		for i := range dst {
+			dst[i] = mac(mac(mac(float64(c0*x0[i]), c1, x1[i]), c2, x2[i]), c3, x3[i])
+		}
+	case 5:
+		x2, x3, x4, c2, c3, c4 := x[2][:n], x[3][:n], x[4][:n], t[2].c, t[3].c, t[4].c
+		for i := range dst {
+			dst[i] = mac(mac(mac(mac(float64(c0*x0[i]), c1, x1[i]), c2, x2[i]), c3, x3[i]), c4, x4[i])
+		}
+	case 6:
+		x2, x3, x4, x5, c2, c3, c4, c5 := x[2][:n], x[3][:n], x[4][:n], x[5][:n], t[2].c, t[3].c, t[4].c, t[5].c
+		for i := range dst {
+			dst[i] = mac(mac(mac(mac(mac(float64(c0*x0[i]), c1, x1[i]), c2, x2[i]), c3, x3[i]), c4, x4[i]), c5, x5[i])
+		}
+	case 7:
+		x2, x3, x4, x5, x6, c2, c3, c4, c5, c6 := x[2][:n], x[3][:n], x[4][:n], x[5][:n], x[6][:n], t[2].c, t[3].c, t[4].c, t[5].c, t[6].c
+		for i := range dst {
+			dst[i] = mac(mac(mac(mac(mac(mac(float64(c0*x0[i]), c1, x1[i]), c2, x2[i]), c3, x3[i]), c4, x4[i]), c5, x5[i]), c6, x6[i])
+		}
+	case 8:
+		x2, x3, x4, x5, x6, x7, c2, c3, c4, c5, c6, c7 := x[2][:n], x[3][:n], x[4][:n], x[5][:n], x[6][:n], x[7][:n], t[2].c, t[3].c, t[4].c, t[5].c, t[6].c, t[7].c
+		for i := range dst {
+			dst[i] = mac(mac(mac(mac(mac(mac(mac(float64(c0*x0[i]), c1, x1[i]), c2, x2[i]), c3, x3[i]), c4, x4[i]), c5, x5[i]), c6, x6[i]), c7, x7[i])
+		}
+	case 9:
+		x2, x3, x4, x5, x6, x7, x8, c2, c3, c4, c5, c6, c7, c8 := x[2][:n], x[3][:n], x[4][:n], x[5][:n], x[6][:n], x[7][:n], x[8][:n], t[2].c, t[3].c, t[4].c, t[5].c, t[6].c, t[7].c, t[8].c
+		for i := range dst {
+			dst[i] = mac(mac(mac(mac(mac(mac(mac(mac(float64(c0*x0[i]), c1, x1[i]), c2, x2[i]), c3, x3[i]), c4, x4[i]), c5, x5[i]), c6, x6[i]), c7, x7[i]), c8, x8[i])
+		}
+	}
+}
+
+func maxOf(a, b float64) float64 {
+	if a >= b {
+		return a
+	}
+	return b
+}
+
+func minOf(a, b float64) float64 {
+	if a <= b {
+		return a
+	}
+	return b
+}
 
 func fill(dst []float64, c float64) {
 	for i := range dst {
@@ -211,19 +358,11 @@ func binaryRR(code opcode, dst, a, b []float64) {
 		}
 	case opMax:
 		for i := range dst {
-			if va, vb := a[i], b[i]; va >= vb {
-				dst[i] = va
-			} else {
-				dst[i] = vb
-			}
+			dst[i] = maxOf(a[i], b[i])
 		}
 	case opMin:
 		for i := range dst {
-			if va, vb := a[i], b[i]; va <= vb {
-				dst[i] = va
-			} else {
-				dst[i] = vb
-			}
+			dst[i] = minOf(a[i], b[i])
 		}
 	}
 }
@@ -249,19 +388,11 @@ func binaryRC(code opcode, dst, a []float64, c float64) {
 		}
 	case opMax:
 		for i := range dst {
-			if va := a[i]; va >= c {
-				dst[i] = va
-			} else {
-				dst[i] = c
-			}
+			dst[i] = maxOf(a[i], c)
 		}
 	case opMin:
 		for i := range dst {
-			if va := a[i]; va <= c {
-				dst[i] = va
-			} else {
-				dst[i] = c
-			}
+			dst[i] = minOf(a[i], c)
 		}
 	}
 }
@@ -287,19 +418,11 @@ func binaryCR(code opcode, dst []float64, c float64, b []float64) {
 		}
 	case opMax:
 		for i := range dst {
-			if vb := b[i]; c >= vb {
-				dst[i] = c
-			} else {
-				dst[i] = vb
-			}
+			dst[i] = maxOf(c, b[i])
 		}
 	case opMin:
 		for i := range dst {
-			if vb := b[i]; c <= vb {
-				dst[i] = c
-			} else {
-				dst[i] = vb
-			}
+			dst[i] = minOf(c, b[i])
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -185,7 +186,10 @@ func checkRowsMatchPoints(t *testing.T, src string, seed uint64) int {
 
 // genSpec writes a random legal specification: dims 1–4, one or two arrays
 // with boundary kinds mixed per array, depth 1 or 2, and one statement per
-// written array over + - * /, unary minus, max/min, params and literals.
+// written array over + - * /, unary minus, max/min, params and literals. It
+// leans toward what the row program treats specially: left-deep chains of +
+// and - (see chain), and unit-stride offsets of 2 and 3, which exceed half
+// of the harness's smaller extents.
 func genSpec(rng *rand.Rand) string {
 	d := 1 + rng.Intn(4)
 	narr := 1 + rng.Intn(2)
@@ -216,10 +220,10 @@ func genSpec(rng *rand.Rand) string {
 			if !offsets {
 				continue
 			}
-			// Mostly nearest neighbours; sometimes a reach of 2 or 3, which
-			// exceeds half of the smaller extents.
+			// Mostly nearest neighbours; a reach of 2 or 3 sometimes, and
+			// more often in the unit-stride dimension.
 			dx := rng.Intn(3) - 1
-			if rng.Intn(6) == 0 {
+			if rng.Intn(6) == 0 || (i == d-1 && rng.Intn(3) == 0) {
 				dx = rng.Intn(7) - 3
 			}
 			if dx != 0 {
@@ -228,21 +232,67 @@ func genSpec(rng *rand.Rand) string {
 		}
 		return s.String()
 	}
+	access := func() string {
+		dt := ""
+		if back := rng.Intn(depth); back > 0 {
+			dt = fmt.Sprintf("-%d", back)
+		}
+		return fmt.Sprintf("%s(t%s%s)", arrays[rng.Intn(narr)], dt, index(true))
+	}
+	constant := func() string {
+		if rng.Intn(2) == 0 {
+			return []string{"P", "Q"}[rng.Intn(2)]
+		}
+		return fmt.Sprintf("%g", float64(1+rng.Intn(40))/8) // never 0: a literal zero divisor is rejected
+	}
 	var expr func(level int) string
-	expr = func(level int) string {
-		if level == 0 || rng.Intn(5) == 0 {
-			switch rng.Intn(6) {
-			case 0:
-				return fmt.Sprintf("%g", float64(1+rng.Intn(40))/8) // never 0: a literal zero divisor is rejected
-			case 1:
-				return []string{"P", "Q"}[rng.Intn(2)]
-			default:
-				dt := ""
-				if back := rng.Intn(depth); back > 0 {
-					dt = fmt.Sprintf("-%d", back)
-				}
-				return fmt.Sprintf("%s(t%s%s)", arrays[rng.Intn(narr)], dt, index(true))
+	// chain is a left-deep run of 2 to 12 terms, each what an opSum term
+	// can be — an access, a constant times one on either side, a constant
+	// times a subexpression, any of them negated — or what it cannot: a
+	// bare constant, first or in the middle, and a bare subexpression.
+	chain := func(level int) string {
+		term := func() string {
+			coef := constant()
+			switch rng.Intn(100) {
+			case 0, 1, 2:
+				coef = "-0"
+			case 3:
+				coef = "(1e308*10)" // folds to +Inf, and poisons the run: rare
 			}
+			switch rng.Intn(10) {
+			case 0, 1:
+				return access()
+			case 2, 3:
+				return coef + "*" + access()
+			case 4:
+				return access() + "*" + coef
+			case 5:
+				return coef + "*(" + expr(level-1) + ")"
+			case 6:
+				return "-" + access()
+			case 7:
+				return "-(" + access() + "*" + coef + ")"
+			case 8:
+				return constant()
+			default:
+				return "(" + expr(level-1) + ")"
+			}
+		}
+		s := term()
+		for k := 2 + rng.Intn(11); k > 1; k-- {
+			s += []string{" + ", " - "}[rng.Intn(2)] + term()
+		}
+		return s
+	}
+	expr = func(level int) string {
+		if level <= 0 || rng.Intn(5) == 0 {
+			if rng.Intn(3) == 0 {
+				return constant()
+			}
+			return access()
+		}
+		if rng.Intn(4) == 0 {
+			return chain(min(level, 2))
 		}
 		l, r := expr(level-1), expr(level-1)
 		switch rng.Intn(12) {
@@ -270,7 +320,11 @@ func genSpec(rng *rand.Rand) string {
 		if i > 0 && rng.Intn(4) == 0 {
 			continue // a read-only array
 		}
-		fmt.Fprintf(&b, "    %s(t+1%s) = %s;\n", a, index(false), expr(1+rng.Intn(4)))
+		rhs := expr(1 + rng.Intn(4))
+		if rng.Intn(2) == 0 {
+			rhs = chain(1 + rng.Intn(2))
+		}
+		fmt.Fprintf(&b, "    %s(t+1%s) = %s;\n", a, index(false), rhs)
 	}
 	b.WriteString("  }\n}\n")
 	return b.String()
@@ -315,6 +369,25 @@ func FuzzRowExec(f *testing.F) {
 	for i := 0; i < 8; i++ {
 		f.Add(genSpec(rng), rng.Uint64())
 	}
+	// One spec per path of the row program: chains of 2, 9 and 12 terms (the
+	// last continues in a second op), edge rows under each boundary kind that
+	// is not the torus, and unit-stride ends with a reach of 2.
+	chain := func(k int) string {
+		s := "stencil s { dims: 1; array u; boundary u: clamp; kernel { u(t+1,x) = u(t,x)"
+		for i := 1; i < k; i++ {
+			s += fmt.Sprintf(" %c 0.%d*u(t,x%+d)", "+-"[i%2], i, i%5-2)
+		}
+		return s + "; } }"
+	}
+	for i, s := range []string{
+		chain(2), chain(9), chain(12),
+		strings.Replace(heatSrc, "periodic", "clamp", 1),
+		strings.Replace(heatSrc, "periodic", "constant 0.75", 1),
+		strings.Replace(heatSrc, "periodic", "zero", 1),
+		boundarySrc("periodic"), boundarySrc("clamp"), boundarySrc("constant -1.5"),
+	} {
+		f.Add(s, uint64(100+i))
+	}
 	f.Fuzz(func(t *testing.T, src string, seed uint64) {
 		defer faultpoint.DisarmAll()
 		if len(src) > MaxSourceBytes {
@@ -324,26 +397,81 @@ func FuzzRowExec(f *testing.F) {
 	})
 }
 
-// TestRowProgramHeat pins the lowering of the Fig. 6 kernel: one op per
-// arithmetic node, the final one writing the destination plane directly.
+// heat1dSrc is the three-point average the daemon's small jobs run.
+const heat1dSrc = `stencil heat1d { dims: 1; array u; boundary u: periodic;
+  kernel { u(t+1, x) = 0.25*u(t, x-1) + 0.5*u(t, x) + 0.25*u(t, x+1); } }`
+
+// TestRowProgramHeat pins the lowering of the Fig. 6 kernel: each Laplacian
+// is one three-term op into a scratch row, and the update is one three-term
+// op over u and the two rows that writes the destination plane directly.
 func TestRowProgramHeat(t *testing.T) {
-	c, err := CompileSource(heatSrc)
-	if err != nil {
-		t.Fatal(err)
+	lower := func(src string, sizes ...int) *rowProgram {
+		c, err := CompileSource(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := c.NewInstance(sizes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst.lowered()
 	}
-	inst, err := c.NewInstance(8, 8)
-	if err != nil {
-		t.Fatal(err)
+	coefs := func(p *rowProgram, op rowOp) (cs []float64) {
+		for _, tm := range p.terms[op.t0 : op.t0+op.k] {
+			cs = append(cs, tm.c)
+		}
+		return cs
 	}
-	p := inst.lowered()
-	if len(p.ops) != 10 || p.nrows != 2 || len(p.views) != 2 {
-		t.Fatalf("heat2d lowered to %d ops, %d rows, %d views; want 10, 2, 2", len(p.ops), p.nrows, len(p.views))
+	p := lower(heatSrc, 8, 8)
+	if len(p.ops) != 3 || p.nrows != 2 || len(p.views) != 2 {
+		t.Fatalf("heat2d lowered to %d ops, %d rows, %d views; want 3, 2, 2", len(p.ops), p.nrows, len(p.views))
 	}
-	if last := p.ops[len(p.ops)-1]; last.dst.kind != inView || p.views[last.dst.idx].dt != 0 {
+	for i, want := range [][]float64{{1, -2, 1}, {1, -2, 1}, {1, 0.125, 0.125}} {
+		if op := p.ops[i]; op.code != opSum || !slices.Equal(coefs(p, op), want) {
+			t.Errorf("heat2d op %d is code %d with coefficients %v, want an opSum with %v", i, op.code, coefs(p, op), want)
+		}
+	}
+	if last := p.ops[2]; last.dst.kind != inView || p.views[last.dst.idx].dt != 0 {
 		t.Fatalf("final op writes %+v, want the destination plane", last.dst)
+	}
+	if x := p.terms[p.ops[2].t0:]; x[0].x.kind != inView || x[1].x.kind != inRow || x[2].x.kind != inRow {
+		t.Fatalf("final op reads %+v, want u and the two Laplacian rows", x[:3])
 	}
 	if p.reachLo != [MaxDSLDims]int{1, 1} || p.reachHi != [MaxDSLDims]int{1, 1} {
 		t.Fatalf("footprint lo %v hi %v, want 1 each way in both dims", p.reachLo, p.reachHi)
+	}
+
+	p = lower(heat1dSrc, 8)
+	if len(p.ops) != 1 || p.nrows != 0 || !slices.Equal(coefs(p, p.ops[0]), []float64{0.25, 0.5, 0.25}) {
+		t.Fatalf("heat1d lowered to %d ops, %d rows, coefficients %v; want one opSum, no rows", len(p.ops), p.nrows, coefs(p, p.ops[0]))
+	}
+
+	// What is not a term stays an op of its own; what exceeds an op
+	// continues in the next.
+	for _, tc := range []struct {
+		rhs  string
+		want []opcode
+	}{
+		{"u(t,x) - 0.5*u(t,x-1)", []opcode{opSum}},
+		{"u(t,x) + 1 + u(t,x-1)", []opcode{opAdd, opSum}},
+		{"2 - u(t,x)", []opcode{opSub}},
+		{"u(t,x)*u(t,x-1) + u(t,x+1)", []opcode{opMul, opSum}},
+		{"-(3*u(t,x)) - -u(t,x-1)", []opcode{opSum}},
+		{"u(t,x)" + strings.Repeat(" + u(t,x-1)", 11), []opcode{opSum, opSum}},
+		{"0.5*(u(t,x-1)+u(t,x+1))", []opcode{opSum, opMul}},
+	} {
+		p := lower("stencil s { dims: 1; array u; kernel { u(t+1,x) = "+tc.rhs+"; } }", 8)
+		var got []opcode
+		for _, op := range p.ops {
+			got = append(got, op.code)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s lowered to ops %v, want %v", tc.rhs, got, tc.want)
+		}
+	}
+	p = lower("stencil s { dims: 1; array u; kernel { u(t+1,x) = -(3*u(t,x)) - -u(t,x-1); } }", 8)
+	if cs := coefs(p, p.ops[0]); !slices.Equal(cs, []float64{-3, 1}) {
+		t.Errorf("-(3*u) - -u has coefficients %v, want [-3 1]", cs)
 	}
 }
 
@@ -457,19 +585,22 @@ func TestRowClonesAllocateNothing(t *testing.T) {
 // TestRowScratchSharedAcrossInstances: a daemon builds one Instance per job
 // and runs it once, so the scratch has to carry over from one instance to
 // the next — a new instance's first base case allocates nothing beyond its
-// lazy lowering — and a pooled scratch must not keep the previous job's
-// arrays reachable.
+// lazy lowering — and a pooled scratch must keep nothing of the previous
+// job: not its arrays, and not its rebound offsets (its fill rows were never
+// the scratch's: they belong to the program).
 func TestRowScratchSharedAcrossInstances(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	c, err := CompileSource(heatSrc)
+	// A constant boundary and a zoid over a corner: edge rows bound to the
+	// fill row, and chunks that leave the unit-stride extent.
+	c, err := CompileSource(strings.Replace(heatSrc, "periodic", "constant 7", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	z := pochoir.Zoid{T0: 1, T1: 3, N: 2}
 	z.Lo[0], z.Hi[0] = -3, 12
-	z.Lo[1], z.Hi[1] = 4, 30
+	z.Lo[1], z.Hi[1] = 4, 35
 	fresh := func() *Instance {
 		inst, err := c.NewInstance(32, 32)
 		if err != nil {
@@ -492,27 +623,134 @@ func TestRowScratchSharedAcrossInstances(t *testing.T) {
 			t.Errorf("pooled scratch still holds view %d of a finished instance", i)
 		}
 	}
+	if len(sc.bound) != 0 {
+		t.Errorf("pooled scratch still holds %d rebound offsets of a finished instance", len(sc.bound))
+	}
 }
 
-// TestRowEdgePanicIsAttributed: a panic on the checked edge path — here an
-// off-domain read with the boundary function taken away — still surfaces as
-// a *KernelPanicError naming the zoid.
+// TestRowEdgePanicIsAttributed: a panic inside a clone — here a view bound
+// out of range — still surfaces as a *KernelPanicError naming the zoid, and
+// so does one injected at the walker's base-case faultpoint.
 func TestRowEdgePanicIsAttributed(t *testing.T) {
+	defer faultpoint.DisarmAll()
 	c, err := CompileSource(heatSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := c.NewInstance(16, 16)
+	for _, tc := range []struct {
+		name, want string
+		breakIt    func(*Instance)
+	}{
+		{"out-of-range view", "out of range", func(inst *Instance) { inst.lowered().offs[0] = 1 << 40 }},
+		{"walker/base faultpoint", "faultpoint", func(*Instance) {
+			faultpoint.Arm(faultpoint.SiteBase, faultpoint.Spec{Kind: faultpoint.KindPanic, Depth: faultpoint.AnyDepth, Times: 1})
+		}},
+	} {
+		inst, err := c.NewInstance(16, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.breakIt(inst)
+		err = inst.Run(2, pochoir.Options{Serial: true, NoFlightRecorder: true})
+		var kp *pochoir.KernelPanicError
+		if !errors.As(err, &kp) {
+			t.Fatalf("%s: Run returned %v, want *KernelPanicError", tc.name, err)
+		}
+		if kp.Zoid.N != 2 || kp.Zoid.T1 <= kp.Zoid.T0 || !strings.Contains(fmt.Sprint(kp.Value), tc.want) {
+			t.Fatalf("%s: panic not attributed: zoid %v value %v", tc.name, kp.Zoid, kp.Value)
+		}
+	}
+}
+
+// boundarySrc is heat2d with a reach of 2 in the unit-stride dimension and
+// the named boundary.
+func boundarySrc(boundary string) string {
+	return "stencil s { dims: 2; array u; boundary u: " + boundary + ";\n" +
+		"  kernel { u(t+1,x,y) = 0.5*u(t,x,y) + 0.125*(u(t,x-1,y) + u(t,x+1,y) + u(t,x,y-2) + u(t,x,y+2)); } }"
+}
+
+// TestRunNeverBuildsThePointKernel: the clones resolve every boundary kind
+// themselves. The point kernel's closure trees do not exist until Kernel's
+// function first runs, and Run — matching RunChecked on every kind, extents
+// below twice the reach included — never makes them.
+func TestRunNeverBuildsThePointKernel(t *testing.T) {
+	for _, boundary := range []string{"periodic", "clamp", "zero", "constant 3.5"} {
+		c, err := CompileSource(boundarySrc(boundary))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sizes := range [][]int{{9, 11}, {2, 3}, {1, 1}} {
+			inst, _ := c.NewInstance(sizes...)
+			oracle, _ := c.NewInstance(sizes...)
+			seedArrays(t, inst, 3)
+			seedArrays(t, oracle, 3)
+			kern := inst.Kernel()
+			if err := inst.Run(5, pochoir.Options{TimeCutoff: 2, SpaceCutoff: []int{3, 3}}); err != nil {
+				t.Fatal(err)
+			}
+			if inst.point != nil {
+				t.Fatalf("%s %v: Run built the point kernel", boundary, sizes)
+			}
+			if err := oracle.RunChecked(5); err != nil {
+				t.Fatal(err)
+			}
+			if i := sameBits(finalState(t, inst, 5), finalState(t, oracle, 5)); i >= 0 {
+				t.Fatalf("%s %v: Run diverges from RunChecked at flat index %d", boundary, sizes, i)
+			}
+			kern(5, make([]int, 2))
+			if inst.point == nil {
+				t.Fatalf("%s %v: the point kernel was not built on first use", boundary, sizes)
+			}
+		}
+	}
+}
+
+// TestInstanceOwnsItsBoundaries: Run resolves off-domain accesses from the
+// declared boundary kinds, so a boundary function registered on one of the
+// instance's arrays after NewInstance is ignored by Run (it would change
+// only what the point kernel computes; see Instance).
+func TestInstanceOwnsItsBoundaries(t *testing.T) {
+	c, err := CompileSource(boundarySrc("clamp"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.Arrays["u"].RegisterBoundary(nil)
-	err = inst.Run(2, pochoir.Options{Serial: true, NoFlightRecorder: true})
-	var kp *pochoir.KernelPanicError
-	if !errors.As(err, &kp) {
-		t.Fatalf("Run returned %v, want *KernelPanicError", err)
+	run := func(reregister bool) []float64 {
+		inst, _ := c.NewInstance(6, 7)
+		seedArrays(t, inst, 9)
+		if reregister {
+			inst.Arrays["u"].RegisterBoundary(pochoir.ConstBoundary(99.0))
+		}
+		if err := inst.Run(4, pochoir.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		return finalState(t, inst, 4)
 	}
-	if kp.Zoid.N != 2 || kp.Zoid.T1 <= kp.Zoid.T0 || !strings.Contains(fmt.Sprint(kp.Value), "off-domain read") {
-		t.Fatalf("panic not attributed: zoid %v value %v", kp.Zoid, kp.Value)
+	if i := sameBits(run(true), run(false)); i >= 0 {
+		t.Fatalf("a re-registered boundary changed Run's result at flat index %d", i)
 	}
+}
+
+// TestRunCheckedAllocatesPerRunNotPerPoint: the oracle of every
+// differential test, and of the gateway's shadow verification, takes its
+// index scratch from a pool and its shape-check scratch from the array.
+func TestRunCheckedAllocatesPerRunNotPerPoint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	c, err := CompileSource(heatSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, _ := c.NewInstance(64, 64)
+	seedArrays(t, inst, 1)
+	const steps = 4
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := inst.RunChecked(steps); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perPoint := allocs / (64 * 64 * steps); perPoint > 0.1 {
+		t.Fatalf("RunChecked allocates %.2f objects per point (%v per run), want none per point", perPoint, allocs)
+	}
+	t.Logf("RunChecked: %v allocations for %d point updates", allocs, 64*64*steps)
 }

@@ -14,14 +14,14 @@ const rowChunk = 256
 // rowProgram is a checked kernel lowered once per Instance for row-at-a-time
 // execution: the expression trees become a flat list of elementwise
 // operations whose operands are constants, zero-copy views into the arrays'
-// time slots at a precomputed flat offset, or pooled scratch rows. Every AST
-// node is still one IEEE operation per point in the tree's own association,
-// and every intermediate is stored to a row, so results equal the per-point
-// closure tree bit for bit.
+// time slots, or pooled scratch rows. A left-deep chain of + and - is one
+// opSum (see sum), every other AST node one op; either way each point sees
+// the tree's own IEEE operations in the tree's own association, so results
+// equal the per-point closure tree bit for bit.
 //
-// Both base-case clones run this one program (see exec in rowexec.go); the
-// points whose stencil footprint leaves the domain go through point, the
-// closure-tree point kernel, and so through the arrays' boundary functions.
+// Both base-case clones run this one program on every point (see exec in
+// rowexec.go). Where a view operand points is a table lookup: offs where the
+// whole footprint is in domain, else what the boundary clone rebinds it to.
 type rowProgram struct {
 	dims    int
 	sizes   [MaxDSLDims]int
@@ -32,18 +32,28 @@ type rowProgram struct {
 	homeDT           int
 
 	views []rowView
+	refs  []viewRef // every view operand of ops and terms, in lowering order
+	offs  []int     // refs' flat offsets from the point being written
 	ops   []rowOp
-	nrows int // scratch rows the ops need at once
-
-	point []pointStmt // the checked per-point path (applyPoint)
+	terms []term // the ops' operands, end to end
+	nrows int    // scratch rows the ops need at once
 }
 
 // rowView is one (array, time) plane the program touches: dt is relative to
 // the time being written, so 0 is a statement's destination and reads are
-// negative.
+// negative. kind is the array's declared boundary, and fill the row an
+// operand is bound to where a zero or constant boundary supplies the value.
 type rowView struct {
-	arr *pochoir.Array[float64]
-	dt  int
+	arr  *pochoir.Array[float64]
+	dt   int
+	kind BoundaryKind
+	fill []float64
+}
+
+// viewRef is one access: the view it reads (or writes) and its offset vector.
+type viewRef struct {
+	view int
+	dx   [MaxDSLDims]int
 }
 
 type opcode uint8
@@ -57,46 +67,59 @@ const (
 	opDiv
 	opMax
 	opMin
+	opSum // ((c0*x0 + c1*x1) + c2*x2) ... over its k terms
 )
+
+// maxSumTerms is the longest opSum; a longer chain continues in a second op
+// whose first term is the first's result.
+const maxSumTerms = 9
 
 type operandKind uint8
 
 const (
 	inConst operandKind = iota
-	inView              // views[idx] at flat offset off from the row base
+	inView              // views[idx], wherever the binding in force puts refs[ref]
 	inRow               // scratch row idx
 )
 
 type operand struct {
 	kind operandKind
 	idx  int
-	off  int
+	ref  int
 	val  float64
 }
 
-// rowOp is dst = code(a, b); unary codes ignore b. dst may alias a or b:
-// every operation is elementwise over the same index range.
+// rowOp is dst = code(terms[t0:t0+k]): one operand for a unary code, two for
+// a binary one, up to maxSumTerms for opSum. dst may alias an operand: every
+// operation is elementwise over the same index range.
 type rowOp struct {
-	code      opcode
-	dst, a, b operand
+	code  opcode
+	dst   operand
+	t0, k int
+}
+
+// term is one operand of an op, and for opSum the coefficient it is
+// multiplied by.
+type term struct {
+	c float64
+	x operand
 }
 
 // rowScratch is the per-base-case working set.
 type rowScratch struct {
 	rows  []float64   // the program's nrows rows of rowChunk, end to end
 	slots [][]float64 // views bound to the current time step
-	// x is the true coordinates of the current row and idx the point
-	// kernel's index scratch. They live here, not on the stack, because the
-	// point kernel takes them as slices and would otherwise force a heap
-	// allocation per base case.
-	x, idx [MaxDSLDims]int
+	bound []int       // the boundary clone's binding of refs (see rebind)
 }
+
+// zeroRow is the fill of every zero-boundary view.
+var zeroRow [rowChunk]float64
 
 // lowerRows lowers the instance's checked kernel. The cost is linear in AST
 // nodes and no scratch is allocated until a clone first runs.
 func lowerRows(inst *Instance) *rowProgram {
 	c := inst.Checked
-	p := &rowProgram{dims: c.Prog.Dims, homeDT: c.HomeDT, point: inst.compileStmts()}
+	p := &rowProgram{dims: c.Prog.Dims, homeDT: c.HomeDT}
 	first := inst.Arrays[c.Prog.Arrays[0].Name]
 	for i := 0; i < p.dims; i++ {
 		p.sizes[i] = first.Size(i)
@@ -108,11 +131,15 @@ func lowerRows(inst *Instance) *rowProgram {
 			p.reachHi[i] = max(p.reachHi[i], dx)
 		}
 	}
-	lw := lowerer{inst: inst, prog: p}
+	// Sized for the repository's specs, so that lowering one grows nothing.
+	n := len(c.Reads) + 4*len(c.Prog.Kernel)
+	p.refs, p.offs, p.terms = make([]viewRef, 0, 2*n), make([]int, 0, 2*n), make([]term, 0, 2*n)
+	lw := lowerer{inst: inst, prog: p, nodes: make([]lnode, 0, 4*n), terms: make([]lterm, 0, 4*n)}
 	for _, st := range c.Prog.Kernel {
 		lw.nodes = lw.nodes[:0]
+		lw.terms = lw.terms[:0]
 		root := lw.flatten(st.RHS)
-		dst := operand{kind: inView, idx: lw.view(st.LHS.Array, 0)}
+		dst := lw.access(st.LHS.Array, 0, nil)
 		lw.emit(root, &dst)
 	}
 	return p
@@ -124,19 +151,23 @@ func lowerRows(inst *Instance) *rowProgram {
 // grids reachable for two collections; one pool makes the steady state of a
 // daemon allocation-free across jobs as well as across base cases. A scratch
 // grows to the largest program that used it, which the front door bounds at
-// MaxExprDepth+2 rows.
+// MaxExprDepth+2 rows, and maxSumTerms more that edgeRow may rebind to.
 var scratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
 
 // getScratch takes a scratch from the pool and sizes it for p.
 func (p *rowProgram) getScratch() *rowScratch {
 	sc := scratchPool.Get().(*rowScratch)
-	if need := p.nrows * rowChunk; len(sc.rows) < need {
+	if need := (p.nrows + maxSumTerms) * rowChunk; len(sc.rows) < need {
 		sc.rows = make([]float64, need)
 	}
 	if need := len(p.views); cap(sc.slots) < need {
 		sc.slots = make([][]float64, need)
 	}
 	sc.slots = sc.slots[:len(p.views)]
+	if need := len(p.refs); cap(sc.bound) < need {
+		sc.bound = make([]int, need)
+	}
+	sc.bound = sc.bound[:len(p.refs)]
 	return sc
 }
 
@@ -144,23 +175,36 @@ func (p *rowProgram) getScratch() *rowScratch {
 // pooled scratch never keeps a finished job's arrays alive.
 func putScratch(sc *rowScratch) {
 	clear(sc.slots)
+	sc.bound = sc.bound[:0]
 	scratchPool.Put(sc)
 }
 
-// lnode is one AST node in post order: a leaf (l < 0) carries its operand,
-// an interior node its children's indices and the scratch rows its subtree
-// needs at once.
+// lnode is one node of the lowered tree in post order: a leaf (k == 0)
+// carries its operand, an interior node its k operands — one for opNeg, two
+// for a binary code, up to maxSumTerms for opSum — as a list of lterms from
+// the last, l, back to the first. rows counts the operands that are
+// themselves interior nodes, whose values take a scratch row each, and need
+// the rows evaluating those takes at once.
 type lnode struct {
 	code opcode
 	leaf operand
-	l, r int // child indices; -1 when absent
+	l, k int
+	rows int
 	need int
+}
+
+// lterm is one operand of an interior node: the value of node — for opSum
+// times c — after the operand prev (unset at the first).
+type lterm struct {
+	c          float64
+	node, prev int
 }
 
 type lowerer struct {
 	inst  *Instance
 	prog  *rowProgram
 	nodes []lnode
+	terms []lterm
 	free  []int // scratch rows released by stack discipline
 }
 
@@ -171,8 +215,32 @@ func (lw *lowerer) view(array string, dt int) int {
 			return i
 		}
 	}
-	lw.prog.views = append(lw.prog.views, rowView{arr: arr, dt: dt})
+	decl := lw.inst.Checked.Array(array)
+	v := rowView{arr: arr, dt: dt, kind: decl.Boundary}
+	switch v.kind {
+	case BoundaryZero:
+		v.fill = zeroRow[:]
+	case BoundaryConstant:
+		v.fill = make([]float64, rowChunk)
+		fill(v.fill, decl.Constant)
+	}
+	lw.prog.views = append(lw.prog.views, v)
 	return len(lw.prog.views) - 1
+}
+
+// access is the operand for array at time offset dt (relative to the time
+// being written) and spatial offset dx, nil meaning the point itself.
+func (lw *lowerer) access(array string, dt int, dx []int) operand {
+	p := lw.prog
+	r := viewRef{view: lw.view(array, dt)}
+	off := 0
+	for i, d := range dx {
+		r.dx[i] = d
+		off += d * p.strides[i]
+	}
+	p.refs = append(p.refs, r)
+	p.offs = append(p.offs, off)
+	return operand{kind: inView, idx: r.view, ref: len(p.refs) - 1}
 }
 
 func (lw *lowerer) push(n lnode) int {
@@ -180,31 +248,50 @@ func (lw *lowerer) push(n lnode) int {
 	return len(lw.nodes) - 1
 }
 
+// rowsOf is the scratch rows node i's subtree needs at once. Sethi–Ullman: a
+// leaf needs none, and evaluating the needier operand first lets the other
+// reuse what it freed — so a left-deep chain of any length runs in one row.
+func (lw *lowerer) rowsOf(i int) int {
+	if n := &lw.nodes[i]; n.k > 0 {
+		return max(n.need, 1)
+	}
+	return 0
+}
+
+// with is the interior node n with the operand c times node i added.
+func (lw *lowerer) with(n lnode, c float64, i int) lnode {
+	lw.terms = append(lw.terms, lterm{c: c, node: i, prev: n.l})
+	n.l, n.k = len(lw.terms)-1, n.k+1
+	if need := lw.rowsOf(i); need > 0 {
+		n.rows++
+		if need == n.need {
+			need++
+		}
+		n.need = max(n.need, need)
+	}
+	return n
+}
+
 // flatten appends e's subtree in post order and returns the root's index.
 // An operation over constants only is folded here with the same run-time
 // IEEE operation the executor would perform, so every emitted op has at
 // least one row or view operand.
 func (lw *lowerer) flatten(e Expr) int {
-	leaf := func(o operand) int { return lw.push(lnode{leaf: o, l: -1, r: -1}) }
 	switch n := e.(type) {
 	case *Num:
-		return leaf(operand{val: n.Value})
+		return lw.push(lnode{leaf: operand{val: n.Value}})
 	case *Ref:
-		return leaf(operand{val: lw.inst.Checked.Param(n.Name)})
+		return lw.push(lnode{leaf: operand{val: lw.inst.Checked.Param(n.Name)}})
 	case *Access:
-		off := 0
-		for i, dx := range n.DX {
-			off += dx * lw.prog.strides[i]
-		}
-		return leaf(operand{kind: inView, idx: lw.view(n.Array, n.DT-lw.prog.homeDT), off: off})
+		return lw.push(lnode{leaf: lw.access(n.Array, n.DT-lw.prog.homeDT, n.DX)})
 	case *Unary:
 		x := lw.flatten(n.X)
 		if c, ok := lw.constant(x); ok {
-			return leaf(operand{val: -c})
+			return lw.push(lnode{leaf: operand{val: -c}})
 		}
-		return lw.push(lnode{code: opNeg, l: x, r: -1, need: max(lw.nodes[x].need, 1)})
+		return lw.push(lw.with(lnode{code: opNeg}, 0, x))
 	case *Binary:
-		return lw.binary(binaryCode(n.Op), n.L, n.R)
+		return lw.binary(binaryCode[n.Op], n.L, n.R)
 	case *Call:
 		code := opMin
 		if n.Name == "max" {
@@ -215,63 +302,78 @@ func (lw *lowerer) flatten(e Expr) int {
 	panic("compiler: unknown expression node")
 }
 
-func binaryCode(op byte) opcode {
-	switch op {
-	case '+':
-		return opAdd
-	case '-':
-		return opSub
-	case '*':
-		return opMul
-	}
-	return opDiv
-}
+var binaryCode = [256]opcode{'+': opAdd, '-': opSub, '*': opMul, '/': opDiv}
 
 func (lw *lowerer) binary(code opcode, le, re Expr) int {
 	l, r := lw.flatten(le), lw.flatten(re)
-	if a, ok := lw.constant(l); ok {
-		if b, ok := lw.constant(r); ok {
-			return lw.push(lnode{leaf: operand{val: scalarOp(code, a, b)}, l: -1, r: -1})
-		}
+	a, lconst := lw.constant(l)
+	b, rconst := lw.constant(r)
+	switch {
+	case lconst && rconst:
+		var v [1]float64
+		binaryRC(code, v[:], []float64{a}, b)
+		return lw.push(lnode{leaf: operand{val: v[0]}})
+	case lconst || rconst || (code != opAdd && code != opSub):
+		return lw.push(lw.with(lw.with(lnode{code: code}, 0, l), 0, r))
 	}
-	// Sethi–Ullman: a leaf needs no row, and evaluating the needier child
-	// first lets the other reuse what it freed — so a left-deep chain of
-	// any length runs in one row.
-	nl, nr := lw.nodes[l].need, lw.nodes[r].need
-	need := max(nl, nr, 1)
-	if nl == nr && nl > 0 {
-		need = nl + 1
-	}
-	return lw.push(lnode{code: code, l: l, r: r, need: need})
+	return lw.sum(code, l, r)
 }
 
 func (lw *lowerer) constant(i int) (float64, bool) {
 	n := &lw.nodes[i]
-	return n.leaf.val, n.l < 0 && n.leaf.kind == inConst
+	return n.leaf.val, n.k == 0 && n.leaf.kind == inConst
 }
 
-// scalarOp is the per-point semantics of each binary node; the row loops in
-// rowexec.go are these same expressions over slices.
-func scalarOp(code opcode, a, b float64) float64 {
-	switch code {
-	case opAdd:
-		return a + b
-	case opSub:
-		return a - b
-	case opMul:
-		return a * b
-	case opDiv:
-		return a / b
-	case opMax:
-		if a >= b {
-			return a
+// sum is the node for l ± r, neither a constant: the chain l ends extended
+// by the term r, or a new chain with l as its first term. A chain is one
+// opSum, evaluated in AST order with the accumulator in a register — the
+// tree's own arithmetic, because x - c*y == x + (-c)*y, -(c*y) == (-c)*y and
+// 1*x == x exactly in IEEE (rounding is symmetric in sign), NaN payloads
+// aside, and a term absorbs only signs and one multiplication by a constant.
+// A chain holds at most two terms that take a row, so it needs exactly the
+// rows the binary tree would, and maxSumTerms in all; past either it is the
+// first term of the chain that continues it. A constant is not a term: it
+// stays a binary op on the chain so far.
+func (lw *lowerer) sum(code opcode, l, r int) int {
+	c := 1.0
+	if code == opSub {
+		c = -1
+	}
+	c, r = lw.term(c, r)
+	s := lw.nodes[l]
+	if s.code != opSum || s.k == maxSumTerms || (s.rows == 2 && lw.nodes[r].k > 0) {
+		lc, ln := lw.term(1, l)
+		s = lw.with(lnode{code: opSum}, lc, ln)
+	}
+	return lw.push(lw.with(s, c, r))
+}
+
+// term splits c times node i into a coefficient and what it multiplies.
+func (lw *lowerer) term(c float64, i int) (float64, int) {
+	for scaled := false; ; {
+		n := &lw.nodes[i]
+		if n.k == 0 || n.code == opSum {
+			return c, i
 		}
-		return b
+		b := lw.terms[n.l]
+		switch {
+		case n.code == opNeg:
+			c, i = -c, b.node
+			continue
+		case n.code == opMul && !scaled:
+			scaled = true
+			a := lw.terms[b.prev]
+			if v, ok := lw.constant(a.node); ok {
+				c, i = c*v, b.node
+				continue
+			}
+			if v, ok := lw.constant(b.node); ok {
+				c, i = c*v, a.node
+				continue
+			}
+		}
+		return c, i
 	}
-	if a <= b {
-		return a
-	}
-	return b
 }
 
 // alloc hands out a released row when there is one, so nrows is the most
@@ -286,43 +388,45 @@ func (lw *lowerer) alloc() int {
 	return lw.prog.nrows - 1
 }
 
-func (lw *lowerer) release(o operand) {
-	if o.kind == inRow {
-		lw.free = append(lw.free, o.idx)
-	}
-}
-
-// emit appends the ops computing node i and returns where the result lives.
-// With dst set (a statement's root) the final op writes there directly;
+// emit appends the ops computing node i and returns where the result lives:
+// the operands that take a row first, the needier first, then the node's own
+// op. With dst set (a statement's root) that op writes there directly;
 // otherwise the result takes over an operand's row or a fresh one.
 func (lw *lowerer) emit(i int, dst *operand) operand {
 	n := lw.nodes[i]
-	if n.l < 0 {
-		if dst != nil {
-			lw.prog.ops = append(lw.prog.ops, rowOp{code: opCopy, dst: *dst, a: n.leaf})
-			return *dst
-		}
+	if n.k == 0 && dst == nil {
 		return n.leaf
 	}
-	var a, b operand
-	switch {
-	case n.r < 0:
-		a = lw.emit(n.l, nil)
-	case lw.nodes[n.l].need >= lw.nodes[n.r].need:
-		a = lw.emit(n.l, nil)
-		b = lw.emit(n.r, nil)
-	default:
-		b = lw.emit(n.r, nil)
-		a = lw.emit(n.l, nil)
+	ts := [maxSumTerms]term{{x: n.leaf}}
+	var at, node [2]int // the operands that take a row: index in ts and node, last first
+	rows := 0
+	for j, t := n.k-1, n.l; j >= 0; j, t = j-1, lw.terms[t].prev {
+		lt := lw.terms[t]
+		ts[j] = term{c: lt.c, x: lw.nodes[lt.node].leaf}
+		if lw.nodes[lt.node].k > 0 {
+			at[rows], node[rows] = j, lt.node
+			rows++
+		}
 	}
-	lw.release(a)
-	lw.release(b)
-	var out operand
+	if rows == 2 && lw.rowsOf(node[1]) >= lw.rowsOf(node[0]) {
+		at[0], at[1], node[0], node[1] = at[1], at[0], node[1], node[0]
+	}
+	for i := 0; i < rows; i++ {
+		ts[at[i]].x = lw.emit(node[i], nil)
+	}
+	p := lw.prog
+	op := rowOp{code: n.code, t0: len(p.terms), k: max(n.k, 1)}
+	p.terms = append(p.terms, ts[:op.k]...)
+	for _, t := range ts[:op.k] {
+		if t.x.kind == inRow {
+			lw.free = append(lw.free, t.x.idx)
+		}
+	}
 	if dst != nil {
-		out = *dst
+		op.dst = *dst
 	} else {
-		out = operand{kind: inRow, idx: lw.alloc()}
+		op.dst = operand{kind: inRow, idx: lw.alloc()}
 	}
-	lw.prog.ops = append(lw.prog.ops, rowOp{code: n.code, dst: out, a: a, b: b})
-	return out
+	p.ops = append(p.ops, op)
+	return op.dst
 }

@@ -63,9 +63,12 @@ func (a *Array[T]) verify(t int, idx []int) {
 		return // keep the first violation
 	}
 	dt := t - a.homeT
-	dx := make([]int, len(idx))
+	// On the stack for every array the engine can walk (zoid.MaxDims): this
+	// runs per access of a checked run.
+	var buf [8]int
+	dx := buf[:0]
 	for i := range idx {
-		dx[i] = idx[i] - a.homeX[i]
+		dx = append(dx, idx[i]-a.homeX[i])
 	}
 	if !a.checkShape.Contains(dt, dx) {
 		a.checkErr = &ShapeError{
