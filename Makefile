@@ -42,7 +42,9 @@ soak:
 # FuzzProfileDecode does the same for the hand-rolled gzip+protobuf pprof
 # decoder behind /profilez. FuzzRowExec holds the row-program clones every
 # served job runs against RunChecked over the per-point kernel, bit for bit,
-# on whatever source text compiles. FuzzWalkerCover draws walker
+# on whatever source text compiles. FuzzSumRows holds opSum's AVX2 kernel
+# (sumK) against the Go loops bit for bit over raw float64 bit patterns; it
+# skips on a CPU without AVX2. FuzzWalkerCover draws walker
 # configurations (1-4 dimensions, degenerate extents, slopes 0-2, mixed
 # periodicity, random coarsening and grain, TRAP/STRAP, serial/parallel) and
 # requires every space-time point executed exactly once, after its
@@ -50,6 +52,7 @@ soak:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDSL -fuzztime=30s -run '^FuzzDSL$$' ./internal/compiler
 	$(GO) test -fuzz=FuzzRowExec -fuzztime=30s -run '^FuzzRowExec$$' ./internal/compiler
+	$(GO) test -fuzz=FuzzSumRows -fuzztime=30s -run '^FuzzSumRows$$' ./internal/compiler
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s -run '^FuzzWireDecode$$' ./internal/wire
 	$(GO) test -fuzz=FuzzProfileDecode -fuzztime=30s -run '^FuzzProfileDecode$$' ./internal/profile
 	$(GO) test -fuzz=FuzzWalkerCover -fuzztime=30s -run '^FuzzWalkerCover$$' ./internal/core

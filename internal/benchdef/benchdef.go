@@ -89,6 +89,11 @@ var (
 	AblationHeat2DSmall = Workload{Sizes: []int{256, 256}, Steps: 16}
 )
 
+// ServedHeat2D is the box of the daemon's compute-bound jobs (bench's
+// serve-compute workload): its two time planes, 576 KiB, fit in a 2 MiB
+// L2, where AblationHeat2D's 4 MiB do not.
+var ServedHeat2D = Workload{Sizes: []int{192, 192}, Steps: 32}
+
 // CoarseningConfig is one base-case-coarsening setting of the §4 ablation,
 // as plain data (zero values select the paper's heuristic, as in
 // pochoir.Options).

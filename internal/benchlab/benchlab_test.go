@@ -4,8 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"pochoir/internal/benchdef"
 )
 
 // TestCollectFusesSignals: a one-benchmark quick session produces one run
@@ -67,24 +65,27 @@ func TestCollectFusesSignals(t *testing.T) {
 	}
 }
 
-// TestCollectDSLRow: the served path has a row — the specification-language
-// Heat 2p on the ablation box, wall clock only, under TRAP and LOOPS.
+// TestCollectDSLRow: the served path has its rows — the
+// specification-language Heat 2p on each of dslBoxes, wall clock only, under
+// TRAP and LOOPS.
 func TestCollectDSLRow(t *testing.T) {
-	rep, err := Collect(Config{
-		Profile:    "quick",
-		Benchmarks: []string{DSLBenchmark},
-		Budget:     30 * time.Millisecond,
-		MaxReps:    3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Runs) != 2 || rep.Runs[0].Key() != DSLBenchmark+"/TRAP" || rep.Runs[1].Key() != DSLBenchmark+"/LOOPS" {
-		t.Fatalf("got runs %+v, want %s under TRAP and LOOPS", rep.Runs, DSLBenchmark)
-	}
-	for _, r := range rep.Runs {
-		if r.Updates != benchdef.AblationHeat2D.Updates() || r.Wall.Reps < 3 || r.Wall.MedianMpts <= 0 {
-			t.Fatalf("%s: not measured on the ablation box: %+v", r.Key(), r)
+	for name, w := range dslBoxes {
+		rep, err := Collect(Config{
+			Profile:    "quick",
+			Benchmarks: []string{name},
+			Budget:     30 * time.Millisecond,
+			MaxReps:    3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Runs) != 2 || rep.Runs[0].Key() != name+"/TRAP" || rep.Runs[1].Key() != name+"/LOOPS" {
+			t.Fatalf("got runs %+v, want %s under TRAP and LOOPS", rep.Runs, name)
+		}
+		for _, r := range rep.Runs {
+			if r.Updates != w.Updates() || r.Wall.Reps < 3 || r.Wall.MedianMpts <= 0 {
+				t.Fatalf("%s: not measured on %v×%d: %+v", r.Key(), w.Sizes, w.Steps, r)
+			}
 		}
 	}
 }

@@ -173,9 +173,9 @@ func (p *rowProgram) span(sc *rowScratch, at []int, rebound bool, base, x, n int
 		for i := range p.ops {
 			op := &p.ops[i]
 			c.halo = 0
-			ts := p.terms[op.t0 : op.t0+op.k]
-			for j := range ts {
-				switch o := &ts[j].x; {
+			args := p.args[op.t0 : op.t0+op.k]
+			for j := range args {
+				switch o := &args[j]; {
 				case o.kind == inConst:
 				case edge && o.kind == inView:
 					xs[j] = p.edgeRow(&c, o)
@@ -184,9 +184,9 @@ func (p *rowProgram) span(sc *rowScratch, at []int, rebound bool, base, x, n int
 				}
 			}
 			dst := c.rowOf(&op.dst) // never off domain
-			switch a, b := &ts[0].x, &ts[len(ts)-1].x; {
+			switch a, b := &args[0], &args[len(args)-1]; {
 			case op.code == opSum:
-				sumRows(dst, ts, &xs)
+				sumRows(dst, p.coefs[op.t0:op.t0+op.k], &xs)
 			case op.code == opCopy && a.kind == inConst:
 				fill(dst, a.val)
 			case op.code == opCopy:
@@ -263,47 +263,56 @@ func (p *rowProgram) edgeRow(c *chunk, o *operand) []float64 {
 // mac is one step of a chain: the accumulator plus a rounded product.
 func mac(s, c, x float64) float64 { return float64(s + float64(c*x)) }
 
-// sumRows is opSum over the terms t, whose operands are x[:len(t)].
-func sumRows(dst []float64, t []term, x *[maxSumTerms][]float64) {
+// sumRows is opSum over the coefficients c, whose operands are x[:len(c)].
+// Where the CPU has AVX2 it runs sumK, each lane of which does what these
+// loops do; elsewhere the loops run, and under test they are sumK's oracle.
+func sumRows(dst, c []float64, x *[maxSumTerms][]float64) {
 	n := len(dst)
-	x0, x1, c0, c1 := x[0][:n], x[1][:n], t[0].c, t[1].c
-	switch len(t) {
+	if useVector {
+		for j := range c {
+			x[j] = x[j][:n] // sumK's bounds, checked before it runs
+		}
+		sumK(dst, x, c)
+		return
+	}
+	x0, x1, c0, c1 := x[0][:n], x[1][:n], c[0], c[1]
+	switch len(c) {
 	case 2:
 		for i := range dst {
 			dst[i] = mac(float64(c0*x0[i]), c1, x1[i])
 		}
 	case 3:
-		x2, c2 := x[2][:n], t[2].c
+		x2, c2 := x[2][:n], c[2]
 		for i := range dst {
 			dst[i] = mac(mac(float64(c0*x0[i]), c1, x1[i]), c2, x2[i])
 		}
 	case 4:
-		x2, x3, c2, c3 := x[2][:n], x[3][:n], t[2].c, t[3].c
+		x2, x3, c2, c3 := x[2][:n], x[3][:n], c[2], c[3]
 		for i := range dst {
 			dst[i] = mac(mac(mac(float64(c0*x0[i]), c1, x1[i]), c2, x2[i]), c3, x3[i])
 		}
 	case 5:
-		x2, x3, x4, c2, c3, c4 := x[2][:n], x[3][:n], x[4][:n], t[2].c, t[3].c, t[4].c
+		x2, x3, x4, c2, c3, c4 := x[2][:n], x[3][:n], x[4][:n], c[2], c[3], c[4]
 		for i := range dst {
 			dst[i] = mac(mac(mac(mac(float64(c0*x0[i]), c1, x1[i]), c2, x2[i]), c3, x3[i]), c4, x4[i])
 		}
 	case 6:
-		x2, x3, x4, x5, c2, c3, c4, c5 := x[2][:n], x[3][:n], x[4][:n], x[5][:n], t[2].c, t[3].c, t[4].c, t[5].c
+		x2, x3, x4, x5, c2, c3, c4, c5 := x[2][:n], x[3][:n], x[4][:n], x[5][:n], c[2], c[3], c[4], c[5]
 		for i := range dst {
 			dst[i] = mac(mac(mac(mac(mac(float64(c0*x0[i]), c1, x1[i]), c2, x2[i]), c3, x3[i]), c4, x4[i]), c5, x5[i])
 		}
 	case 7:
-		x2, x3, x4, x5, x6, c2, c3, c4, c5, c6 := x[2][:n], x[3][:n], x[4][:n], x[5][:n], x[6][:n], t[2].c, t[3].c, t[4].c, t[5].c, t[6].c
+		x2, x3, x4, x5, x6, c2, c3, c4, c5, c6 := x[2][:n], x[3][:n], x[4][:n], x[5][:n], x[6][:n], c[2], c[3], c[4], c[5], c[6]
 		for i := range dst {
 			dst[i] = mac(mac(mac(mac(mac(mac(float64(c0*x0[i]), c1, x1[i]), c2, x2[i]), c3, x3[i]), c4, x4[i]), c5, x5[i]), c6, x6[i])
 		}
 	case 8:
-		x2, x3, x4, x5, x6, x7, c2, c3, c4, c5, c6, c7 := x[2][:n], x[3][:n], x[4][:n], x[5][:n], x[6][:n], x[7][:n], t[2].c, t[3].c, t[4].c, t[5].c, t[6].c, t[7].c
+		x2, x3, x4, x5, x6, x7, c2, c3, c4, c5, c6, c7 := x[2][:n], x[3][:n], x[4][:n], x[5][:n], x[6][:n], x[7][:n], c[2], c[3], c[4], c[5], c[6], c[7]
 		for i := range dst {
 			dst[i] = mac(mac(mac(mac(mac(mac(mac(float64(c0*x0[i]), c1, x1[i]), c2, x2[i]), c3, x3[i]), c4, x4[i]), c5, x5[i]), c6, x6[i]), c7, x7[i])
 		}
 	case 9:
-		x2, x3, x4, x5, x6, x7, x8, c2, c3, c4, c5, c6, c7, c8 := x[2][:n], x[3][:n], x[4][:n], x[5][:n], x[6][:n], x[7][:n], x[8][:n], t[2].c, t[3].c, t[4].c, t[5].c, t[6].c, t[7].c, t[8].c
+		x2, x3, x4, x5, x6, x7, x8, c2, c3, c4, c5, c6, c7, c8 := x[2][:n], x[3][:n], x[4][:n], x[5][:n], x[6][:n], x[7][:n], x[8][:n], c[2], c[3], c[4], c[5], c[6], c[7], c[8]
 		for i := range dst {
 			dst[i] = mac(mac(mac(mac(mac(mac(mac(mac(float64(c0*x0[i]), c1, x1[i]), c2, x2[i]), c3, x3[i]), c4, x4[i]), c5, x5[i]), c6, x6[i]), c7, x7[i]), c8, x8[i])
 		}

@@ -20,7 +20,8 @@ import (
 // The differential harness: whatever the row-program clones compute must
 // equal RunChecked over the per-point kernel bit for bit — on every engine,
 // serial and parallel, and through a supervised run that loses a segment to
-// an injected base-case panic and re-runs it from the checkpoint.
+// an injected base-case panic and re-runs it from the checkpoint, with opSum
+// on sumK and on the Go loops.
 
 // seedArrays fills every initial time slot of every array with a field that
 // is a pure function of (seed, array order, slot, flat index).
@@ -150,38 +151,46 @@ func checkRowsMatchPoints(t *testing.T, src string, seed uint64) int {
 		}
 	}
 
-	for _, alg := range []core.Algorithm{core.TRAP, core.STRAP, core.LOOPS} {
-		for _, serial := range []bool{true, false} {
-			opts := fine
-			opts.Algorithm, opts.Serial = alg, serial
-			if !serial {
-				opts.Grain = 1
+	// Every run once on each sumRows path the CPU has.
+	defer func() { useVector = haveVector }()
+	retries := 0
+	for _, vector := range vectorPaths() {
+		useVector = vector
+		for _, alg := range []core.Algorithm{core.TRAP, core.STRAP, core.LOOPS} {
+			for _, serial := range []bool{true, false} {
+				opts := fine
+				opts.Algorithm, opts.Serial = alg, serial
+				if !serial {
+					opts.Grain = 1
+				}
+				inst := fresh()
+				if err := inst.Run(steps, opts); err != nil {
+					t.Fatalf("Run %v serial=%v: %v\n%s", alg, serial, err, src)
+				}
+				check(fmt.Sprintf("Run %v serial=%v vector=%v", alg, serial, vector), inst)
 			}
-			inst := fresh()
-			if err := inst.Run(steps, opts); err != nil {
-				t.Fatalf("Run %v serial=%v: %v\n%s", alg, serial, err, src)
-			}
-			check(fmt.Sprintf("Run %v serial=%v", alg, serial), inst)
 		}
-	}
 
-	// Supervised, with one base-case panic somewhere in the run: the failed
-	// segment is restored from its checkpoint and re-run on the clones.
-	inst := fresh()
-	opts := fine
-	opts.Grain = 1
-	opts.NoFlightRecorder = true
-	inst.Stencil.SetOptions(opts)
-	faultpoint.Arm(faultpoint.SiteBase,
-		faultpoint.Spec{Kind: faultpoint.KindPanic, Depth: faultpoint.AnyDepth, After: faultAfter, Times: 1})
-	rep, err := inst.Stencil.RunSupervised(context.Background(), steps, inst.Kernel(),
-		pochoir.SupervisePolicy{SegmentSteps: segment, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond})
-	faultpoint.DisarmAll()
-	if err != nil {
-		t.Fatalf("RunSupervised: %v\n%s", err, src)
+		// Supervised, with one base-case panic somewhere in the run: the
+		// failed segment is restored from its checkpoint and re-run on the
+		// clones.
+		inst := fresh()
+		opts := fine
+		opts.Grain = 1
+		opts.NoFlightRecorder = true
+		inst.Stencil.SetOptions(opts)
+		faultpoint.Arm(faultpoint.SiteBase,
+			faultpoint.Spec{Kind: faultpoint.KindPanic, Depth: faultpoint.AnyDepth, After: faultAfter, Times: 1})
+		rep, err := inst.Stencil.RunSupervised(context.Background(), steps, inst.Kernel(),
+			pochoir.SupervisePolicy{SegmentSteps: segment, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond})
+		faultpoint.DisarmAll()
+		if err != nil {
+			t.Fatalf("RunSupervised: %v\n%s", err, src)
+		}
+		check(fmt.Sprintf("RunSupervised with a walker/base fault, vector=%v", vector), inst)
+		retries += rep.Retries
 	}
-	check("RunSupervised with a walker/base fault", inst)
-	return rep.Retries
+	return retries
 }
 
 // genSpec writes a random legal specification: dims 1–4, one or two arrays
@@ -416,12 +425,7 @@ func TestRowProgramHeat(t *testing.T) {
 		}
 		return inst.lowered()
 	}
-	coefs := func(p *rowProgram, op rowOp) (cs []float64) {
-		for _, tm := range p.terms[op.t0 : op.t0+op.k] {
-			cs = append(cs, tm.c)
-		}
-		return cs
-	}
+	coefs := func(p *rowProgram, op rowOp) []float64 { return p.coefs[op.t0 : op.t0+op.k] }
 	p := lower(heatSrc, 8, 8)
 	if len(p.ops) != 3 || p.nrows != 2 || len(p.views) != 2 {
 		t.Fatalf("heat2d lowered to %d ops, %d rows, %d views; want 3, 2, 2", len(p.ops), p.nrows, len(p.views))
@@ -434,7 +438,7 @@ func TestRowProgramHeat(t *testing.T) {
 	if last := p.ops[2]; last.dst.kind != inView || p.views[last.dst.idx].dt != 0 {
 		t.Fatalf("final op writes %+v, want the destination plane", last.dst)
 	}
-	if x := p.terms[p.ops[2].t0:]; x[0].x.kind != inView || x[1].x.kind != inRow || x[2].x.kind != inRow {
+	if x := p.args[p.ops[2].t0:]; x[0].kind != inView || x[1].kind != inRow || x[2].kind != inRow {
 		t.Fatalf("final op reads %+v, want u and the two Laplacian rows", x[:3])
 	}
 	if p.reachLo != [MaxDSLDims]int{1, 1} || p.reachHi != [MaxDSLDims]int{1, 1} {

@@ -32,11 +32,12 @@ type rowProgram struct {
 	homeDT           int
 
 	views []rowView
-	refs  []viewRef // every view operand of ops and terms, in lowering order
+	refs  []viewRef // every view operand of ops, in lowering order
 	offs  []int     // refs' flat offsets from the point being written
 	ops   []rowOp
-	terms []term // the ops' operands, end to end
-	nrows int    // scratch rows the ops need at once
+	args  []operand // the ops' operands, end to end
+	coefs []float64 // opSum multiplies args[i] by coefs[i]
+	nrows int       // scratch rows the ops need at once
 }
 
 // rowView is one (array, time) plane the program touches: dt is relative to
@@ -89,7 +90,7 @@ type operand struct {
 	val  float64
 }
 
-// rowOp is dst = code(terms[t0:t0+k]): one operand for a unary code, two for
+// rowOp is dst = code(args[t0:t0+k]): one operand for a unary code, two for
 // a binary one, up to maxSumTerms for opSum. dst may alias an operand: every
 // operation is elementwise over the same index range.
 type rowOp struct {
@@ -98,8 +99,8 @@ type rowOp struct {
 	t0, k int
 }
 
-// term is one operand of an op, and for opSum the coefficient it is
-// multiplied by.
+// term is one operand of an op being emitted, and for opSum the coefficient
+// it is multiplied by.
 type term struct {
 	c float64
 	x operand
@@ -133,7 +134,8 @@ func lowerRows(inst *Instance) *rowProgram {
 	}
 	// Sized for the repository's specs, so that lowering one grows nothing.
 	n := len(c.Reads) + 4*len(c.Prog.Kernel)
-	p.refs, p.offs, p.terms = make([]viewRef, 0, 2*n), make([]int, 0, 2*n), make([]term, 0, 2*n)
+	p.refs, p.offs = make([]viewRef, 0, 2*n), make([]int, 0, 2*n)
+	p.args, p.coefs = make([]operand, 0, 2*n), make([]float64, 0, 2*n)
 	lw := lowerer{inst: inst, prog: p, nodes: make([]lnode, 0, 4*n), terms: make([]lterm, 0, 4*n)}
 	for _, st := range c.Prog.Kernel {
 		lw.nodes = lw.nodes[:0]
@@ -415,9 +417,10 @@ func (lw *lowerer) emit(i int, dst *operand) operand {
 		ts[at[i]].x = lw.emit(node[i], nil)
 	}
 	p := lw.prog
-	op := rowOp{code: n.code, t0: len(p.terms), k: max(n.k, 1)}
-	p.terms = append(p.terms, ts[:op.k]...)
+	op := rowOp{code: n.code, t0: len(p.args), k: max(n.k, 1)}
 	for _, t := range ts[:op.k] {
+		p.args = append(p.args, t.x)
+		p.coefs = append(p.coefs, t.c)
 		if t.x.kind == inRow {
 			lw.free = append(lw.free, t.x.idx)
 		}

@@ -17,6 +17,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 
 	"pochoir/internal/shape"
 )
@@ -54,15 +55,9 @@ func NewArray[T any](depth int, sizes ...int) (*Array[T], error) {
 	if depth < 1 {
 		return nil, fmt.Errorf("grid: depth must be >= 1, got %d", depth)
 	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("grid: need at least one spatial dimension")
-	}
-	total := 1
-	for i, s := range sizes {
-		if s <= 0 {
-			return nil, fmt.Errorf("grid: size of dimension %d is %d, must be positive", i, s)
-		}
-		total *= s
+	total, n, err := extent(depth, sizes)
+	if err != nil {
+		return nil, err
 	}
 	a := &Array[T]{
 		ndims:   len(sizes),
@@ -70,7 +65,7 @@ func NewArray[T any](depth int, sizes ...int) (*Array[T], error) {
 		strides: make([]int, len(sizes)),
 		total:   total,
 		slots:   depth + 1,
-		data:    make([]T, total*(depth+1)),
+		data:    make([]T, n),
 	}
 	st := 1
 	for i := a.ndims - 1; i >= 0; i-- {
@@ -78,6 +73,29 @@ func NewArray[T any](depth int, sizes ...int) (*Array[T], error) {
 		st *= a.sizes[i]
 	}
 	return a, nil
+}
+
+// extent is the points per time slot of an array with these sizes and the
+// elements of its depth+1 slots, or an error where a size is not positive or
+// either product would overflow an int (the guard wire's decoder applies).
+func extent(depth int, sizes []int) (total, n int, err error) {
+	if len(sizes) == 0 {
+		return 0, 0, fmt.Errorf("grid: need at least one spatial dimension")
+	}
+	total = 1
+	for i, s := range sizes {
+		if s <= 0 {
+			return 0, 0, fmt.Errorf("grid: size of dimension %d is %d, must be positive", i, s)
+		}
+		if total > math.MaxInt/s {
+			return 0, 0, fmt.Errorf("grid: spatial extents %v overflow an int", sizes)
+		}
+		total *= s
+	}
+	if depth >= math.MaxInt/total {
+		return 0, 0, fmt.Errorf("grid: %d points per slot at depth %d overflow an int", total, depth)
+	}
+	return total, total * (depth + 1), nil
 }
 
 // MustNewArray is NewArray, panicking on error.
@@ -261,19 +279,13 @@ func NewArrayCheckpoint[T any](sizes []int, slots int, data []T) (*ArrayCheckpoi
 	if slots < 2 {
 		return nil, fmt.Errorf("grid: checkpoint needs >= 2 time slots, got %d", slots)
 	}
-	total := 1
-	for i, s := range sizes {
-		if s <= 0 {
-			return nil, fmt.Errorf("grid: checkpoint size of dimension %d is %d, must be positive", i, s)
-		}
-		total *= s
+	_, n, err := extent(slots-1, sizes)
+	if err != nil {
+		return nil, err
 	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("grid: checkpoint needs at least one spatial dimension")
-	}
-	if len(data) != total*slots {
+	if len(data) != n {
 		return nil, fmt.Errorf("grid: checkpoint data holds %d elements, geometry %v x %d slots implies %d",
-			len(data), sizes, slots, total*slots)
+			len(data), sizes, slots, n)
 	}
 	return &ArrayCheckpoint[T]{
 		sizes: append([]int(nil), sizes...),

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"testing"
 
 	"pochoir/internal/shape"
@@ -25,6 +26,43 @@ func TestNewArrayValidation(t *testing.T) {
 	}
 	if a.Stride(2) != 1 || a.Stride(1) != 5 || a.Stride(0) != 20 {
 		t.Fatalf("bad strides %d %d %d", a.Stride(0), a.Stride(1), a.Stride(2))
+	}
+}
+
+// TestGridSizeOverflow: a geometry whose element count does not fit an int
+// is an error, never a wrapped-around buffer behind a larger index space.
+func TestGridSizeOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		depth    int
+		sizes    []int
+		total, n int // zero: an error
+	}{
+		{1, []int{1 << 32, 1 << 32}, 0, 0},                        // the extents' product wraps to 0
+		{1 << 62, []int{4}, 0, 0},                                 // 4·(2⁶²+1) wraps to 4
+		{1, []int{1 << 31, 1 << 31}, 0, 0},                        // 2⁶² points fit, two slots of them do not
+		{math.MaxInt, []int{1}, 0, 0},                             // depth+1 itself overflows
+		{6, []int{math.MaxInt / 7}, math.MaxInt / 7, math.MaxInt}, // the largest: 7 slots fill an int exactly
+		{7, []int{math.MaxInt / 7}, 0, 0},
+		{1, []int{math.MaxInt / 2}, math.MaxInt / 2, math.MaxInt - 1},
+		{2, []int{3, 4, 5}, 60, 180},
+	} {
+		total, n, err := extent(tc.depth, tc.sizes)
+		if tc.n == 0 {
+			if err == nil {
+				t.Errorf("depth %d sizes %v: %d points, %d elements, want an overflow error", tc.depth, tc.sizes, total, n)
+			}
+		} else if err != nil || total != tc.total || n != tc.n {
+			t.Errorf("depth %d sizes %v: %d points, %d elements, %v; want %d, %d", tc.depth, tc.sizes, total, n, err, tc.total, tc.n)
+		}
+	}
+	if a, err := NewArray[float64](1, 1<<32, 1<<32); err == nil {
+		t.Errorf("NewArray over 2⁶⁴ points returned %d points and %d elements", a.PointsPerSlot(), len(a.data))
+	}
+	if a, err := NewArray[float64](1<<62, 4); err == nil {
+		t.Errorf("NewArray at depth 2⁶² returned %d slots behind %d elements", a.Slots(), len(a.data))
+	}
+	if _, err := NewArrayCheckpoint[float64]([]int{1 << 62}, 4, nil); err == nil {
+		t.Error("NewArrayCheckpoint took no data for 4 slots of 2⁶² points")
 	}
 }
 
