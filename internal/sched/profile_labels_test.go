@@ -42,13 +42,15 @@ func TestSpawnedWorkersInheritProfilerLabels(t *testing.T) {
 		t.Skipf("CPU profiler unavailable: %v", err)
 	}
 	pprof.Do(context.Background(), pprof.Labels("tenant", "sched-label-test"), func(context.Context) {
-		fns := make([]func(), 4)
-		for i := range fns {
-			fns[i] = func() { labelBurn(150 * time.Millisecond) }
+		// Three of the four burns run on spawned goroutines, so most
+		// samples land on workers the calling goroutine did not run.
+		burn := func() { labelBurn(150 * time.Millisecond) }
+		var rg sched.Region
+		defer rg.Wait()
+		for i := 0; i < 3; i++ {
+			rg.Go(burn)
 		}
-		// parallel=true: all but the last run on spawned goroutines, so
-		// most samples land on workers the calling goroutine did not run.
-		sched.DoAllCounted(true, nil, fns)
+		burn()
 	})
 	pprof.StopCPUProfile()
 

@@ -203,43 +203,6 @@ func (r *Region) Wait() {
 	st.first.rethrow()
 }
 
-// Do2 runs a and b, in parallel when parallel is true ("spawn a; call b;
-// sync" in Cilk terms), serially otherwise. If a task panics in a parallel
-// region, the sibling still runs to completion and the first panic is
-// re-raised as a *PanicError on the calling goroutine at the sync point.
-func Do2(parallel bool, a, b func()) { Do2Counted(parallel, nil, a, b) }
-
-// Do2Counted is Do2 with the spawn-vs-inline decision reported to c.
-func Do2Counted(parallel bool, c Counter, a, b func()) {
-	DoAllCounted(parallel, c, []func(){a, b})
-}
-
-// DoAll runs every function in fns, in parallel when parallel is true.
-// The final function runs on the calling goroutine, so a single-element
-// list never spawns.
-func DoAll(parallel bool, fns []func()) { DoAllCounted(parallel, nil, fns) }
-
-// DoAllCounted is DoAll with the spawn-vs-inline decisions reported to c:
-// a Region that spawns all but the final function.
-func DoAllCounted(parallel bool, c Counter, fns []func()) {
-	spawn := 0
-	if parallel {
-		spawn = max(len(fns)-1, 0)
-	}
-	if c != nil && len(fns) > 0 {
-		c.Inlined(len(fns) - spawn)
-	}
-	rg := Region{Counter: c}
-	defer rg.Wait()
-	for i, f := range fns {
-		if i < spawn {
-			rg.Go(f)
-		} else {
-			f()
-		}
-	}
-}
-
 // For divides the half-open index range [lo, hi) into contiguous chunks of
 // at least grain indices and runs body on each chunk, in parallel when
 // parallel is true. It is the "cilk_for" of the LOOPS baseline. body

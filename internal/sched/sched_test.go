@@ -6,10 +6,32 @@ import (
 	"testing/quick"
 )
 
+// doAll runs fns as one fork-join Region, "spawn f0; ... spawn fn-2; call
+// fn-1; sync" when parallel and all inline in order otherwise, reporting the
+// inline runs to c (the Region reports the spawns).
+func doAll(parallel bool, c Counter, fns ...func()) {
+	spawn := 0
+	if parallel {
+		spawn = max(len(fns)-1, 0)
+	}
+	if c != nil && len(fns) > 0 {
+		c.Inlined(len(fns) - spawn)
+	}
+	rg := Region{Counter: c}
+	defer rg.Wait()
+	for i, f := range fns {
+		if i < spawn {
+			rg.Go(f)
+		} else {
+			f()
+		}
+	}
+}
+
 func TestDo2(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		var a, b atomic.Bool
-		Do2(parallel, func() { a.Store(true) }, func() { b.Store(true) })
+		doAll(parallel, nil, func() { a.Store(true) }, func() { b.Store(true) })
 		if !a.Load() || !b.Load() {
 			t.Fatalf("parallel=%v: both closures must run", parallel)
 		}
@@ -18,9 +40,9 @@ func TestDo2(t *testing.T) {
 
 func TestDo2SerialOrder(t *testing.T) {
 	var order []int
-	Do2(false, func() { order = append(order, 1) }, func() { order = append(order, 2) })
+	doAll(false, nil, func() { order = append(order, 1) }, func() { order = append(order, 2) })
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("serial Do2 order = %v", order)
+		t.Fatalf("serial doAll order = %v", order)
 	}
 }
 
@@ -32,7 +54,7 @@ func TestDoAll(t *testing.T) {
 			for i := range fns {
 				fns[i] = func() { count.Add(1) }
 			}
-			DoAll(parallel, fns)
+			doAll(parallel, nil, fns...)
 			if count.Load() != int64(n) {
 				t.Fatalf("parallel=%v n=%d: ran %d", parallel, n, count.Load())
 			}
@@ -94,14 +116,14 @@ func (c *tally) Inlined(n int) { c.inlined += n }
 
 func TestDo2Counted(t *testing.T) {
 	var c tally
-	Do2Counted(false, &c, func() {}, func() {})
+	doAll(false, &c, func() {}, func() {})
 	if c.spawned != 0 || c.inlined != 2 {
-		t.Fatalf("serial Do2: %+v", c)
+		t.Fatalf("serial doAll(2): %+v", c)
 	}
 	c = tally{}
-	Do2Counted(true, &c, func() {}, func() {})
+	doAll(true, &c, func() {}, func() {})
 	if c.spawned != 1 || c.inlined != 1 {
-		t.Fatalf("parallel Do2: %+v", c)
+		t.Fatalf("parallel doAll(2): %+v", c)
 	}
 }
 
@@ -114,27 +136,27 @@ func TestDoAllCounted(t *testing.T) {
 		return fns
 	}
 	var c tally
-	DoAllCounted(true, &c, mk(5))
+	doAll(true, &c, mk(5)...)
 	if c.spawned != 4 || c.inlined != 1 {
-		t.Fatalf("parallel DoAll(5): %+v", c)
+		t.Fatalf("parallel doAll(5): %+v", c)
 	}
 	c = tally{}
-	DoAllCounted(false, &c, mk(5))
+	doAll(false, &c, mk(5)...)
 	if c.spawned != 0 || c.inlined != 5 {
-		t.Fatalf("serial DoAll(5): %+v", c)
+		t.Fatalf("serial doAll(5): %+v", c)
 	}
 	c = tally{}
-	DoAllCounted(true, &c, mk(1))
+	doAll(true, &c, mk(1)...)
 	if c.spawned != 0 || c.inlined != 1 {
-		t.Fatalf("parallel DoAll(1) must inline: %+v", c)
+		t.Fatalf("parallel doAll(1) must inline: %+v", c)
 	}
 	c = tally{}
-	DoAllCounted(true, &c, nil)
+	doAll(true, &c)
 	if c.spawned != 0 || c.inlined != 0 {
-		t.Fatalf("empty DoAll must count nothing: %+v", c)
+		t.Fatalf("empty doAll must count nothing: %+v", c)
 	}
 	// nil counter must not panic.
-	DoAllCounted(true, nil, mk(3))
+	doAll(true, nil, mk(3)...)
 }
 
 // watcher is a test WorkerObserver.

@@ -194,11 +194,25 @@ func TestPt27AllPaths(t *testing.T) {
 }
 
 func TestPtShapes(t *testing.T) {
-	if got := len(PtShape(false).Cells); got != 8 {
-		t.Fatalf("7-point shape has %d cells, want 8 (home + 7)", got)
-	}
-	if got := len(PtShape(true).Cells); got != 28 {
-		t.Fatalf("27-point shape has %d cells, want 28 (home + 27)", got)
+	for _, corners := range []bool{false, true} {
+		cells := [][]int{{1, 0, 0, 0}}
+		for dx := -1; dx <= 1; dx++ {
+			for dy := -1; dy <= 1; dy++ {
+				for dz := -1; dz <= 1; dz++ {
+					if corners || dx*dx+dy*dy+dz*dz <= 1 {
+						cells = append(cells, []int{0, dx, dy, dz})
+					}
+				}
+			}
+		}
+		f, want := NewPt7Factory(), 8 // home + 7
+		if corners {
+			f, want = NewPt27Factory(), 28 // home + 27
+		}
+		if len(cells) != want {
+			t.Fatalf("%s: built %d cells, want %d", f.Name, len(cells), want)
+		}
+		checkShape(t, f, cells)
 	}
 }
 

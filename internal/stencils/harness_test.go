@@ -1,10 +1,14 @@
 package stencils
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"pochoir"
+	"pochoir/internal/core"
+	"pochoir/internal/shape"
 )
 
 // agree compares two final states; when exact is true they must be
@@ -40,17 +44,50 @@ func checkAllPaths(t *testing.T, mk func() Instance, exact bool) {
 		name string
 		job  Job
 	}
+	// Cutoffs of 4 points cut every dimension, the unit-stride one included,
+	// which the default coarsening never does in 3D and above.
+	cut := make([]int, mk().Dims())
+	for i := range cut {
+		cut[i] = 4
+	}
 	paths := []path{
 		{"LoopsParallel", mk().LoopsParallel()},
 		{"Pochoir", mk().Pochoir(pochoir.Options{})},
 		{"Pochoir serial", mk().Pochoir(pochoir.Options{Serial: true})},
-		{"Pochoir STRAP", mk().Pochoir(pochoir.Options{Algorithm: 1})},
+		{"Pochoir STRAP", mk().Pochoir(pochoir.Options{Algorithm: core.STRAP})},
+		{"Pochoir STRAP serial", mk().Pochoir(pochoir.Options{Algorithm: core.STRAP, Serial: true})},
 		{"Pochoir fine", mk().Pochoir(pochoir.Options{TimeCutoff: 2, Grain: 1})},
+		{"Pochoir unit-stride cut", mk().Pochoir(pochoir.Options{TimeCutoff: 2, SpaceCutoff: cut, Grain: 1})},
 		{"PochoirGeneric", mk().PochoirGeneric(pochoir.Options{})},
 	}
 	for _, p := range paths {
 		got := p.job.Run()
 		agree(t, mk().Name()+"/"+p.name, ref, got, exact)
+	}
+}
+
+// checkShape requires f's shape, inferred from its specification, to be the
+// one written by hand from cells: the same cell set, depth, slopes and
+// reaches, so that the decomposition, and every zoid, stay what they were.
+func checkShape(t *testing.T, f Factory, cells [][]int) {
+	t.Helper()
+	got, want := f.Shape(), pochoir.MustShape(3, cells)
+	key := func(c shape.Cell) string { return fmt.Sprint(c.DT, c.DX) }
+	set := map[string]bool{}
+	for _, c := range want.Cells {
+		set[key(c)] = true
+	}
+	if len(got.Cells) != len(want.Cells) || key(got.Cells[0]) != key(want.Cells[0]) {
+		t.Fatalf("%s: %d cells, home %v; want %d, home %v", f.Name, len(got.Cells), got.Cells[0], len(want.Cells), want.Cells[0])
+	}
+	for _, c := range got.Cells {
+		if !set[key(c)] {
+			t.Fatalf("%s: cell %v is not in the hand-written shape", f.Name, c)
+		}
+	}
+	if got.Depth() != want.Depth() || !slices.Equal(got.Slopes(), want.Slopes()) || !slices.Equal(got.Reaches(), want.Reaches()) {
+		t.Fatalf("%s: depth %d slopes %v reach %v; want %d %v %v", f.Name,
+			got.Depth(), got.Slopes(), got.Reaches(), want.Depth(), want.Slopes(), want.Reaches())
 	}
 }
 

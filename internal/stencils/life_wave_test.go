@@ -58,3 +58,9 @@ func TestWave3DAllPaths(t *testing.T) {
 	f := NewWave3DFactory()
 	checkAllPaths(t, func() Instance { return f.New([]int{22, 18, 20}, 13) }, true)
 }
+
+func TestWave3DShape(t *testing.T) {
+	cells := [][]int{{1, 0, 0, 0}, {0, 0, 0, 0}, {-1, 0, 0, 0},
+		{0, 1, 0, 0}, {0, -1, 0, 0}, {0, 0, 1, 0}, {0, 0, -1, 0}, {0, 0, 0, 1}, {0, 0, 0, -1}}
+	checkShape(t, NewWave3DFactory(), cells)
+}

@@ -2,13 +2,15 @@ package stencils
 
 import (
 	"pochoir"
+	"pochoir/internal/compiler"
 	"pochoir/internal/loops"
 )
 
 // The Fig. 5 kernels: the Berkeley autotuner's 3D 7-point and 27-point
 // stencils [8,41] on a nonperiodic grid with ghost cells. The 7-point
 // stencil performs 8 floating-point operations per point, the 27-point
-// stencil 30, matching the paper's accounting.
+// stencil 30, matching the paper's accounting. Their Pochoir paths run
+// specs/pt7.pch and specs/pt27.pch; the loop nests below are the oracle.
 
 const (
 	ptAlpha = 0.4   // center weight
@@ -17,139 +19,55 @@ const (
 	ptDelta = 0.005 // corner weight (27-point only)
 )
 
+var pt7Spec, pt27Spec = mustSpec("pt7"), mustSpec("pt27")
+
 func init() {
 	register(NewPt7Factory())
 	register(NewPt27Factory())
 }
 
 // NewPt7Factory returns the 3D 7-point benchmark of Fig. 5.
-func NewPt7Factory() Factory {
-	return Factory{
-		Name:       "3D 7-point",
-		Order:      11,
-		Dims:       3,
-		PaperSizes: []int{258, 258, 258},
-		PaperSteps: 200,
-		New: func(sizes []int, steps int) Instance {
-			sizes, steps = defaults(sizes, steps, []int{128, 128, 128}, 50)
-			return &pt{sz: [3]int{sizes[0], sizes[1], sizes[2]}, steps: steps, corners: false}
-		},
-		Shape: func() *pochoir.Shape { return PtShape(false) },
-	}
-}
+func NewPt7Factory() Factory { return ptFactory("3D 7-point", 11, pt7Spec, false, 8) }
 
 // NewPt27Factory returns the 3D 27-point benchmark of Fig. 5.
-func NewPt27Factory() Factory {
+func NewPt27Factory() Factory { return ptFactory("3D 27-point", 12, pt27Spec, true, 30) }
+
+func ptFactory(name string, order int, spec *compiler.Checked, corners bool, flops float64) Factory {
 	return Factory{
-		Name:       "3D 27-point",
-		Order:      12,
+		Name:       name,
+		Order:      order,
 		Dims:       3,
 		PaperSizes: []int{258, 258, 258},
 		PaperSteps: 200,
 		New: func(sizes []int, steps int) Instance {
 			sizes, steps = defaults(sizes, steps, []int{128, 128, 128}, 50)
-			return &pt{sz: [3]int{sizes[0], sizes[1], sizes[2]}, steps: steps, corners: true}
+			p := &pt{sz: [3]int(sizes), steps: steps, corners: corners}
+			return &dslInstance{name: name, spec: spec, sizes: sizes, steps: steps, flops: flops,
+				init: p.initStates, loops: p.loops}
 		},
-		Shape: func() *pochoir.Shape { return PtShape(true) },
+		Shape: func() *pochoir.Shape { return spec.Shape },
 	}
 }
 
+// pt is the ghost-cell loop baseline of either kernel.
 type pt struct {
 	sz      [3]int
 	steps   int
 	corners bool // false: 7-point; true: 27-point
 
-	st *pochoir.Stencil[float64]
-	u  *pochoir.Array[float64]
-
 	cur, next []float64
 }
 
-func (p *pt) Name() string {
-	if p.corners {
-		return "3D 27-point"
-	}
-	return "3D 7-point"
-}
-func (p *pt) Dims() int     { return 3 }
-func (p *pt) Sizes() []int  { return p.sz[:] }
-func (p *pt) Steps() int    { return p.steps }
-func (p *pt) Points() int64 { return prod(p.sz[:]) }
-func (p *pt) FlopsPerPoint() float64 {
-	if p.corners {
-		return 30
-	}
-	return 8
-}
-
-// PtShape returns the 7-point or 27-point shape.
-func PtShape(corners bool) *pochoir.Shape {
-	cells := [][]int{{1, 0, 0, 0}}
-	for dx := -1; dx <= 1; dx++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dz := -1; dz <= 1; dz++ {
-				nz := abs(dx) + abs(dy) + abs(dz)
-				if !corners && nz > 1 {
-					continue
-				}
-				cells = append(cells, []int{0, dx, dy, dz})
-			}
-		}
-	}
-	return pochoir.MustShape(3, cells)
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func (p *pt) setupPochoir() {
-	sh := PtShape(p.corners)
-	p.st = pochoir.New[float64](sh)
-	p.u = pochoir.MustArray[float64](sh.Depth(), p.sz[0], p.sz[1], p.sz[2])
-	p.u.RegisterBoundary(pochoir.ZeroBoundary[float64]())
-	p.st.MustRegisterArray(p.u)
-	init := make([]float64, p.Points())
+func (p *pt) initStates() [][]float64 {
+	init := make([]float64, prod(p.sz[:]))
 	fillRand(init, 7000)
-	if err := p.u.CopyIn(0, init); err != nil {
-		panic(err)
-	}
+	return [][]float64{init}
 }
 
-func (p *pt) pointKernel() pochoir.Kernel {
-	u := p.u
-	if !p.corners {
-		return pochoir.K3(func(t, x, y, z int) {
-			u.Set(t+1, ptAlpha*u.Get(t, x, y, z)+
-				ptBeta*(u.Get(t, x+1, y, z)+u.Get(t, x-1, y, z)+
-					u.Get(t, x, y+1, z)+u.Get(t, x, y-1, z)+
-					u.Get(t, x, y, z+1)+u.Get(t, x, y, z-1)), x, y, z)
-		})
-	}
-	return pochoir.K3(func(t, x, y, z int) {
-		faces := u.Get(t, x+1, y, z) + u.Get(t, x-1, y, z) +
-			u.Get(t, x, y+1, z) + u.Get(t, x, y-1, z) +
-			u.Get(t, x, y, z+1) + u.Get(t, x, y, z-1)
-		edges := u.Get(t, x+1, y+1, z) + u.Get(t, x+1, y-1, z) +
-			u.Get(t, x-1, y+1, z) + u.Get(t, x-1, y-1, z) +
-			u.Get(t, x+1, y, z+1) + u.Get(t, x+1, y, z-1) +
-			u.Get(t, x-1, y, z+1) + u.Get(t, x-1, y, z-1) +
-			u.Get(t, x, y+1, z+1) + u.Get(t, x, y+1, z-1) +
-			u.Get(t, x, y-1, z+1) + u.Get(t, x, y-1, z-1)
-		corners := u.Get(t, x+1, y+1, z+1) + u.Get(t, x+1, y+1, z-1) +
-			u.Get(t, x+1, y-1, z+1) + u.Get(t, x+1, y-1, z-1) +
-			u.Get(t, x-1, y+1, z+1) + u.Get(t, x-1, y+1, z-1) +
-			u.Get(t, x-1, y-1, z+1) + u.Get(t, x-1, y-1, z-1)
-		u.Set(t+1, ptAlpha*u.Get(t, x, y, z)+ptBeta*faces+ptGamma*edges+ptDelta*corners, x, y, z)
-	})
-}
-
-// update7At and update27 are the shared per-row inner loops: identical code
-// runs in the interior clone (on Pochoir slots) and the loop baseline (on
-// padded buffers), guaranteeing bit-identical results.
+// update7At and update27 are the per-row inner loops of the baseline. Every
+// product is rounded by an explicit conversion, which forbids a fused
+// multiply-add (arm64, GOAMD64=v3), so that they compute what the row
+// program computes from the specifications, which are in the same order.
 func update27(dst []float64, r []float64, base, s0, s1 int) {
 	for i := range dst {
 		p := base + i
@@ -159,235 +77,54 @@ func update27(dst []float64, r []float64, base, s0, s1 int) {
 			r[p+s1+1] + r[p+s1-1] + r[p-s1+1] + r[p-s1-1]
 		corners := r[p+s0+s1+1] + r[p+s0+s1-1] + r[p+s0-s1+1] + r[p+s0-s1-1] +
 			r[p-s0+s1+1] + r[p-s0+s1-1] + r[p-s0-s1+1] + r[p-s0-s1-1]
-		dst[i] = ptAlpha*r[p] + ptBeta*faces + ptGamma*edges + ptDelta*corners
+		dst[i] = float64(ptAlpha*r[p]) + float64(ptBeta*faces) + float64(ptGamma*edges) + float64(ptDelta*corners)
 	}
 }
 
 func update7At(dst []float64, r []float64, base, s0, s1 int) {
 	for i := range dst {
 		p := base + i
-		dst[i] = ptAlpha*r[p] + ptBeta*(r[p+s0]+r[p-s0]+r[p+s1]+r[p-s1]+r[p+1]+r[p-1])
+		dst[i] = float64(ptAlpha*r[p]) + float64(ptBeta*(r[p+s0]+r[p-s0]+r[p+s1]+r[p-s1]+r[p+1]+r[p-1]))
 	}
 }
 
-func (p *pt) interiorBase() pochoir.BaseFunc {
-	u := p.u
-	s0, s1 := u.Stride(0), u.Stride(1)
-	return func(z pochoir.Zoid) {
-		var lo, hi [3]int
-		for i := 0; i < 3; i++ {
-			lo[i], hi[i] = z.Lo[i], z.Hi[i]
-		}
-		for t := z.T0; t < z.T1; t++ {
-			w := u.Slot(t)
-			r := u.Slot(t - 1)
-			for x := lo[0]; x < hi[0]; x++ {
-				for y := lo[1]; y < hi[1]; y++ {
-					base := x*s0 + y*s1 + lo[2]
-					dst := w[base : base+hi[2]-lo[2]]
-					if p.corners {
-						update27(dst, r, base, s0, s1)
-					} else {
-						update7At(dst, r, base, s0, s1)
-					}
+func (p *pt) loops(parallel bool) Job {
+	q1, q2 := (p.sz[1]+2)*(p.sz[2]+2), p.sz[2]+2
+	n2 := p.sz[2]
+	return Job{
+		Setup: func() {
+			n := (p.sz[0] + 2) * q1
+			p.cur, p.next = make([]float64, n), make([]float64, n)
+			init := p.initStates()[0]
+			ghostRows(p.sz, func(d, q int) { copy(p.cur[q:q+n2], init[d:d+n2]) })
+		},
+		Compute: func() {
+			loops.Run(0, p.steps, parallel, p.sz[0], 1, func(t, x0, x1 int) {
+				cur, next := p.cur, p.next
+				if t%2 == 1 {
+					cur, next = next, cur
 				}
-			}
-			for i := 0; i < 3; i++ {
-				lo[i] += z.DLo[i]
-				hi[i] += z.DHi[i]
-			}
-		}
-	}
-}
-
-// boundaryBase is the specialized boundary clone. Because the ≥3D
-// coarsening heuristic never cuts the unit-stride dimension, every zoid
-// touches the z edges and this clone carries most of the work, so it must
-// run at near-interior speed: for each (x,y) row it selects the nine
-// neighbor rows once — substituting a shared all-zeros row for rows that
-// fall off the grid, which is exactly the zero-Dirichlet boundary value —
-// and then the z-interior segment runs branch-free; only the two z-end
-// points take per-access checks.
-func (p *pt) boundaryBase() pochoir.BaseFunc {
-	u := p.u
-	s0, s1 := u.Stride(0), u.Stride(1)
-	n0, n1, n2 := p.sz[0], p.sz[1], p.sz[2]
-	zeros := make([]float64, n2) // reads of off-grid rows see the zero halo
-	generic := p.st.GenericBase(p.pointKernel())
-	return func(z pochoir.Zoid) {
-		if z.Lo[2] != 0 || z.Hi[2] != n2 || z.DLo[2] != 0 || z.DHi[2] != 0 {
-			// Only possible under non-default coarsening that cuts the
-			// unit-stride dimension; correctness over speed.
-			generic(z)
-			return
-		}
-		var lo, hi [3]int
-		for i := 0; i < 3; i++ {
-			lo[i], hi[i] = z.Lo[i], z.Hi[i]
-		}
-		for t := z.T0; t < z.T1; t++ {
-			w := u.Slot(t)
-			r := u.Slot(t - 1)
-			// row returns the z-row at true coordinates (i,j), shifted so
-			// that row[k+1] is the value at z=k; off-grid rows read zero.
-			row := func(i, j int) []float64 {
-				if i < 0 || i >= n0 || j < 0 || j >= n1 {
-					return zeros
-				}
-				base := i*s0 + j*s1
-				return r[base : base+n2 : base+n2]
-			}
-			at := func(g []float64, k int) float64 {
-				if k < 0 || k >= n2 {
-					return 0
-				}
-				return g[k]
-			}
-			for x := lo[0]; x < hi[0]; x++ {
-				tx := mod(x, n0)
-				for y := lo[1]; y < hi[1]; y++ {
-					ty := mod(y, n1)
-					// The unit-stride dimension is never cut, so this
-					// zoid spans z = [0, n2) with zero slopes.
-					cc := row(tx, ty)
-					xm, xp := row(tx-1, ty), row(tx+1, ty)
-					ym, yp := row(tx, ty-1), row(tx, ty+1)
-					dst := w[tx*s0+ty*s1 : tx*s0+ty*s1+n2]
-					if !p.corners {
-						for k := 0; k < n2; k++ {
-							dst[k] = ptAlpha*cc[k] + ptBeta*(xp[k]+xm[k]+yp[k]+ym[k]+at(cc, k+1)+at(cc, k-1))
+				for x := x0; x < x1; x++ {
+					for y := 0; y < p.sz[1]; y++ {
+						base := (x+1)*q1 + (y+1)*q2 + 1
+						dst := next[base : base+n2]
+						if p.corners {
+							update27(dst, cur, base, q1, q2)
+						} else {
+							update7At(dst, cur, base, q1, q2)
 						}
-						continue
-					}
-					mm, mp := row(tx-1, ty-1), row(tx-1, ty+1)
-					pm, pp := row(tx+1, ty-1), row(tx+1, ty+1)
-					for k := 0; k < n2; k++ {
-						faces := xp[k] + xm[k] + yp[k] + ym[k] + at(cc, k+1) + at(cc, k-1)
-						edges := pp[k] + pm[k] + mp[k] + mm[k] +
-							at(xp, k+1) + at(xp, k-1) + at(xm, k+1) + at(xm, k-1) +
-							at(yp, k+1) + at(yp, k-1) + at(ym, k+1) + at(ym, k-1)
-						corners := at(pp, k+1) + at(pp, k-1) + at(pm, k+1) + at(pm, k-1) +
-							at(mp, k+1) + at(mp, k-1) + at(mm, k+1) + at(mm, k-1)
-						dst[k] = ptAlpha*cc[k] + ptBeta*faces + ptGamma*edges + ptDelta*corners
 					}
 				}
-			}
-			for i := 0; i < 3; i++ {
-				lo[i] += z.DLo[i]
-				hi[i] += z.DHi[i]
-			}
-		}
-	}
-}
-
-func (p *pt) pochoirResult() []float64 {
-	out := make([]float64, p.Points())
-	if err := p.u.CopyOut(p.steps, out); err != nil {
-		panic(err)
-	}
-	return out
-}
-
-func (p *pt) Pochoir(opts pochoir.Options) Job {
-	return Job{
-		Setup: func() { p.setupPochoir() },
-		Compute: func() {
-			p.st.SetOptions(opts)
-			b := pochoir.BaseKernels{
-				Interior: p.interiorBase(),
-				Boundary: p.boundaryBase(),
-			}
-			if err := p.st.RunSpecialized(p.steps, b); err != nil {
-				panic(err)
-			}
+			})
 		},
-		Result: func() []float64 { return p.pochoirResult() },
-	}
-}
-
-func (p *pt) PochoirGeneric(opts pochoir.Options) Job {
-	return Job{
-		Setup: func() { p.setupPochoir() },
-		Compute: func() {
-			p.st.SetOptions(opts)
-			if err := p.st.Run(p.steps, p.pointKernel()); err != nil {
-				panic(err)
+		Result: func() []float64 {
+			final := p.cur
+			if p.steps%2 == 1 {
+				final = p.next
 			}
+			out := make([]float64, prod(p.sz[:]))
+			ghostRows(p.sz, func(d, q int) { copy(out[d:d+n2], final[q:q+n2]) })
+			return out
 		},
-		Result: func() []float64 { return p.pochoirResult() },
 	}
-}
-
-// ---- LOOPS baseline (ghost cells) ----
-
-func (p *pt) padded() (q [3]int) {
-	for i := 0; i < 3; i++ {
-		q[i] = p.sz[i] + 2
-	}
-	return q
-}
-
-func (p *pt) setupLoops() {
-	q := p.padded()
-	n := q[0] * q[1] * q[2]
-	p.cur = make([]float64, n)
-	p.next = make([]float64, n)
-	init := make([]float64, p.Points())
-	fillRand(init, 7000)
-	q1, q2 := q[1]*q[2], q[2]
-	for x := 0; x < p.sz[0]; x++ {
-		for y := 0; y < p.sz[1]; y++ {
-			src := (x*p.sz[1] + y) * p.sz[2]
-			dst := (x+1)*q1 + (y+1)*q2 + 1
-			copy(p.cur[dst:dst+p.sz[2]], init[src:src+p.sz[2]])
-		}
-	}
-}
-
-func (p *pt) loopsCompute(parallel bool) {
-	q := p.padded()
-	q1, q2 := q[1]*q[2], q[2]
-	loops.Run(0, p.steps, parallel, p.sz[0], 1, func(t, x0, x1 int) {
-		cur, next := p.cur, p.next
-		if t%2 == 1 {
-			cur, next = next, cur
-		}
-		for x := x0; x < x1; x++ {
-			for y := 0; y < p.sz[1]; y++ {
-				base := (x+1)*q1 + (y+1)*q2 + 1
-				dst := next[base : base+p.sz[2]]
-				if p.corners {
-					update27(dst, cur, base, q1, q2)
-				} else {
-					update7At(dst, cur, base, q1, q2)
-				}
-			}
-		}
-	})
-}
-
-func (p *pt) loopsResult() []float64 {
-	final := p.cur
-	if p.steps%2 == 1 {
-		final = p.next
-	}
-	q := p.padded()
-	q1, q2 := q[1]*q[2], q[2]
-	out := make([]float64, p.Points())
-	for x := 0; x < p.sz[0]; x++ {
-		for y := 0; y < p.sz[1]; y++ {
-			dst := (x*p.sz[1] + y) * p.sz[2]
-			src := (x+1)*q1 + (y+1)*q2 + 1
-			copy(out[dst:dst+p.sz[2]], final[src:src+p.sz[2]])
-		}
-	}
-	return out
-}
-
-func (p *pt) LoopsSerial() Job {
-	return Job{Setup: p.setupLoops, Compute: func() { p.loopsCompute(false) }, Result: p.loopsResult}
-}
-
-func (p *pt) LoopsParallel() Job {
-	return Job{Setup: p.setupLoops, Compute: func() { p.loopsCompute(true) }, Result: p.loopsResult}
 }

@@ -7,9 +7,8 @@
 //
 // Each benchmark provides four execution paths over identical workloads:
 //
-//   - Pochoir: the Phase-2 path — TRAP decomposition with a hand-specialized
-//     interior clone (split-pointer style, what the stencil compiler emits)
-//     and a generic checked boundary clone;
+//   - Pochoir: the Phase-2 path — TRAP decomposition with an interior and a
+//     boundary clone;
 //   - PochoirGeneric: the Phase-1 path — the same decomposition driving the
 //     checked point kernel everywhere (the "template library" behaviour);
 //   - LoopsSerial / LoopsParallel: the LOOPS baseline of Fig. 1 — a serial
@@ -17,8 +16,14 @@
 //     nonperiodic stencils and modular indexing for periodic ones, exactly
 //     as the paper's baselines do.
 //
-// All paths compute bit-identical results (same per-point expression
-// trees), which the package tests verify.
+// Wave 3 and the two Fig. 5 kernels are written once, as specifications
+// in specs/, and both Pochoir paths run what the stencil compiler makes of
+// them (dslInstance): the row-program clones and the checked point kernel.
+// The other benchmarks carry a hand-written point kernel and clone pair.
+//
+// All paths compute bit-identical results (the same IEEE operations per
+// point, in the same order), which the package tests verify against the
+// serial loop nest.
 package stencils
 
 import (
@@ -136,10 +141,30 @@ func defaults(sizes []int, steps int, defSizes []int, defSteps int) ([]int, int)
 	return append([]int(nil), sizes...), steps
 }
 
+func mod(v, n int) int {
+	v %= n
+	if v < 0 {
+		v += n
+	}
+	return v
+}
+
 func prod(sizes []int) int64 {
 	p := int64(1)
 	for _, s := range sizes {
 		p *= int64(s)
 	}
 	return p
+}
+
+// ghostRows calls fn with the offset of every unit-stride row of a dense
+// grid of extents sz and of the same row in its copy padded by one ghost
+// cell on every side, the layout of the 3D loop baselines.
+func ghostRows(sz [3]int, fn func(dense, padded int)) {
+	q1, q2 := (sz[1]+2)*(sz[2]+2), sz[2]+2
+	for x := 0; x < sz[0]; x++ {
+		for y := 0; y < sz[1]; y++ {
+			fn((x*sz[1]+y)*sz[2], (x+1)*q1+(y+1)*q2+1)
+		}
+	}
 }

@@ -10,9 +10,12 @@ import (
 //
 //	u(t+1,p) = 2u(t,p) - u(t-1,p) + C*(sum_d (u(t,p+e_d)+u(t,p-e_d)) - 6u(t,p)),
 //
-// a depth-2 stencil: the Pochoir array keeps three time slots.
+// a depth-2 stencil: the Pochoir array keeps three time slots. Its Pochoir
+// paths run specs/wave3.pch; the loop nest below is the oracle.
 
 const waveC = 0.12
+
+var wave3Spec = mustSpec("wave3")
 
 func init() { register(NewWave3DFactory()) }
 
@@ -26,309 +29,80 @@ func NewWave3DFactory() Factory {
 		PaperSteps: 500,
 		New: func(sizes []int, steps int) Instance {
 			sizes, steps = defaults(sizes, steps, []int{150, 150, 150}, 30)
-			return &wave3D{sz: [3]int{sizes[0], sizes[1], sizes[2]}, steps: steps}
+			w := &wave3D{sz: [3]int(sizes), steps: steps}
+			return &dslInstance{name: "Wave 3", spec: wave3Spec, sizes: sizes, steps: steps, flops: 11,
+				init: w.initStates, loops: w.loops}
 		},
-		Shape: Wave3DShape,
+		Shape: func() *pochoir.Shape { return wave3Spec.Shape },
 	}
 }
 
+// wave3D is the ghost-cell loop baseline, three buffers rotated by time.
 type wave3D struct {
 	sz    [3]int
 	steps int
 
-	st *pochoir.Stencil[float64]
-	u  *pochoir.Array[float64]
-
-	buf [3][]float64 // padded loop buffers, rotated by time mod 3
+	buf [3][]float64
 }
 
-func (w *wave3D) Name() string           { return "Wave 3" }
-func (w *wave3D) Dims() int              { return 3 }
-func (w *wave3D) Sizes() []int           { return w.sz[:] }
-func (w *wave3D) Steps() int             { return w.steps }
-func (w *wave3D) Points() int64          { return prod(w.sz[:]) }
-func (w *wave3D) FlopsPerPoint() float64 { return 11 }
-
-// Wave3DShape: reads the 7-point neighborhood at t and the center at t-1.
-func Wave3DShape() *pochoir.Shape {
-	cells := [][]int{{1, 0, 0, 0}, {0, 0, 0, 0}, {-1, 0, 0, 0}}
-	for d := 0; d < 3; d++ {
-		for _, s := range []int{1, -1} {
-			c := []int{0, 0, 0, 0}
-			c[1+d] = s
-			cells = append(cells, c)
-		}
-	}
-	return pochoir.MustShape(3, cells)
-}
-
-func (w *wave3D) initStates() (u0, u1 []float64) {
-	n := w.Points()
-	u0 = make([]float64, n)
+func (w *wave3D) initStates() [][]float64 {
+	u0 := make([]float64, prod(w.sz[:]))
 	fillRand(u0, 5000)
 	// Second initial state: a slightly damped copy, bit-reproducible.
-	u1 = make([]float64, n)
+	u1 := make([]float64, len(u0))
 	for i, v := range u0 {
 		u1[i] = 0.98 * v
 	}
-	return u0, u1
+	return [][]float64{u0, u1}
 }
 
-func (w *wave3D) setupPochoir() {
-	sh := Wave3DShape()
-	w.st = pochoir.New[float64](sh)
-	w.u = pochoir.MustArray[float64](sh.Depth(), w.sz[0], w.sz[1], w.sz[2])
-	w.u.RegisterBoundary(pochoir.ZeroBoundary[float64]())
-	w.st.MustRegisterArray(w.u)
-	u0, u1 := w.initStates()
-	if err := w.u.CopyIn(0, u0); err != nil {
-		panic(err)
-	}
-	if err := w.u.CopyIn(1, u1); err != nil {
-		panic(err)
-	}
-}
-
-func (w *wave3D) pointKernel() pochoir.Kernel {
-	u := w.u
-	return pochoir.K3(func(t, x, y, z int) {
-		c := u.Get(t, x, y, z)
-		u.Set(t+1, 2*c-u.Get(t-1, x, y, z)+
-			waveC*(u.Get(t, x+1, y, z)+u.Get(t, x-1, y, z)+
-				u.Get(t, x, y+1, z)+u.Get(t, x, y-1, z)+
-				u.Get(t, x, y, z+1)+u.Get(t, x, y, z-1)-6*c), x, y, z)
-	})
-}
-
-func (w *wave3D) interiorBase() pochoir.BaseFunc {
-	u := w.u
-	s0, s1 := u.Stride(0), u.Stride(1)
-	return func(z pochoir.Zoid) {
-		var lo, hi [3]int
-		for i := 0; i < 3; i++ {
-			lo[i], hi[i] = z.Lo[i], z.Hi[i]
-		}
-		for t := z.T0; t < z.T1; t++ {
-			wr := u.Slot(t)
-			r := u.Slot(t - 1)
-			rr := u.Slot(t - 2)
-			for x := lo[0]; x < hi[0]; x++ {
-				for y := lo[1]; y < hi[1]; y++ {
-					base := x*s0 + y*s1
-					dst := wr[base+lo[2] : base+hi[2]]
-					cc := r[base+lo[2]:]
-					pp := rr[base+lo[2]:]
-					xm := r[base-s0+lo[2]:]
-					xp := r[base+s0+lo[2]:]
-					ym := r[base-s1+lo[2]:]
-					yp := r[base+s1+lo[2]:]
-					zm := r[base+lo[2]-1:]
-					zp := r[base+lo[2]+1:]
-					for i := range dst {
-						c := cc[i]
-						dst[i] = 2*c - pp[i] +
-							waveC*(xp[i]+xm[i]+yp[i]+ym[i]+zp[i]+zm[i]-6*c)
-					}
-				}
-			}
-			for i := 0; i < 3; i++ {
-				lo[i] += z.DLo[i]
-				hi[i] += z.DHi[i]
-			}
-		}
-	}
-}
-
-// boundaryBase is the specialized boundary clone. The >=3D coarsening
-// heuristic never cuts the unit-stride dimension, so every zoid touches
-// the z edges and this clone carries most of the work; it therefore runs
-// at near-interior speed by selecting each (x,y) row's neighbor rows once
-// — substituting a shared all-zeros row for rows off the grid, which is
-// the zero Dirichlet boundary value — and guarding only the z ends.
-func (w *wave3D) boundaryBase() pochoir.BaseFunc {
-	u := w.u
-	s0, s1 := u.Stride(0), u.Stride(1)
-	n0, n1, n2 := w.sz[0], w.sz[1], w.sz[2]
-	zeros := make([]float64, n2)
-	generic := w.st.GenericBase(w.pointKernel())
-	return func(z pochoir.Zoid) {
-		if z.Lo[2] != 0 || z.Hi[2] != n2 || z.DLo[2] != 0 || z.DHi[2] != 0 {
-			generic(z) // only under non-default coarsening
-			return
-		}
-		var lo, hi [3]int
-		for i := 0; i < 3; i++ {
-			lo[i], hi[i] = z.Lo[i], z.Hi[i]
-		}
-		for t := z.T0; t < z.T1; t++ {
-			wr := u.Slot(t)
-			r := u.Slot(t - 1)
-			rr := u.Slot(t - 2)
-			row := func(i, j int) []float64 {
-				if i < 0 || i >= n0 || j < 0 || j >= n1 {
-					return zeros
-				}
-				base := i*s0 + j*s1
-				return r[base : base+n2 : base+n2]
-			}
-			at := func(g []float64, k int) float64 {
-				if k < 0 || k >= n2 {
-					return 0
-				}
-				return g[k]
-			}
-			for a := lo[0]; a < hi[0]; a++ {
-				ta := mod(a, n0)
-				for b := lo[1]; b < hi[1]; b++ {
-					tb := mod(b, n1)
-					base := ta*s0 + tb*s1
-					dst := wr[base : base+n2]
-					cc := r[base : base+n2]
-					pp := rr[base : base+n2]
-					xm, xp := row(ta-1, tb), row(ta+1, tb)
-					ym, yp := row(ta, tb-1), row(ta, tb+1)
-					for k := 0; k < n2; k++ {
-						c := cc[k]
-						dst[k] = 2*c - pp[k] +
-							waveC*(xp[k]+xm[k]+yp[k]+ym[k]+at(cc, k+1)+at(cc, k-1)-6*c)
-					}
-				}
-			}
-			for i := 0; i < 3; i++ {
-				lo[i] += z.DLo[i]
-				hi[i] += z.DHi[i]
-			}
-		}
-	}
-}
-
-func mod(v, n int) int {
-	v %= n
-	if v < 0 {
-		v += n
-	}
-	return v
-}
-
-func (w *wave3D) pochoirResult() []float64 {
-	out := make([]float64, w.Points())
-	// Depth 2: the newest state after `steps` more steps is at steps+1.
-	if err := w.u.CopyOut(w.steps+1, out); err != nil {
-		panic(err)
-	}
-	return out
-}
-
-func (w *wave3D) Pochoir(opts pochoir.Options) Job {
+func (w *wave3D) loops(parallel bool) Job {
+	q1, q2 := (w.sz[1]+2)*(w.sz[2]+2), w.sz[2]+2
+	n2 := w.sz[2]
 	return Job{
-		Setup: func() { w.setupPochoir() },
-		Compute: func() {
-			w.st.SetOptions(opts)
-			b := pochoir.BaseKernels{
-				Interior: w.interiorBase(),
-				Boundary: w.boundaryBase(),
+		Setup: func() {
+			for i := range w.buf {
+				w.buf[i] = make([]float64, (w.sz[0]+2)*q1)
 			}
-			if err := w.st.RunSpecialized(w.steps, b); err != nil {
-				panic(err)
+			for i, s := range w.initStates() {
+				ghostRows(w.sz, func(d, q int) { copy(w.buf[i][q:q+n2], s[d:d+n2]) })
 			}
 		},
-		Result: func() []float64 { return w.pochoirResult() },
-	}
-}
-
-func (w *wave3D) PochoirGeneric(opts pochoir.Options) Job {
-	return Job{
-		Setup: func() { w.setupPochoir() },
+		// Home time for step s is s+2 (states 0 and 1 are initial). Every
+		// product is rounded by an explicit conversion, which forbids a fused
+		// multiply-add (arm64, GOAMD64=v3), so that the loop computes what the
+		// row program computes from specs/wave3.pch, which is in its order.
 		Compute: func() {
-			w.st.SetOptions(opts)
-			if err := w.st.Run(w.steps, w.pointKernel()); err != nil {
-				panic(err)
-			}
-		},
-		Result: func() []float64 { return w.pochoirResult() },
-	}
-}
-
-// ---- LOOPS baseline (ghost cells, three rotating buffers) ----
-
-func (w *wave3D) padded() (p [3]int) {
-	for i := 0; i < 3; i++ {
-		p[i] = w.sz[i] + 2
-	}
-	return p
-}
-
-func (w *wave3D) setupLoops() {
-	p := w.padded()
-	n := p[0] * p[1] * p[2]
-	for i := range w.buf {
-		w.buf[i] = make([]float64, n)
-	}
-	u0, u1 := w.initStates()
-	q1, q2 := p[1]*p[2], p[2]
-	for _, s := range []struct {
-		src []float64
-		dst []float64
-	}{{u0, w.buf[0]}, {u1, w.buf[1]}} {
-		for x := 0; x < w.sz[0]; x++ {
-			for y := 0; y < w.sz[1]; y++ {
-				src := (x*w.sz[1] + y) * w.sz[2]
-				dst := (x+1)*q1 + (y+1)*q2 + 1
-				copy(s.dst[dst:dst+w.sz[2]], s.src[src:src+w.sz[2]])
-			}
-		}
-	}
-}
-
-func (w *wave3D) loopsCompute(parallel bool) {
-	p := w.padded()
-	q1, q2 := p[1]*p[2], p[2]
-	// Home time for step s is s+2 (states 0 and 1 are initial).
-	loops.Run(2, w.steps+2, parallel, w.sz[0], 1, func(t, x0, x1 int) {
-		next := w.buf[t%3]
-		cur := w.buf[(t+2)%3]  // t-1
-		prev := w.buf[(t+1)%3] // t-2
-		for x := x0; x < x1; x++ {
-			for y := 0; y < w.sz[1]; y++ {
-				base := (x+1)*q1 + (y+1)*q2 + 1
-				dst := next[base : base+w.sz[2]]
-				cc := cur[base:]
-				pp := prev[base:]
-				xm := cur[base-q1:]
-				xp := cur[base+q1:]
-				ym := cur[base-q2:]
-				yp := cur[base+q2:]
-				zm := cur[base-1:]
-				zp := cur[base+1:]
-				for i := range dst {
-					c := cc[i]
-					dst[i] = 2*c - pp[i] +
-						waveC*(xp[i]+xm[i]+yp[i]+ym[i]+zp[i]+zm[i]-6*c)
+			loops.Run(2, w.steps+2, parallel, w.sz[0], 1, func(t, x0, x1 int) {
+				next := w.buf[t%3]
+				cur := w.buf[(t+2)%3]  // t-1
+				prev := w.buf[(t+1)%3] // t-2
+				for x := x0; x < x1; x++ {
+					for y := 0; y < w.sz[1]; y++ {
+						base := (x+1)*q1 + (y+1)*q2 + 1
+						dst := next[base : base+n2]
+						cc := cur[base:]
+						pp := prev[base:]
+						xm := cur[base-q1:]
+						xp := cur[base+q1:]
+						ym := cur[base-q2:]
+						yp := cur[base+q2:]
+						zm := cur[base-1:]
+						zp := cur[base+1:]
+						for i := range dst {
+							c := cc[i]
+							dst[i] = float64(2*c) - pp[i] +
+								float64(waveC*(xp[i]+xm[i]+yp[i]+ym[i]+zp[i]+zm[i]-float64(6*c)))
+						}
+					}
 				}
-			}
-		}
-	})
-}
-
-func (w *wave3D) loopsResult() []float64 {
-	p := w.padded()
-	q1, q2 := p[1]*p[2], p[2]
-	final := w.buf[(w.steps+1)%3]
-	out := make([]float64, w.Points())
-	for x := 0; x < w.sz[0]; x++ {
-		for y := 0; y < w.sz[1]; y++ {
-			dst := (x*w.sz[1] + y) * w.sz[2]
-			src := (x+1)*q1 + (y+1)*q2 + 1
-			copy(out[dst:dst+w.sz[2]], final[src:src+w.sz[2]])
-		}
+			})
+		},
+		Result: func() []float64 {
+			final := w.buf[(w.steps+1)%3]
+			out := make([]float64, prod(w.sz[:]))
+			ghostRows(w.sz, func(d, q int) { copy(out[d:d+n2], final[q:q+n2]) })
+			return out
+		},
 	}
-	return out
-}
-
-func (w *wave3D) LoopsSerial() Job {
-	return Job{Setup: w.setupLoops, Compute: func() { w.loopsCompute(false) }, Result: w.loopsResult}
-}
-
-func (w *wave3D) LoopsParallel() Job {
-	return Job{Setup: w.setupLoops, Compute: func() { w.loopsCompute(true) }, Result: w.loopsResult}
 }

@@ -4,8 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -22,6 +23,48 @@ import (
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	tracks := make(map[int]string, len(r.shards))
+	for _, s := range r.shards {
+		tracks[s.id] = fmt.Sprintf("worker-%d", s.id)
+	}
+	return writeChrome(w, "pochoir", tracks, func(emit emitFunc) {
+		for _, s := range r.shards {
+			for _, ev := range s.events {
+				ts := float64(ev.TS) / 1e3
+				if !ev.Begin {
+					emit(`{"name":"%s","cat":"pochoir","ph":"E","pid":1,"tid":%d,"ts":%.3f}`,
+						ev.Kind, s.id, ts)
+					continue
+				}
+				emit(`{"name":"%s","cat":"pochoir","ph":"B","pid":1,"tid":%d,"ts":%.3f,"args":{%s}}`,
+					ev.Kind, s.id, ts, beginArgs(ev))
+			}
+		}
+		if len(r.sup) > 0 {
+			// Supervisor decisions render as instant events on a dedicated
+			// track above the worker span trees.
+			supTid := len(r.shards)
+			emit(threadName, supTid, strconv.Quote("supervisor"))
+			for _, ev := range r.sup {
+				emit(`{"name":"%s","cat":"supervisor","ph":"i","s":"p","pid":1,"tid":%d,"ts":%.3f,"args":{%s}}`,
+					ev.Kind, supTid, float64(ev.TS)/1e3, supArgs(ev))
+			}
+		}
+	})
+}
+
+// emitFunc appends one event, formatted as by fmt.Sprintf, to the trace.
+type emitFunc func(format string, args ...any)
+
+// threadName is the metadata record naming track tid: emit it with the tid
+// and the quoted name.
+const threadName = `{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`
+
+// writeChrome writes one Chrome trace-event document, the "JSON Array with
+// metadata" flavor every exporter here shares: the header, the process name,
+// one thread-name record per entry of tracks in tid order, the events body
+// emits, and the footer.
+func writeChrome(w io.Writer, process string, tracks map[int]string, body func(emitFunc)) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`); err != nil {
 		return err
@@ -34,32 +77,11 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		first = false
 		fmt.Fprintf(bw, format, args...)
 	}
-	emit(`{"name":"process_name","ph":"M","pid":1,"args":{"name":"pochoir"}}`)
-	for _, s := range r.shards {
-		emit(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":"worker-%d"}}`, s.id, s.id)
+	emit(`{"name":"process_name","ph":"M","pid":1,"args":{"name":%s}}`, strconv.Quote(process))
+	for _, tid := range slices.Sorted(maps.Keys(tracks)) {
+		emit(threadName, tid, strconv.Quote(tracks[tid]))
 	}
-	for _, s := range r.shards {
-		for _, ev := range s.events {
-			ts := float64(ev.TS) / 1e3
-			if !ev.Begin {
-				emit(`{"name":"%s","cat":"pochoir","ph":"E","pid":1,"tid":%d,"ts":%.3f}`,
-					ev.Kind, s.id, ts)
-				continue
-			}
-			emit(`{"name":"%s","cat":"pochoir","ph":"B","pid":1,"tid":%d,"ts":%.3f,"args":{%s}}`,
-				ev.Kind, s.id, ts, beginArgs(ev))
-		}
-	}
-	if len(r.sup) > 0 {
-		// Supervisor decisions render as instant events on a dedicated
-		// track above the worker span trees.
-		supTid := len(r.shards)
-		emit(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":"supervisor"}}`, supTid)
-		for _, ev := range r.sup {
-			emit(`{"name":"%s","cat":"supervisor","ph":"i","s":"p","pid":1,"tid":%d,"ts":%.3f,"args":{%s}}`,
-				ev.Kind, supTid, float64(ev.TS)/1e3, supArgs(ev))
-		}
-	}
+	body(emit)
 	if _, err := bw.WriteString("]}\n"); err != nil {
 		return err
 	}
@@ -119,36 +141,12 @@ type ChromeInstant struct {
 // become per-worker instant-event lanes loadable in chrome://tracing and
 // Perfetto alongside the span traces the live recorder writes.
 func WriteChromeEvents(w io.Writer, process string, tracks map[int]string, evs []ChromeInstant) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`); err != nil {
-		return err
-	}
-	first := true
-	emit := func(format string, args ...any) {
-		if !first {
-			bw.WriteByte(',')
+	return writeChrome(w, process, tracks, func(emit emitFunc) {
+		for _, ev := range evs {
+			emit(`{"name":%s,"cat":"flight","ph":"i","s":"t","pid":1,"tid":%d,"ts":%.3f,"args":{%s}}`,
+				strconv.Quote(ev.Name), ev.TID, float64(ev.TS)/1e3, ev.Args)
 		}
-		first = false
-		fmt.Fprintf(bw, format, args...)
-	}
-	emit(`{"name":"process_name","ph":"M","pid":1,"args":{"name":%s}}`, strconv.Quote(process))
-	tids := make([]int, 0, len(tracks))
-	for tid := range tracks {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	for _, tid := range tids {
-		emit(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`,
-			tid, strconv.Quote(tracks[tid]))
-	}
-	for _, ev := range evs {
-		emit(`{"name":%s,"cat":"flight","ph":"i","s":"t","pid":1,"tid":%d,"ts":%.3f,"args":{%s}}`,
-			strconv.Quote(ev.Name), ev.TID, float64(ev.TS)/1e3, ev.Args)
-	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	})
 }
 
 // ChromeSpan is one complete-event ("X") span of a generic Chrome trace:
@@ -171,40 +169,16 @@ type ChromeSpan struct {
 // span tree becomes a browsable flame chart in chrome://tracing or
 // Perfetto, reusing the exact envelope WriteChromeTrace established.
 func WriteChromeSpans(w io.Writer, process string, tracks map[int]string, spans []ChromeSpan, instants []ChromeInstant) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`); err != nil {
-		return err
-	}
-	first := true
-	emit := func(format string, args ...any) {
-		if !first {
-			bw.WriteByte(',')
+	return writeChrome(w, process, tracks, func(emit emitFunc) {
+		for _, sp := range spans {
+			emit(`{"name":%s,"cat":"trace","ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f,"args":{%s}}`,
+				strconv.Quote(sp.Name), sp.TID, float64(sp.TS)/1e3, float64(sp.DurNS)/1e3, sp.Args)
 		}
-		first = false
-		fmt.Fprintf(bw, format, args...)
-	}
-	emit(`{"name":"process_name","ph":"M","pid":1,"args":{"name":%s}}`, strconv.Quote(process))
-	tids := make([]int, 0, len(tracks))
-	for tid := range tracks {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	for _, tid := range tids {
-		emit(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`,
-			tid, strconv.Quote(tracks[tid]))
-	}
-	for _, sp := range spans {
-		emit(`{"name":%s,"cat":"trace","ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f,"args":{%s}}`,
-			strconv.Quote(sp.Name), sp.TID, float64(sp.TS)/1e3, float64(sp.DurNS)/1e3, sp.Args)
-	}
-	for _, ev := range instants {
-		emit(`{"name":%s,"cat":"trace","ph":"i","s":"t","pid":1,"tid":%d,"ts":%.3f,"args":{%s}}`,
-			strconv.Quote(ev.Name), ev.TID, float64(ev.TS)/1e3, ev.Args)
-	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+		for _, ev := range instants {
+			emit(`{"name":%s,"cat":"trace","ph":"i","s":"t","pid":1,"tid":%d,"ts":%.3f,"args":{%s}}`,
+				strconv.Quote(ev.Name), ev.TID, float64(ev.TS)/1e3, ev.Args)
+		}
+	})
 }
 
 // WriteChromeTraceFile writes the Chrome trace to path.

@@ -46,7 +46,6 @@ import (
 	"fmt"
 
 	"pochoir/internal/core"
-	"pochoir/internal/flight"
 	"pochoir/internal/grid"
 	"pochoir/internal/metrics"
 	"pochoir/internal/sched"
@@ -152,11 +151,8 @@ type Stencil[T any] struct {
 	metReg     *MetricsRegistry
 	metSet     *metrics.RunMetrics
 	activeProg *metrics.Progress
-	// flightRec caches the stencil-private recorder a positive
-	// Options.FlightRing creates (see flightRecorder in postmortem.go);
 	// inSupervise suppresses per-attempt post-mortem bundles inside
 	// RunSupervised, which bundles once on the terminal error instead.
-	flightRec   *flight.Recorder
 	inSupervise bool
 	// poisoned latches after a failed or cancelled run: the arrays hold a
 	// partially updated state, so further runs are refused with
@@ -211,10 +207,6 @@ type Options struct {
 	// events, and any terminal failure automatically freezes the rings and
 	// writes a pochoir-postmortem/v1 bundle (see PostmortemBundle).
 	FlightRecorder *FlightRecorder
-	// FlightRing, when positive, sizes a stencil-private flight recorder
-	// (events per worker lane, rounded up to a power of two) used instead
-	// of the process-wide one. Ignored when FlightRecorder is set.
-	FlightRing int
 	// NoFlightRecorder disables black-box recording and automatic
 	// post-mortem bundles for this stencil only.
 	NoFlightRecorder bool
@@ -243,10 +235,7 @@ func NewWithOptions[T any](sh *Shape, opts Options) *Stencil[T] {
 }
 
 // SetOptions replaces the execution options.
-func (s *Stencil[T]) SetOptions(opts Options) {
-	s.opts = opts
-	s.flightRec = nil // re-resolve a FlightRing-sized recorder next run
-}
+func (s *Stencil[T]) SetOptions(opts Options) { s.opts = opts }
 
 // Shape returns the stencil's shape.
 func (s *Stencil[T]) Shape() *Shape { return s.shape }

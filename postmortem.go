@@ -62,22 +62,16 @@ func ReadPostmortemBundle(path string) (*PostmortemBundle, error) {
 }
 
 // flightRecorder resolves the black-box recorder in effect for this
-// stencil: an explicit Options.FlightRecorder wins, then a stencil-private
-// recorder sized by Options.FlightRing, then the process-wide default.
-// NoFlightRecorder (or POCHOIR_FLIGHT=off) resolves to nil, which disables
-// both recording and automatic bundles — nil is safe everywhere downstream.
+// stencil: an explicit Options.FlightRecorder wins, then the process-wide
+// default. NoFlightRecorder (or POCHOIR_FLIGHT=off) resolves to nil, which
+// disables both recording and automatic bundles — nil is safe everywhere
+// downstream.
 func (s *Stencil[T]) flightRecorder() *flight.Recorder {
 	if s.opts.NoFlightRecorder {
 		return nil
 	}
 	if s.opts.FlightRecorder != nil {
 		return s.opts.FlightRecorder
-	}
-	if s.opts.FlightRing > 0 {
-		if s.flightRec == nil {
-			s.flightRec = flight.New(s.opts.FlightRing)
-		}
-		return s.flightRec
 	}
 	return flight.Default()
 }
