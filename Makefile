@@ -70,10 +70,12 @@ crash-soak:
 
 # bench checks the telemetry acceptance criterion: Heat2D/NoTelemetry
 # (nil-recorder fast path) must match seed throughput, and Heat2D/Telemetry
-# reports the decomposition counters. WalkOnly is the walker's own cost —
-# time, allocations and spawns per walk with clones that do nothing.
+# reports the decomposition counters. AllSignalsOn is the one observability
+# budget: every signal off against metrics, progress, flight, trace and an
+# armed profile window all on. WalkOnly is the walker's own cost — time,
+# allocations and spawns per walk with clones that do nothing.
 bench:
-	$(GO) test -run '^$$' -bench 'Heat2D|WalkOnly' -benchtime 10x .
+	$(GO) test -run '^$$' -bench '^Benchmark(Heat2D|AllSignalsOn|WalkOnly)$$' -benchtime 10x .
 
 # monitor-smoke runs the self-scraping monitoring experiment: a supervised
 # run scraped twice over HTTP from its own embedded monitor server, every

@@ -10,6 +10,7 @@ package pochoir_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"testing"
 	"time"
@@ -101,58 +102,6 @@ func BenchmarkHeat2D(b *testing.B) {
 	})
 }
 
-// BenchmarkHeat2DMonitored is the monitoring acceptance benchmark: the same
-// Heat 2D workload as BenchmarkHeat2D but with a metrics registry armed and
-// the embedded monitor server listening (unscrapped — the cost measured is
-// the instrumentation itself: striped atomic counter updates at every cut,
-// base case, and scheduler decision, plus the progress estimator).
-func BenchmarkHeat2DMonitored(b *testing.B) {
-	f := stencils.NewHeat2DFactory(true)
-	sizes, steps := benchdef.AblationHeat2D.Sizes, benchdef.AblationHeat2D.Steps
-	up := float64(benchdef.AblationHeat2D.Updates())
-	reg := pochoir.NewMetrics()
-	mon, err := pochoir.ServeMonitor("127.0.0.1:0", reg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer mon.Close()
-	benchJob(b, func() stencils.Job {
-		return f.New(sizes, steps).Pochoir(pochoir.Options{Metrics: reg})
-	}, up)
-}
-
-// BenchmarkHeat2DFlightRecorder is the black-box acceptance benchmark: the
-// Heat 2D workload with the always-on flight recorder (the default) against
-// the same workload opted out. The write path is a handful of atomic stores
-// per cut/base event, so the budget is ≤3% — asserted here when both halves
-// ran, with the caveat that sub-benchtime noise on a loaded machine can
-// exceed the real cost; EXPERIMENTS.md records the number from a quiet run.
-func BenchmarkHeat2DFlightRecorder(b *testing.B) {
-	f := stencils.NewHeat2DFactory(true)
-	sizes, steps := benchdef.AblationHeat2D.Sizes, benchdef.AblationHeat2D.Steps
-	up := float64(benchdef.AblationHeat2D.Updates())
-	var offNs, onNs float64
-	b.Run("Off", func(b *testing.B) {
-		benchJob(b, func() stencils.Job {
-			return f.New(sizes, steps).Pochoir(pochoir.Options{NoFlightRecorder: true})
-		}, up)
-		offNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	})
-	b.Run("On", func(b *testing.B) {
-		benchJob(b, func() stencils.Job {
-			return f.New(sizes, steps).Pochoir(pochoir.Options{})
-		}, up)
-		onNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	})
-	if offNs > 0 && onNs > 0 {
-		overhead := (onNs/offNs - 1) * 100
-		b.ReportMetric(overhead, "overhead_%")
-		if overhead > 3.0 {
-			b.Errorf("always-on flight recorder costs %.2f%% over disabled, budget is 3%%", overhead)
-		}
-	}
-}
-
 // BenchmarkSupervisedHeat2D measures the resilience supervisor's overhead
 // on the Heat 2D workload. NoCheckpoint is the happy path — one segment, no
 // state copies, supervisor bookkeeping only — and is the 5%-of-Run
@@ -220,111 +169,79 @@ func BenchmarkSupervisedHeat2D(b *testing.B) {
 	})
 }
 
-// BenchmarkHeat2DTraced is the causal-tracing acceptance benchmark: the
-// supervised Heat 2D workload with a span tree recorded per run (root span,
-// supervised-run span, per-segment and per-attempt spans, checkpoint
-// markers) against the identical workload untraced. Span recording is an
-// append into a preallocated per-trace buffer behind one mutex that only
-// the job's own goroutine touches, so the budget is ≤3% — asserted here
-// when both halves ran, with the same sub-benchtime-noise caveat as the
-// flight-recorder bench; EXPERIMENTS.md records the number from a quiet
-// run.
-func BenchmarkHeat2DTraced(b *testing.B) {
-	const X, Y, steps, seed = 512, 512, 32, 7
-	up := float64(X*Y) * float64(steps)
+// BenchmarkAllSignalsOn is the one observability budget: the served path —
+// the heat2d specification's row-program clones through RunSupervised, in
+// segments of 8 steps, on the 512² ablation box — with every signal off
+// (NoFlightRecorder, no registry, no trace, no profile capture) against every
+// signal an operator leaves on at once: the metrics registry and its progress
+// estimator, the flight recorder, a causal trace per run, and an armed CPU
+// profile window, whose per-base-case phase labels and 100 Hz sampling
+// interrupt are its whole cost. Telemetry, a debugging recorder, is off in
+// both halves.
+//
+// Each of the b.N rounds times one job of each half, back to back and in
+// alternating order, so drift on a shared machine lands on both, and the
+// halves are compared by their fastest job, which a neighbour's burst of
+// work does not move. The asserted budget is set from the combined overhead
+// EXPERIMENTS.md records ("One overhead budget") and is judged only over 10
+// rounds or more.
+func BenchmarkAllSignalsOn(b *testing.B) {
+	const budget = 12.0 // percent
+	src, err := os.ReadFile("examples/dsl/specs/heat2d.pch")
+	if err != nil {
+		b.Fatal(err)
+	}
+	checked, err := compiler.CompileSource(string(src))
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := benchdef.AblationHeat2D
 	policy := pochoir.SupervisePolicy{SegmentSteps: 8}
-	benchTraced := func(b *testing.B, mkTrace func() *pochoir.ActiveTrace) {
-		b.Helper()
-		b.ReportAllocs()
-		sts := make([]*pochoir.Stencil[float64], b.N)
-		kerns := make([]pochoir.Kernel, b.N)
-		actives := make([]*pochoir.ActiveTrace, b.N)
-		for i := range sts {
-			actives[i] = mkTrace()
-			sts[i], _, kerns[i] = heatStencil(b, pochoir.Options{Trace: actives[i]}, X, Y, seed)
+	job := func(opts pochoir.Options) float64 {
+		inst, err := checked.NewInstance(w.Sizes...)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sts[i].RunSupervised(context.Background(), steps, kerns[i], policy); err != nil {
-				b.Fatal(err)
-			}
-			actives[i].End("ok")
+		inst.Arrays["u"].Fill(0, 1)
+		inst.Stencil.SetOptions(opts)
+		start := time.Now()
+		if _, err := inst.Stencil.RunSupervised(context.Background(), w.Steps, inst.Kernel(), policy); err != nil {
+			b.Fatal(err)
 		}
-		b.StopTimer()
-		b.ReportMetric(up*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpts/s")
+		if opts.Trace != nil {
+			opts.Trace.End("ok")
+		}
+		return float64(time.Since(start).Nanoseconds())
 	}
-	var offNs, onNs float64
-	b.Run("Off", func(b *testing.B) {
-		benchTraced(b, func() *pochoir.ActiveTrace { return nil })
-		offNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	})
-	b.Run("On", func(b *testing.B) {
-		tracer := pochoir.NewTracer(pochoir.TracerConfig{Seed: 7})
-		benchTraced(b, func() *pochoir.ActiveTrace {
-			return tracer.StartTrace("bench", pochoir.TraceContext{})
-		})
-		onNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	})
-	if offNs > 0 && onNs > 0 {
-		overhead := (onNs/offNs - 1) * 100
-		b.ReportMetric(overhead, "overhead_%")
-		if overhead > 3.0 {
-			b.Errorf("tracing costs %.2f%% over untraced, budget is 3%%", overhead)
-		}
-	}
-}
-
-// BenchmarkHeat2DProfiled is the continuous-profiling acceptance benchmark:
-// the supervised Heat 2D workload with the profiler capturing back-to-back
-// CPU windows (worst case — the 100Hz sampling interrupt plus armed
-// per-base-case phase labels) against the identical workload unprofiled.
-// The budget is ≤3% — asserted here when both halves ran, with the same
-// sub-benchtime-noise caveat as the flight-recorder bench; EXPERIMENTS.md
-// records the number from a quiet run.
-func BenchmarkHeat2DProfiled(b *testing.B) {
-	const X, Y, steps, seed = 512, 512, 32, 7
-	up := float64(X*Y) * float64(steps)
-	policy := pochoir.SupervisePolicy{SegmentSteps: 8}
-	benchProf := func(b *testing.B) {
-		b.Helper()
-		b.ReportAllocs()
-		sts := make([]*pochoir.Stencil[float64], b.N)
-		kerns := make([]pochoir.Kernel, b.N)
-		for i := range sts {
-			sts[i], _, kerns[i] = heatStencil(b, pochoir.Options{}, X, Y, seed)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sts[i].RunSupervised(context.Background(), steps, kerns[i], policy); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(up*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpts/s")
-	}
-	var offNs, onNs float64
-	b.Run("Off", func(b *testing.B) {
-		benchProf(b)
-		offNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	})
-	b.Run("On", func(b *testing.B) {
-		p := profile.New(profile.Config{
-			Window:    100 * time.Millisecond,
-			Interval:  -1, // back-to-back windows: the profiler never rests
-			Retain:    4,
-			HeapEvery: -1,
-		})
+	reg := pochoir.NewMetrics()
+	tracer := pochoir.NewTracer(pochoir.TracerConfig{Seed: 7})
+	allOn := func() float64 {
+		p := profile.New(profile.Config{Window: time.Second, Interval: -1, Retain: 1, HeapEvery: -1})
 		p.Start()
 		defer p.Stop()
-		benchProf(b)
-		onNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	})
-	if offNs > 0 && onNs > 0 {
-		overhead := (onNs/offNs - 1) * 100
-		b.ReportMetric(overhead, "overhead_%")
-		if overhead > 3.0 {
-			b.Errorf("continuous profiling costs %.2f%% over unprofiled, budget is 3%%", overhead)
+		for deadline := time.Now().Add(time.Second); !profile.Armed(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				b.Fatal("the profile window never armed (is another CPU profile running?)")
+			}
 		}
+		return job(pochoir.Options{Metrics: reg, Trace: tracer.StartTrace("bench", pochoir.TraceContext{})})
+	}
+	offNs, onNs := math.Inf(1), math.Inf(1)
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			offNs = min(offNs, job(pochoir.Options{NoFlightRecorder: true}))
+			onNs = min(onNs, allOn())
+		} else {
+			onNs = min(onNs, allOn())
+			offNs = min(offNs, job(pochoir.Options{NoFlightRecorder: true}))
+		}
+	}
+	overhead := (onNs/offNs - 1) * 100
+	b.ReportMetric(float64(w.Updates())/offNs*1e3, "off_Mpts/s")
+	b.ReportMetric(float64(w.Updates())/onNs*1e3, "on_Mpts/s")
+	b.ReportMetric(overhead, "overhead_%")
+	if b.N >= 10 && overhead > budget {
+		b.Errorf("all signals on cost %.2f%% over all off, budget is %.0f%%", overhead, budget)
 	}
 }
 

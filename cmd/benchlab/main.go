@@ -71,7 +71,7 @@ func runCmd(args []string) {
 	}
 	if *engines != "" {
 		for _, name := range splitList(*engines) {
-			alg, ok := parseEngine(name)
+			alg, ok := core.ParseAlgorithm(strings.ToUpper(name))
 			if !ok {
 				fatalf("unknown engine %q (want TRAP, STRAP, or LOOPS)", name)
 			}
@@ -155,18 +155,6 @@ func compare(oldPath, newPath string, gate benchlab.Gate, markdown, informationa
 		return 0
 	}
 	return 1
-}
-
-func parseEngine(name string) (core.Algorithm, bool) {
-	switch strings.ToUpper(name) {
-	case "TRAP":
-		return core.TRAP, true
-	case "STRAP":
-		return core.STRAP, true
-	case "LOOPS":
-		return core.LOOPS, true
-	}
-	return 0, false
 }
 
 func splitList(s string) []string {

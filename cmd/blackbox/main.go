@@ -1,6 +1,6 @@
 // Command blackbox renders pochoir post-mortem bundles — the
 // pochoir-postmortem/v1 crash artifacts the flight recorder writes when a
-// run dies (see Options.FlightRecorder and POCHOIR_POSTMORTEM_DIR).
+// run dies (see pochoir.FlightRecorder and POCHOIR_POSTMORTEM_DIR).
 //
 //	blackbox list                 list bundles in the diagnostics directory
 //	blackbox show [BUNDLE]        header, per-worker lane timeline, final events

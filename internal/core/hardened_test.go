@@ -1,7 +1,7 @@
 package core
 
 // Engine-level failure tests: panic conversion with zoid location, context
-// cancellation at the walker layer, and telemetry consistency of aborted
+// cancellation at the walker layer, and probe consistency of aborted
 // runs. The public-API behaviours (poisoning, checkpoint/restore) are
 // tested in the root package.
 
@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"pochoir/internal/sched"
-	"pochoir/internal/telemetry"
 	"pochoir/internal/zoid"
 )
 
@@ -88,6 +87,8 @@ func TestRunContextCancelStopsPromptly(t *testing.T) {
 			}
 			time.Sleep(2 * time.Millisecond)
 		})
+		p := newRecProbe()
+		w.Probe = p
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			<-release
@@ -96,6 +97,10 @@ func TestRunContextCancelStopsPromptly(t *testing.T) {
 		err := w.RunContext(ctx, 1, 33)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("serial=%v: got %v, want context.Canceled", serial, err)
+		}
+		// The probe hears the latch once, and RunEnd the promoted error.
+		if p.cancels.Load() != 1 || p.err != err {
+			t.Fatalf("serial=%v: %d cancellations reported, RunEnd saw %v", serial, p.cancels.Load(), p.err)
 		}
 		// The decomposition has hundreds of base cases; a prompt cancel
 		// must have skipped almost all of them.
@@ -130,36 +135,30 @@ func TestRunBackgroundContextUnchanged(t *testing.T) {
 	}
 }
 
+// TestAbortedRunReleasesTelemetryShards: a run aborted by a kernel panic
+// still releases every task's probe, reports the panic once, and ends the
+// run with the error, so a telemetry sink gets every shard back with its
+// spans closed.
 func TestAbortedRunReleasesTelemetryShards(t *testing.T) {
-	rec := telemetry.New()
+	p := newRecProbe()
 	var calls atomic.Int64
 	w := newTestWalker([]int{48, 48}, false, TRAP, func(z zoid.Zoid) {
 		if calls.Add(1) == 5 {
 			panic("abort")
 		}
 	})
-	w.Rec = rec
-	if err := w.Run(1, 17); err == nil {
+	w.Probe = p
+	err := w.Run(1, 17)
+	if err == nil {
 		t.Fatal("aborted run returned nil")
 	}
-	// Every shard was released: a follow-up instrumented run must reuse
-	// the pool rather than grow it unboundedly, and Snapshot must see a
-	// quiescent recorder.
-	st := rec.Snapshot()
-	if st.Bases == 0 {
-		t.Fatal("aborted run recorded nothing")
+	if p.bases.Load() == 0 {
+		t.Fatal("aborted run reported nothing")
 	}
-	workersAfterAbort := rec.Workers()
-	w2 := newTestWalker([]int{48, 48}, false, TRAP, func(z zoid.Zoid) {})
-	w2.Rec = rec
-	for i := 0; i < 3; i++ {
-		if err := w2.Run(1, 17); err != nil {
-			t.Fatal(err)
-		}
+	if p.tasks.Load() == 0 || p.released.Load() != p.tasks.Load() {
+		t.Fatalf("%d task probes handed out, %d released", p.tasks.Load(), p.released.Load())
 	}
-	// Allow ordinary pool growth from scheduling variance, but a leak of
-	// one shard per run would exceed this comfortably over three runs.
-	if grown := rec.Workers() - workersAfterAbort; grown > rec.Workers()/2+8 {
-		t.Fatalf("shard pool grew from %d to %d: leak", workersAfterAbort, rec.Workers())
+	if p.panics.Load() != 1 || p.ends.Load() != 1 || p.err != err {
+		t.Fatalf("%d panics, %d run ends (saw %v); want 1, 1 and %v", p.panics.Load(), p.ends.Load(), p.err, err)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"pochoir/internal/telemetry"
 	"pochoir/internal/zoid"
 )
 
@@ -83,13 +82,14 @@ func TestWalkAllocationsIndependentOfZoidCount(t *testing.T) {
 			}
 		})
 	}
-	decomposition := func(b box, alg Algorithm, serial bool) telemetry.Stats {
+	decomposition := func(b box, alg Algorithm, serial bool) *recCounts {
 		w := costWalker(b.sizes, alg, serial)
-		w.Rec = telemetry.New()
+		p := newRecProbe()
+		w.Probe = p
 		if err := w.Run(1, 1+b.steps); err != nil {
 			t.Fatal(err)
 		}
-		return w.Rec.Snapshot()
+		return p.recCounts
 	}
 	root := zoid.Box(1, 1+circ.steps, circ.sizes)
 	if cuts := costWalker(circ.sizes, TRAP, true).CutSet(&root, nil); len(cuts) != 2 || cuts[0].Kind != zoid.CutCircle {
@@ -102,7 +102,7 @@ func TestWalkAllocationsIndependentOfZoidCount(t *testing.T) {
 	const perRun, perSpawn = 8, 4
 	for _, alg := range []Algorithm{TRAP, STRAP} {
 		a, b, c := allocs(small, alg, true), allocs(big, alg, true), allocs(circ, alg, true)
-		zs, zb := decomposition(small, alg, true).Zoids(), decomposition(big, alg, true).Zoids()
+		zs, zb := decomposition(small, alg, true).zoids(), decomposition(big, alg, true).zoids()
 		if zb < 20*zs {
 			t.Fatalf("%v: the big box has %d zoids against %d: not a test of growth", alg, zb, zs)
 		}
@@ -111,7 +111,7 @@ func TestWalkAllocationsIndependentOfZoidCount(t *testing.T) {
 				alg, a, zs, b, zb, c, perRun)
 		}
 		for _, bx := range []box{big, circ} {
-			spawns := decomposition(bx, alg, false).Spawns
+			spawns := decomposition(bx, alg, false).spawns.Load()
 			if spawns == 0 {
 				t.Fatalf("%v %v: parallel walk spawned nothing", alg, bx.sizes)
 			}

@@ -9,48 +9,23 @@
 // invokes user-supplied base-case functions on them. The stencil-specific
 // work — both the generic checked Phase-1 executor and the specialized
 // Phase-2 kernels — lives behind the BaseFunc interface, so the same engine
-// runs every stencil, every dimensionality, and every boundary regime.
+// runs every stencil, every dimensionality, and every boundary regime. It is
+// as ignorant of what observes it: a run reports through one Probe, composed
+// outside this package.
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"runtime/debug"
-	"runtime/pprof"
 	"sync/atomic"
 
 	"pochoir/internal/faultpoint"
-	"pochoir/internal/flight"
-	"pochoir/internal/metrics"
-	"pochoir/internal/profile"
 	"pochoir/internal/sched"
-	"pochoir/internal/telemetry"
 	"pochoir/internal/zoid"
 )
-
-func init() {
-	// Feed the always-on flight recorder from the two layers it cannot
-	// import directly without hooks: injected faultpoint trips and panics
-	// first captured at scheduler sync points. Both record into the
-	// process-wide default recorder — the black box is per process, not per
-	// run — and both are nil-safe no-ops when POCHOIR_FLIGHT=off.
-	faultpoint.SetObserver(func(site faultpoint.Site, depth int) {
-		code := int64(0)
-		if site == faultpoint.SiteBase {
-			code = 1
-		}
-		flight.Default().Record(flight.EvFault, code, int64(depth), 0)
-	})
-	sched.SetPanicHook(func(pe *sched.PanicError) {
-		if _, ok := pe.Value.(*KernelPanicError); ok {
-			return // base() already recorded it with zoid attribution
-		}
-		flight.Default().Record(flight.EvPanic, 0, 0, flight.PanicSched)
-	})
-}
 
 // KernelPanicError reports a panic recovered from a base-case kernel. The
 // walker converts it (and any other panic reaching Run) into an ordinary
@@ -112,16 +87,30 @@ const (
 	LOOPS
 )
 
+// algorithmNames is the one spelling of the engines' names: every label,
+// exposition, JSON field and flag that names an engine maps through String
+// and ParseAlgorithm.
+var algorithmNames = [...]string{TRAP: "TRAP", STRAP: "STRAP", LOOPS: "LOOPS"}
+
+// NumAlgorithms is the number of engines: Algorithm values run from 0 to
+// NumAlgorithms-1.
+const NumAlgorithms = len(algorithmNames)
+
 func (a Algorithm) String() string {
-	switch a {
-	case TRAP:
-		return "TRAP"
-	case STRAP:
-		return "STRAP"
-	case LOOPS:
-		return "LOOPS"
+	if a >= 0 && int(a) < NumAlgorithms {
+		return algorithmNames[a]
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
+}
+
+// ParseAlgorithm returns the engine whose String is name.
+func ParseAlgorithm(name string) (Algorithm, bool) {
+	for a, n := range algorithmNames {
+		if n == name {
+			return Algorithm(a), true
+		}
+	}
+	return 0, false
 }
 
 // Walker runs a trapezoidal-decomposition stencil computation.
@@ -149,38 +138,9 @@ type Walker struct {
 
 	Algorithm Algorithm
 
-	// Rec, when non-nil, records every decomposition decision (cuts,
-	// base-case invocations, spawn-vs-inline choices) into per-worker
-	// telemetry shards. When nil — the default — every instrumentation
-	// point reduces to a single pointer comparison, so uninstrumented
-	// runs execute the unmodified hot path.
-	Rec *telemetry.Recorder
-
-	// Met, when non-nil, is the live metrics instrument set the walk
-	// updates: zoid/cut/base-case counters, point throughput, fork
-	// placement, active workers. Unlike telemetry shards, these are
-	// shared atomics a monitor scrapes mid-run. Nil — the default — costs
-	// one pointer comparison per instrumentation point.
-	Met *metrics.RunMetrics
-
-	// Prog, when non-nil, receives every executed base-case volume so the
-	// monitor can publish percent-complete and an ETA for the run.
-	Prog *metrics.Progress
-
-	// Flight is the black-box flight recorder the walk appends to: run
-	// start/end, every cut decision, every base-case entry, cancellation
-	// and panic markers. Unlike Rec and Met it is expected to be non-nil —
-	// pochoir defaults it to the process-wide flight.Default() — but a nil
-	// Flight is safe (Record on nil is a no-op), which is also how
-	// POCHOIR_FLIGHT=off disables recording everywhere at once.
-	Flight *flight.Recorder
-
-	// engPoints is Met.EnginePoints[Algorithm], resolved once per run so
-	// the base case indexes no array on the hot path; metObs is the
-	// pre-boxed sched observer, allocated once per run rather than once
-	// per fork-join region.
-	engPoints *metrics.Counter
-	metObs    *metricsObserver
+	// Probe, when non-nil, hears the run's events (see Probe). Nil — an
+	// uninstrumented run — costs one pointer test per zoid.
+	Probe Probe
 
 	// cancelled is the per-run cooperative cancellation flag, set by a
 	// watcher goroutine when the RunContext context fires. It is nil for
@@ -189,14 +149,6 @@ type Walker struct {
 	// per zoid, amortized over the zoid's whole point set — the walker
 	// never checks inside a base case.
 	cancelled *atomic.Bool
-
-	// labelCtx carries the run's pprof goroutine labels (phase=walk plus
-	// whatever the caller attached: tenant, job, priority, engine). The
-	// base case re-labels CPU samples phase=base/boundary against it, but
-	// only while a continuous-profiling capture window is armed — when
-	// disarmed the per-base-case cost is one atomic load and a pointer
-	// comparison. Written once at run start, read-only during the run.
-	labelCtx context.Context
 }
 
 // DefaultGrain is the spawn threshold used when Walker.Grain is zero.
@@ -266,32 +218,13 @@ func (w *Walker) RunContext(ctx context.Context, t0, t1 int) (err error) {
 	}
 	z := zoid.Box(t0, t1, w.Sizes[:w.NDims])
 
-	// Registered before every other defer so it runs last (LIFO) and sees
-	// the final error — after the watcher promoted cancellation and the
-	// recover below converted a panic.
-	w.Flight.Record(flight.EvRunStart, int64(w.Algorithm), int64(t0), int64(t1))
-	defer func() {
-		outcome := int64(0)
-		switch {
-		case err == nil:
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			outcome = 2
-		default:
-			outcome = 1
-		}
-		w.Flight.Record(flight.EvRunEnd, outcome, 0, 0)
-	}()
-
-	w.engPoints, w.metObs = nil, nil
-	if m := w.Met; m != nil {
-		m.RunsStarted.Inc()
-		m.RunsActive.Inc()
-		defer m.RunsActive.Dec()
-		alg := int(w.Algorithm)
-		if alg >= 0 && alg < len(m.EnginePoints) {
-			w.engPoints = m.EnginePoints[alg]
-		}
-		w.metObs = &metricsObserver{m: m}
+	p := w.Probe
+	if p != nil {
+		// Registered before every other defer so it runs last (LIFO) and
+		// sees the final error — after the watcher promoted cancellation
+		// and the recover below converted a panic.
+		p.RunStart(ctx, w.Algorithm, t0, t1)
+		defer func() { p.RunEnd(err) }()
 	}
 
 	if done := ctx.Done(); done != nil {
@@ -304,7 +237,9 @@ func (w *Walker) RunContext(ctx context.Context, t0, t1 int) (err error) {
 			select {
 			case <-done:
 				flag.Store(true)
-				w.Flight.Record(flight.EvCancel, 0, 0, 0)
+				if p != nil {
+					p.Cancelled()
+				}
 			case <-stop:
 			}
 		}()
@@ -321,60 +256,36 @@ func (w *Walker) RunContext(ctx context.Context, t0, t1 int) (err error) {
 		}()
 	}
 
-	// Registered after the watcher defer and before the telemetry defer,
-	// so on a panic the shard is released first (LIFO), then the panic is
-	// converted here, then the watcher shuts down.
+	// Registered after the watcher defer, so a panic is converted before
+	// the watcher shuts down.
 	defer func() {
 		if r := recover(); r != nil {
-			err = panicToError(r)
+			switch r.(type) {
+			case *KernelPanicError, *sched.PanicError: // reported where located or caught
+			default:
+				if p != nil {
+					p.Panicked(nil)
+				}
+			}
+			err = PanicToError(r)
 		}
 	}()
 
-	// Label the run goroutine phase=walk, merged with whatever labels the
-	// caller's context carries (the gateway's tenant/job/priority, the
-	// supervisor's engine). Spawned worker goroutines inherit the label
-	// set, so every CPU sample of the run self-attributes; the base case
-	// overrides phase sample-by-sample while a capture window is armed.
-	lctx := pprof.WithLabels(ctx, profile.LabelsWalk)
-	pprof.SetGoroutineLabels(lctx)
-	w.labelCtx = lctx
-	defer func() {
-		w.labelCtx = nil
-		pprof.SetGoroutineLabels(ctx)
-	}()
-
-	if w.Rec == nil {
-		w.exec(&z, nil)
-		return nil
-	}
-	w.Rec.RunStarted()
-	sh := w.Rec.Acquire()
-	defer func() {
-		// Deferred so failed runs still release the root shard, close
-		// its open spans, and balance the wall-time accounting.
-		w.Rec.Release(sh)
-		w.Rec.RunFinished()
-	}()
-	w.exec(&z, sh)
-	return nil
-}
-
-// exec dispatches the root zoid to the configured engine.
-func (w *Walker) exec(z *zoid.Zoid, sh *telemetry.Shard) {
 	if w.Algorithm == LOOPS {
-		w.runLoops(z, sh)
-		return
+		w.runLoops(&z, p)
+	} else {
+		w.walk(&z, p, 0, true)
 	}
-	w.walk(z, sh, 0, true)
+	return nil
 }
 
 // runLoops is the LOOPS engine: every time step is swept as height-1 zoids
 // chunked along dimension 0, each executed through base() — so interior/
-// boundary dispatch, panic attribution, telemetry, and the base-site
+// boundary dispatch, panic attribution, instrumentation, and the base-site
 // faultpoint behave exactly as in the recursive engines. Chunks of one time
 // step only read older time slots, so sweeping them in order is correct;
 // cancellation is checked once per chunk.
-func (w *Walker) runLoops(z *zoid.Zoid, sh *telemetry.Shard) {
+func (w *Walker) runLoops(z *zoid.Zoid, p Probe) {
 	chunk := w.SpaceCutoff[0]
 	if chunk < 1 {
 		chunk = z.Hi[0] - z.Lo[0]
@@ -385,26 +296,20 @@ func (w *Walker) runLoops(z *zoid.Zoid, sh *telemetry.Shard) {
 			if c := w.cancelled; c != nil && c.Load() {
 				return
 			}
-			if m := w.Met; m != nil {
-				m.Zoids.Inc()
-			}
 			step.T0, step.T1 = t, t+1
 			step.Lo[0], step.Hi[0] = lo, min(lo+chunk, z.Hi[0])
-			w.base(&step, sh, 0)
+			w.base(&step, p, 0)
 		}
 	}
 }
 
-// PanicToError converts a recovered panic value into the structured error
-// the hardened contract promises: *KernelPanicError survives scheduler
-// wrapping, anything else becomes a *sched.PanicError. It is exported so
-// other engines (the LOOPS baseline driver) convert identically.
-func PanicToError(r any) error { return panicToError(r) }
-
-// panicToError converts a panic recovered at the top of a run into the
-// error Run returns, unwrapping scheduler wrapping so a kernel panic that
-// crossed fork-join sync points still surfaces as *KernelPanicError.
-func panicToError(r any) error {
+// PanicToError converts a panic recovered at the top of a run into the
+// structured error the hardened contract promises, unwrapping scheduler
+// wrapping so a kernel panic that crossed fork-join sync points still
+// surfaces as *KernelPanicError; anything else becomes a *sched.PanicError.
+// It is exported so other engines (the LOOPS baseline driver) convert
+// identically.
+func PanicToError(r any) error {
 	switch pe := r.(type) {
 	case *KernelPanicError:
 		return pe
@@ -413,20 +318,8 @@ func panicToError(r any) error {
 			return kp
 		}
 		return pe
-	default:
-		// A panic outside any base case on the calling goroutine never
-		// crossed a sync point, so the scheduler hook did not see it.
-		flight.Default().Record(flight.EvPanic, 0, 0, flight.PanicSched)
-		return &sched.PanicError{Value: r, Stack: debug.Stack()}
 	}
-}
-
-// timeCutoff returns the effective base-case height threshold.
-func (w *Walker) timeCutoff() int {
-	if w.TimeCutoff < 1 {
-		return 1
-	}
-	return w.TimeCutoff
+	return &sched.PanicError{Value: r, Stack: debug.Stack()}
 }
 
 // CutSet collects into buf the hyperspace-cut candidates for z: every
@@ -452,7 +345,7 @@ func (w *Walker) CutSet(z *zoid.Zoid, buf []zoid.Cut) []zoid.Cut {
 }
 
 // TimeCutoffEffective returns the base-case height threshold in effect.
-func (w *Walker) TimeCutoffEffective() int { return w.timeCutoff() }
+func (w *Walker) TimeCutoffEffective() int { return max(w.TimeCutoff, 1) }
 
 // approxVolume returns a cheap estimate of the zoid's point count, used only
 // for the spawn-grain decision: height times the mean of the two bases along
@@ -482,26 +375,23 @@ func (w *Walker) grain() int64 {
 }
 
 // walk recursively decomposes and executes z (Fig. 2), which it only reads.
-// sh is the telemetry shard of the current worker goroutine, nil when
-// telemetry is disabled; depth is the decomposition depth (root zoid at 0),
-// consumed by the cancellation-latency bound and the fault-injection sites;
-// top says that no cut above z has forked — this strand is still the whole
-// walk (see forkLevel).
+// p is the probe of the current goroutine, nil for an uninstrumented run;
+// depth is the decomposition depth (root zoid at 0), consumed by the
+// cancellation-latency bound and the fault-injection sites; top says that no
+// cut above z has forked — this strand is still the whole walk (see
+// forkLevel).
 //
 // Zoids travel through the recursion by pointer — the struct is 280 bytes —
 // and every level keeps what it makes (the two halves of a time cut, the one
 // subzoid a space cut enumerates into) in its own frame, so the serial walk
 // allocates nothing. Only a base case, whose BaseFunc takes the zoid by
 // value, and a spawned subwalk, which must outlive the enumeration, copy.
-func (w *Walker) walk(z *zoid.Zoid, sh *telemetry.Shard, depth int, top bool) {
+func (w *Walker) walk(z *zoid.Zoid, p Probe, depth int, top bool) {
 	// Cooperative cancellation, checked at cut granularity: once per zoid,
 	// never inside a base case. Abandoning the zoid here is safe — the
 	// run's results are discarded wholesale on cancellation.
 	if c := w.cancelled; c != nil && c.Load() {
 		return
-	}
-	if m := w.Met; m != nil {
-		m.Zoids.Inc()
 	}
 	var cutBuf [zoid.MaxDims]zoid.Cut
 	if cuts := w.CutSet(z, cutBuf[:0]); len(cuts) > 0 {
@@ -514,80 +404,65 @@ func (w *Walker) walk(z *zoid.Zoid, sh *telemetry.Shard, depth int, top bool) {
 			// (Fig. 7) against the k+1 of TRAP's hyperspace cut.
 			cuts = cuts[:1]
 		}
-		w.spaceCut(z, cuts, sh, depth, top)
+		w.spaceCut(z, cuts, p, depth, top)
 		return
 	}
-	if h := z.Height(); h > w.timeCutoff() {
+	if h := z.Height(); h > w.TimeCutoffEffective() {
 		if faultpoint.Armed() {
 			faultpoint.Visit(faultpoint.SiteCut, depth)
 		}
 		lower, upper := z.TimeCut()
-		if m := w.Met; m != nil {
-			m.TimeCuts.Inc()
-		}
-		w.Flight.Record(flight.EvCut, flight.CutTime, int64(h), 0)
 		span := -1
-		if sh != nil {
-			span = sh.TimeCut(h)
+		if p != nil {
+			span = p.Cut(CutTime, h, 0)
 		}
-		w.walk(&lower, sh, depth+1, top)
-		w.walk(&upper, sh, depth+1, top)
-		if sh != nil {
-			sh.End(span)
+		w.walk(&lower, p, depth+1, top)
+		w.walk(&upper, p, depth+1, top)
+		if span >= 0 {
+			p.End(span)
 		}
 		return
 	}
-	w.base(z, sh, depth)
+	w.base(z, p, depth)
 }
 
 // spaceCut cuts z along every dimension in cuts at once and processes the
 // subzoids dependency level by dependency level (Fig. 2, lines 11–15): all
 // of cuts for TRAP's hyperspace cut, a single one for STRAP. The subzoids
 // are enumerated one at a time into sub, never materialised.
-func (w *Walker) spaceCut(z *zoid.Zoid, cuts []zoid.Cut, sh *telemetry.Shard, depth int, top bool) {
+func (w *Walker) spaceCut(z *zoid.Zoid, cuts []zoid.Cut, p Probe, depth int, top bool) {
 	var hc zoid.HyperCut
 	hc.Init(z, cuts)
 	span := -1
-	if w.Algorithm == STRAP {
-		c := cuts[0]
-		if m := w.Met; m != nil {
-			m.SpaceCuts.Inc()
-		}
-		cutCode := int64(flight.CutSpace)
-		if c.Kind == zoid.CutCircle {
-			cutCode = flight.CutCircle
-		}
-		w.Flight.Record(flight.EvCut, cutCode, int64(c.Dim), 0)
-		if sh != nil {
-			span = sh.SpaceCut(c.Dim, c.Kind == zoid.CutCircle)
-		}
-	} else {
-		if m := w.Met; m != nil {
-			m.HyperCuts.Inc()
-		}
-		total := hc.Total()
-		w.Flight.Record(flight.EvCut, flight.CutHyper, int64(hc.NumCut), int64(total))
-		if sh != nil {
-			span = sh.HyperCut(hc.NumCut, total, hc.NumCut+1)
+	if p != nil {
+		switch {
+		case w.Algorithm != STRAP:
+			span = p.Cut(CutHyper, hc.NumCut, hc.Total())
+		case cuts[0].Kind == zoid.CutCircle:
+			span = p.Cut(CutCircle, cuts[0].Dim, 0)
+		default:
+			span = p.Cut(CutSpace, cuts[0].Dim, 0)
 		}
 	}
 	// A subzoid is never larger than the zoid it was cut from, so below
 	// the grain no level can spawn and none opens a fork-join region.
 	fork := !w.Serial && w.approxVolume(z) >= w.grain()
+	if !fork && p != nil {
+		p.Inlined(hc.Total())
+	}
 	sub := *z
 	for l := 0; l <= hc.NumCut; l++ {
 		hc.Start(l)
 		if fork {
-			w.forkLevel(&hc, &sub, sh, depth+1, top)
+			w.forkLevel(&hc, &sub, p, depth+1, top)
 			continue
 		}
-		w.inlined(sh, hc.Left())
 		for hc.Next(&sub) {
-			w.walk(&sub, sh, depth+1, false) // under the grain: nothing below forks
+			w.walk(&sub, p, depth+1, false) // under the grain: nothing below forks
 		}
 	}
-	if sh != nil {
-		sh.End(span)
+	if span >= 0 {
+		p.End(span)
 	}
 }
 
@@ -602,162 +477,74 @@ func (w *Walker) spaceCut(z *zoid.Zoid, cuts []zoid.Cut, sh *telemetry.Shard, de
 // all that is running, and a box too small to yield grain-sized subzoids
 // (LBM 3 on 16x16x20: 82 k points, 14 ms of work) would otherwise never
 // leave one core. There every subzoid but the last is spawned.
-func (w *Walker) forkLevel(hc *zoid.HyperCut, sub *zoid.Zoid, sh *telemetry.Shard, depth int, top bool) {
-	rg := sched.Region{Counter: w.counter(sh)}
+func (w *Walker) forkLevel(hc *zoid.HyperCut, sub *zoid.Zoid, p Probe, depth int, top bool) {
+	var rg sched.Region
 	defer rg.Wait()
 	grain, inline := w.grain(), 0
 	for hc.Next(sub) {
 		if hc.Left() > 0 && (top || w.approxVolume(sub) >= grain) {
-			rg.Go(w.task(*sub, sh, depth))
+			if p != nil {
+				p.Spawned(depth)
+			}
+			rg.Go(w.task(*sub, p, depth))
 			continue
 		}
 		inline++
-		w.walk(sub, sh, depth, false)
+		w.walk(sub, p, depth, false)
 	}
-	w.inlined(sh, inline)
+	if p != nil {
+		p.Inlined(inline)
+	}
 }
 
 // task wraps a subwalk for a fresh goroutine, which owns its copy of the
-// zoid. With telemetry enabled the goroutine acquires a worker shard for its
-// lifetime so recording stays contention-free — which is what gives the
-// trace one track per worker. The release is deferred so a panicking subwalk
-// still returns its shard (with any open spans closed) before the panic
+// zoid and, under a probe, reports through its own Task probe. The release
+// is deferred so a panicking subwalk still returns it before the panic
 // reaches the region's sync point.
-func (w *Walker) task(z zoid.Zoid, sh *telemetry.Shard, depth int) func() {
-	if m := w.Met; m != nil {
-		m.ForkDepth.Observe(int64(depth))
-	}
-	if sh == nil {
+func (w *Walker) task(z zoid.Zoid, p Probe, depth int) func() {
+	if p == nil {
 		return func() { w.walk(&z, nil, depth, false) }
 	}
-	rec := w.Rec
 	return func() {
-		s2 := rec.Acquire()
-		defer rec.Release(s2)
-		w.walk(&z, s2, depth, false)
+		tp := p.Task()
+		defer tp.Release()
+		w.walk(&z, tp, depth, false)
 	}
 }
-
-// inlined counts n subzoids run on the goroutine that cut them out.
-func (w *Walker) inlined(sh *telemetry.Shard, n int) {
-	if sh != nil {
-		sh.Inlined(n)
-	}
-	if w.metObs != nil {
-		w.metObs.Inlined(n)
-	}
-}
-
-// counter adapts the current goroutine's possibly-nil shard, plus the
-// run's metrics observer, to the sched.Counter of a fork-join region without
-// producing a non-nil interface holding a nil pointer. With only one system
-// armed the cached value is returned directly; only the both-armed case
-// allocates a combining adapter, once per region.
-func (w *Walker) counter(sh *telemetry.Shard) sched.Counter {
-	if w.metObs == nil {
-		if sh == nil {
-			return nil
-		}
-		return sh
-	}
-	if sh == nil {
-		return w.metObs
-	}
-	return &instr{sh: sh, obs: w.metObs}
-}
-
-// metricsObserver feeds the scheduler's decisions into the metrics
-// instrument set. It implements sched.WorkerObserver, so spawned goroutines
-// also bracket the active-workers gauge; all its updates are atomics, safe
-// from any goroutine.
-type metricsObserver struct{ m *metrics.RunMetrics }
-
-func (o *metricsObserver) Spawned(n int)   { o.m.Spawns.Add(int64(n)) }
-func (o *metricsObserver) Inlined(n int)   { o.m.Inlines.Add(int64(n)) }
-func (o *metricsObserver) WorkerStarted()  { o.m.ActiveWorkers.Inc() }
-func (o *metricsObserver) WorkerFinished() { o.m.ActiveWorkers.Dec() }
-
-// instr combines the goroutine-private telemetry shard with the shared
-// metrics observer when both systems are armed. The shard methods fire only
-// on the calling goroutine (the Counter contract); the worker notifications
-// go to the metrics side alone, since shards must never be touched from a
-// spawned goroutine.
-type instr struct {
-	sh  *telemetry.Shard
-	obs *metricsObserver
-}
-
-func (c *instr) Spawned(n int)   { c.sh.Spawned(n); c.obs.Spawned(n) }
-func (c *instr) Inlined(n int)   { c.sh.Inlined(n); c.obs.Inlined(n) }
-func (c *instr) WorkerStarted()  { c.obs.WorkerStarted() }
-func (c *instr) WorkerFinished() { c.obs.WorkerFinished() }
 
 // base dispatches z to the interior or boundary clone (§4, code cloning).
 // A panic in the clone — a crashing user kernel — is re-raised as a
 // *KernelPanicError carrying the stack and the zoid, so by the time it
 // reaches Run's recover the failure is fully located. The recover costs one
 // open-coded defer per base case, amortized over the zoid's whole point set.
-func (w *Walker) base(z *zoid.Zoid, sh *telemetry.Shard, depth int) {
-	defer w.locatePanic(z)
+// The call is where the zoid is copied: BaseFunc takes it by value.
+func (w *Walker) base(z *zoid.Zoid, p Probe, depth int) {
+	defer locatePanic(z, p)
 	// The faultpoint fires inside the recover scope: an injected base-site
 	// panic surfaces exactly like a crashing kernel, zoid coordinates
 	// included.
 	if faultpoint.Armed() {
 		faultpoint.Visit(faultpoint.SiteBase, depth)
 	}
-	interior := w.Interior != nil && w.IsInterior(z)
-	// Volume is a T x N loop: computed once, and only for an armed sink.
-	var vol int64
-	if w.Flight != nil || w.Met != nil || w.Prog != nil || sh != nil {
-		vol = z.Volume()
+	clone, interior := w.Boundary, w.Interior != nil && w.IsInterior(z)
+	if interior {
+		clone = w.Interior
 	}
-	if fr := w.Flight; fr != nil {
-		bit := int64(0)
-		if interior {
-			bit = 1
-		}
-		fr.Record(flight.EvBase,
-			flight.PackPair(z.T0, z.T1), flight.PackPair(z.Lo[0], z.Hi[0]), vol<<1|bit)
+	if p == nil {
+		clone(*z)
+		return
 	}
-	if m := w.Met; m != nil {
-		// A handful of atomic adds per base case, amortized over the
-		// zoid's whole point set.
-		if interior {
-			m.BaseInterior.Inc()
-		} else {
-			m.BaseBoundary.Inc()
-		}
-		m.BasePoints.Add(vol)
-		m.BaseVolume.Observe(vol)
-		if w.engPoints != nil {
-			w.engPoints.Add(vol)
-		}
+	// Volume is a T x N loop: paid only under a probe.
+	span := p.Base(z.T0, z.T1, z.Lo[0], z.Hi[0], interior, z.Volume())
+	clone(*z)
+	if span >= 0 {
+		p.End(span)
 	}
-	if p := w.Prog; p != nil {
-		p.Add(vol)
-	}
-	// While a continuous-profiling capture window is armed, re-label the
-	// kernel invocation phase=base/boundary so CPU samples attribute to
-	// the kernels themselves rather than the surrounding walk. Disarmed —
-	// the overwhelmingly common case — this is one atomic load.
-	if profile.Armed() {
-		if lc := w.labelCtx; lc != nil {
-			ls := profile.LabelsBoundary
-			if interior {
-				ls = profile.LabelsBase
-			}
-			pprof.Do(lc, ls, func(context.Context) {
-				w.invokeKernel(z, sh, interior, vol)
-			})
-			return
-		}
-	}
-	w.invokeKernel(z, sh, interior, vol)
 }
 
 // locatePanic is base's deferred recover: it stamps a kernel's panic with
 // the zoid whose base case was executing.
-func (w *Walker) locatePanic(z *zoid.Zoid) {
+func locatePanic(z *zoid.Zoid, p Probe) {
 	r := recover()
 	if r == nil {
 		return
@@ -766,26 +553,11 @@ func (w *Walker) locatePanic(z *zoid.Zoid) {
 	case *KernelPanicError, *sched.PanicError:
 		panic(r) // already located by a nested region
 	}
-	w.Flight.Record(flight.EvPanic,
-		flight.PackPair(z.T0, z.T1), flight.PackPair(z.Lo[0], z.Hi[0]), flight.PanicBase)
-	panic(&KernelPanicError{Value: r, Stack: debug.Stack(), Zoid: *z})
-}
-
-// invokeKernel runs the selected clone on z, of volume vol, bracketed by the
-// telemetry span when a shard is attached. The call is where the zoid is
-// copied: BaseFunc takes it by value.
-func (w *Walker) invokeKernel(z *zoid.Zoid, sh *telemetry.Shard, interior bool, vol int64) {
-	clone := w.Boundary
-	if interior {
-		clone = w.Interior
+	kp := &KernelPanicError{Value: r, Stack: debug.Stack(), Zoid: *z}
+	if p != nil {
+		p.Panicked(&kp.Zoid)
 	}
-	if sh == nil {
-		clone(*z)
-		return
-	}
-	span := sh.Base(vol, interior, z.Height())
-	clone(*z)
-	sh.End(span)
+	panic(kp)
 }
 
 // IsInterior reports whether every kernel application within z accesses

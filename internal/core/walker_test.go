@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"pochoir/internal/telemetry"
 	"pochoir/internal/zoid"
 )
 
@@ -425,24 +424,25 @@ func TestInteriorCloneNeverNeedsBoundary(t *testing.T) {
 	}
 }
 
-// TestWalkerTelemetry runs instrumented walks across algorithms and
-// serial/parallel modes and checks the recorder's invariants: the base-case
-// point total covers space-time exactly, every span balances, and parallel
-// runs record spawns.
+// TestWalkerTelemetry runs probed walks across algorithms and serial/parallel
+// modes and checks what the probe hears: the base-case point total covers
+// space-time exactly, every span closes innermost first and none is left
+// open, parallel runs report spawns and release every task's probe, and the
+// run is bracketed once.
 func TestWalkerTelemetry(t *testing.T) {
 	sizes := []int{48, 36}
 	steps := 16
 	want := int64(sizes[0]) * int64(sizes[1]) * int64(steps)
 	for _, alg := range []Algorithm{TRAP, STRAP} {
 		for _, serial := range []bool{true, false} {
-			rec := telemetry.New()
+			p := newRecProbe()
 			w := &Walker{
 				NDims:      2,
 				Algorithm:  alg,
 				Serial:     serial,
 				TimeCutoff: 2,
 				Grain:      1, // spawn aggressively
-				Rec:        rec,
+				Probe:      p,
 			}
 			for i, n := range sizes {
 				w.Sizes[i] = n
@@ -457,38 +457,52 @@ func TestWalkerTelemetry(t *testing.T) {
 			if err := w.Run(1, 1+steps); err != nil {
 				t.Fatal(err)
 			}
-			st := rec.Snapshot()
 			name := alg.String()
-			if st.BasePoints != want {
-				t.Errorf("%s serial=%v: BasePoints = %d, want %d", name, serial, st.BasePoints, want)
+			if got := p.points.Load(); got != want {
+				t.Errorf("%s serial=%v: base points = %d, want %d", name, serial, got, want)
 			}
-			if alg == TRAP && st.HyperCuts == 0 {
+			if alg == TRAP && p.cuts[CutHyper].Load() == 0 {
 				t.Errorf("%s: expected hyperspace cuts", name)
 			}
-			if alg == STRAP && st.SpaceCuts+st.CircleCuts == 0 {
+			// Every subzoid of a hyperspace cut is either spawned or inlined.
+			if fan, sub := p.fanout.Load(), p.spawns.Load()+p.inlines.Load(); alg == TRAP && fan != sub {
+				t.Errorf("%s serial=%v: cuts made %d subzoids, %d spawned or inlined", name, serial, fan, sub)
+			}
+			if alg == STRAP && p.cuts[CutSpace].Load()+p.cuts[CutCircle].Load() == 0 {
 				t.Errorf("%s: expected trisections or circle cuts", name)
 			}
-			if serial && st.Spawns != 0 {
-				t.Errorf("%s serial: recorded %d spawns", name, st.Spawns)
+			if spawns := p.spawns.Load(); serial && spawns != 0 || !serial && spawns == 0 {
+				t.Errorf("%s serial=%v: %d spawns reported", name, serial, spawns)
 			}
-			if !serial && st.Spawns == 0 {
-				t.Errorf("%s parallel: no spawns recorded", name)
+			if p.tasks.Load() != p.spawns.Load() || p.released.Load() != p.tasks.Load() {
+				t.Errorf("%s: %d spawns, %d task probes, %d released", name, p.spawns.Load(), p.tasks.Load(), p.released.Load())
 			}
-			if st.Events%2 != 0 {
-				t.Errorf("%s: odd event count %d (unbalanced spans)", name, st.Events)
+			if p.bad.Load() != 0 || p.unclosed.Load() != 0 {
+				t.Errorf("%s: %d misnested ends or volumes, %d spans left open", name, p.bad.Load(), p.unclosed.Load())
+			}
+			if p.runs.Load() != 1 || p.ends.Load() != 1 || p.err != nil {
+				t.Errorf("%s: %d run starts, %d run ends (%v)", name, p.runs.Load(), p.ends.Load(), p.err)
 			}
 		}
 	}
 }
 
-// TestWalkerTelemetryNilIsNoop: a nil recorder must leave behavior alone.
+// TestWalkerTelemetryNilIsNoop: a nil probe must leave behavior alone.
 func TestWalkerTelemetryNilIsNoop(t *testing.T) {
 	runScenario(t, []int{40, 30}, 12, 1, false, TRAP, false, 2, 8)
 }
 
 func TestAlgorithmString(t *testing.T) {
-	if TRAP.String() != "TRAP" || STRAP.String() != "STRAP" {
+	for a := Algorithm(0); int(a) < NumAlgorithms; a++ {
+		if got, ok := ParseAlgorithm(a.String()); !ok || got != a {
+			t.Fatalf("ParseAlgorithm(%q) = %v, %v", a.String(), got, ok)
+		}
+	}
+	if TRAP.String() != "TRAP" || STRAP.String() != "STRAP" || LOOPS.String() != "LOOPS" {
 		t.Fatal("bad algorithm names")
+	}
+	if _, ok := ParseAlgorithm("trap"); ok {
+		t.Fatal("ParseAlgorithm is case-sensitive: callers fold case themselves")
 	}
 	if Algorithm(9).String() == "" {
 		t.Fatal("unknown algorithm should still render")

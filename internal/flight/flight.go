@@ -32,11 +32,12 @@
 //     between refreshes share a timestamp; Snapshot orders them by (time,
 //     shard, sequence), which preserves per-worker order exactly.
 //
-// The package is dependency-free so every layer (core, sched via hooks,
-// resilience, metrics) can feed or read it without import cycles. The
-// process-wide Default recorder is what "always on" means: engines fall back
-// to it when no recorder is configured, and the POCHOIR_FLIGHT /
-// POCHOIR_FLIGHT_RING environment variables disable or resize it.
+// Of the layers it records it imports only core and telemetry, for the names
+// of engines, cuts and supervisor decisions, so every other layer can feed or
+// read it without import cycles. The process-wide Default recorder is what
+// "always on" means: every run records into it unless opted out, and the
+// POCHOIR_FLIGHT / POCHOIR_FLIGHT_RING environment variables disable or
+// resize it.
 package flight
 
 import (
@@ -47,6 +48,9 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
+
+	"pochoir/internal/core"
+	"pochoir/internal/telemetry"
 )
 
 // Kind classifies one recorded event. The three A0..A2 arguments are
@@ -55,7 +59,7 @@ type Kind uint8
 
 const (
 	// EvRunStart marks a walker run (or supervised segment attempt)
-	// entering the engine: A0 = algorithm (0 TRAP, 1 STRAP, 2 LOOPS),
+	// entering the engine: A0 = core.Algorithm (0 TRAP, 1 STRAP, 2 LOOPS),
 	// A1 = first home time, A2 = end home time.
 	EvRunStart Kind = iota
 	// EvRunEnd marks the walker returning: A0 = outcome (0 ok, 1 error,
@@ -75,7 +79,7 @@ const (
 	// EvCancel marks the run's cancellation flag latching (context cancel
 	// or deadline).
 	EvCancel
-	// EvSup is one supervisor decision: A0 = telemetry.SupKind code,
+	// EvSup is one supervisor decision: A0 = telemetry.SupKind,
 	// A1 = segment index, A2 = attempt number.
 	EvSup
 	// EvFault marks an armed faultpoint firing: A0 = site (0 walker/cut,
@@ -147,22 +151,12 @@ func UnpackPair(v int64) (a, b int) {
 	return int(int32(uint64(v) >> 32)), int(int32(uint64(v)))
 }
 
-var engineNames = [3]string{"TRAP", "STRAP", "LOOPS"}
-
-// EngineName renders an EvRunStart algorithm argument.
-func EngineName(a int64) string {
-	if a >= 0 && int(a) < len(engineNames) {
-		return engineNames[a]
-	}
-	return fmt.Sprintf("engine(%d)", a)
-}
-
-// Cut kind codes of EvCut's A0.
+// Cut kind codes of EvCut's A0: the walker's own.
 const (
-	CutHyper  = 0
-	CutSpace  = 1
-	CutCircle = 2
-	CutTime   = 3
+	CutHyper  = int64(core.CutHyper)
+	CutSpace  = int64(core.CutSpace)
+	CutCircle = int64(core.CutCircle)
+	CutTime   = int64(core.CutTime)
 )
 
 // Panic source codes of EvPanic's A2.
@@ -214,7 +208,7 @@ type Event struct {
 func (e Event) Describe() string {
 	switch e.Kind {
 	case EvRunStart:
-		return fmt.Sprintf("run-start engine=%s t=[%d,%d)", EngineName(e.A0), e.A1, e.A2)
+		return fmt.Sprintf("run-start engine=%v t=[%d,%d)", core.Algorithm(e.A0), e.A1, e.A2)
 	case EvRunEnd:
 		switch e.A0 {
 		case 0:
@@ -251,7 +245,7 @@ func (e Event) Describe() string {
 	case EvCancel:
 		return "cancellation latched"
 	case EvSup:
-		return fmt.Sprintf("supervisor %s seg=%d attempt=%d", supKindName(e.A0), e.A1, e.A2)
+		return fmt.Sprintf("supervisor %v seg=%d attempt=%d", telemetry.SupKind(e.A0), e.A1, e.A2)
 	case EvFault:
 		site := "walker/cut"
 		if e.A0 == 1 {
@@ -271,21 +265,6 @@ func (e Event) Describe() string {
 		return fmt.Sprintf("slo %s objective=%d burn=%d.%03d", sev, e.A1, e.A2/1000, e.A2%1000)
 	}
 	return fmt.Sprintf("%s a0=%d a1=%d a2=%d", e.Kind, e.A0, e.A1, e.A2)
-}
-
-// supKindNames mirrors telemetry.SupKind's String values without importing
-// the package (flight stays dependency-free).
-var supKindNames = []string{
-	"segment-start", "segment-done", "segment-fail", "checkpoint", "restore",
-	"retry-backoff", "degrade", "verify-ok", "verify-mismatch", "give-up",
-	"spill", "resume",
-}
-
-func supKindName(code int64) string {
-	if code >= 0 && int(code) < len(supKindNames) {
-		return supKindNames[code]
-	}
-	return fmt.Sprintf("sup(%d)", code)
 }
 
 // slot is one ring entry: a per-slot seqlock of atomic words. seq is 0 while

@@ -99,7 +99,8 @@ type Config struct {
 	// instrument; nil creates a private one.
 	Metrics *metrics.Registry
 	// Flight is the black-box recorder job lifecycle events are stamped
-	// into; nil uses the process-wide default recorder.
+	// into; nil uses the process-wide default recorder, which the jobs'
+	// runs record into either way.
 	Flight *flight.Recorder
 	// Trace, when non-nil, gives every submission an end-to-end causal
 	// trace: admission, compile, queue wait, and every supervised segment
@@ -850,9 +851,6 @@ func (g *Gateway) runJob(j *job) {
 			Metrics:       g.cfg.Metrics,
 			ProgressLabel: j.id,
 			Trace:         j.trace,
-		}
-		if g.cfg.Flight != nil {
-			opts.FlightRecorder = g.cfg.Flight
 		}
 		j.inst.Stencil.SetOptions(opts)
 		policy := g.cfg.Supervise

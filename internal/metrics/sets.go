@@ -7,9 +7,7 @@ package metrics
 // paths. A nil set pointer disarms every instrumentation point with a
 // single comparison, mirroring the telemetry recorder's discipline.
 
-// Engine names index RunMetrics.EnginePoints; the values match
-// core.Algorithm (TRAP=0, STRAP=1, LOOPS=2).
-var engineNames = [3]string{"TRAP", "STRAP", "LOOPS"}
+import "pochoir/internal/core"
 
 // RunMetrics is the walker/scheduler instrument set.
 type RunMetrics struct {
@@ -17,11 +15,11 @@ type RunMetrics struct {
 	RunsStarted *Counter
 	RunsActive  *Gauge
 
-	// Decomposition: every zoid visited, and the cut decisions by kind.
-	Zoids     *Counter
-	TimeCuts  *Counter
-	HyperCuts *Counter
-	SpaceCuts *Counter
+	// Decomposition: every zoid visited, and the cut decisions indexed by
+	// the walker's core.CutKind; STRAP's trisections and circle cuts share
+	// the kind="space_serial" series.
+	Zoids *Counter
+	Cuts  [core.CutTime + 1]*Counter
 
 	// Base cases: executions by clone, total space-time points, and the
 	// volume distribution.
@@ -32,7 +30,7 @@ type RunMetrics struct {
 
 	// EnginePoints[core.Algorithm] attributes base-case points to the
 	// engine that executed them.
-	EnginePoints [3]*Counter
+	EnginePoints [core.NumAlgorithms]*Counter
 
 	// Scheduler: forks spawned vs inlined, concurrently active workers,
 	// and the fork-depth distribution.
@@ -56,10 +54,7 @@ func NewRunMetrics(r *Registry) *RunMetrics {
 		RunsStarted: r.Counter("pochoir_runs_started_total", "Run/RunSupervised segment executions started."),
 		RunsActive:  r.Gauge("pochoir_runs_active", "Walker runs currently executing."),
 
-		Zoids:     r.Counter("pochoir_zoids_total", "Zoids visited by the decomposition (cuts and base cases)."),
-		TimeCuts:  r.Counter("pochoir_cuts_total", "Zoid cut decisions by kind.", Label{"kind", "time"}),
-		HyperCuts: r.Counter("pochoir_cuts_total", "Zoid cut decisions by kind.", Label{"kind", "hyperspace"}),
-		SpaceCuts: r.Counter("pochoir_cuts_total", "Zoid cut decisions by kind.", Label{"kind", "space_serial"}),
+		Zoids: r.Counter("pochoir_zoids_total", "Zoids visited by the decomposition (cuts and base cases)."),
 
 		BaseInterior: r.Counter("pochoir_base_cases_total", "Base-case kernel invocations by clone.", Label{"clone", "interior"}),
 		BaseBoundary: r.Counter("pochoir_base_cases_total", "Base-case kernel invocations by clone.", Label{"clone", "boundary"}),
@@ -75,9 +70,13 @@ func NewRunMetrics(r *Registry) *RunMetrics {
 		LastWallSeconds: r.Gauge("pochoir_last_wall_seconds", "Wall time of the last telemetry-armed run segment."),
 		LastWorkers:     r.Gauge("pochoir_last_workers", "Distinct workers of the last telemetry-armed run segment."),
 	}
-	for i, name := range engineNames {
-		m.EnginePoints[i] = r.Counter("pochoir_engine_points_total",
-			"Base-case points executed, by engine.", Label{"engine", name})
+	cutKinds := [...]string{core.CutHyper: "hyperspace", core.CutSpace: "space_serial", core.CutCircle: "space_serial", core.CutTime: "time"}
+	for kind, name := range cutKinds {
+		m.Cuts[kind] = r.Counter("pochoir_cuts_total", "Zoid cut decisions by kind.", Label{"kind", name})
+	}
+	for a := range m.EnginePoints {
+		m.EnginePoints[a] = r.Counter("pochoir_engine_points_total",
+			"Base-case points executed, by engine.", Label{"engine", core.Algorithm(a).String()})
 	}
 	return m
 }

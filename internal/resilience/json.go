@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"pochoir/internal/core"
 	"pochoir/internal/telemetry"
 )
 
@@ -20,16 +21,11 @@ func (e *Engine) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return err
 	}
-	switch s {
-	case "TRAP":
-		*e = EngineFull
-	case "STRAP":
-		*e = EngineSTRAP
-	case "LOOPS":
-		*e = EngineLoops
-	default:
+	a, ok := core.ParseAlgorithm(s)
+	if !ok {
 		return fmt.Errorf("resilience: unknown engine %q", s)
 	}
+	*e = Engine(a)
 	return nil
 }
 

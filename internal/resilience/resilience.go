@@ -33,6 +33,7 @@ import (
 	"math/rand"
 	"time"
 
+	"pochoir/internal/core"
 	"pochoir/internal/flight"
 	"pochoir/internal/metrics"
 	"pochoir/internal/telemetry"
@@ -40,29 +41,25 @@ import (
 
 // Engine names a rung of the degradation ladder. The supervisor itself
 // attaches no semantics to the values beyond their order in Policy.Ladder;
-// the Driver maps them onto real execution engines.
+// the Driver maps them onto real execution engines. Each rung is named after
+// the core engine it shares its value with.
 type Engine int
 
 const (
 	// EngineFull is the configured recursive engine (TRAP with hyperspace
 	// cuts by default).
-	EngineFull Engine = iota
+	EngineFull = Engine(core.TRAP)
 	// EngineSTRAP is the serial-space-cut decomposition — still recursive,
 	// but a different cut strategy, so it sidesteps hyperspace-cut bugs.
-	EngineSTRAP
+	EngineSTRAP = Engine(core.STRAP)
 	// EngineLoops is the time-serial checked loop engine of last resort:
 	// no decomposition, no parallelism, every access checked.
-	EngineLoops
+	EngineLoops = Engine(core.LOOPS)
 )
 
 func (e Engine) String() string {
-	switch e {
-	case EngineFull:
-		return "TRAP"
-	case EngineSTRAP:
-		return "STRAP"
-	case EngineLoops:
-		return "LOOPS"
+	if e >= 0 && int(e) < core.NumAlgorithms {
+		return core.Algorithm(e).String()
 	}
 	return "Engine(?)"
 }

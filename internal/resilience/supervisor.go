@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime/pprof"
 
+	"pochoir/internal/core"
 	"pochoir/internal/flight"
 	"pochoir/internal/metrics"
 	"pochoir/internal/profile"
@@ -16,11 +17,12 @@ import (
 // attempts, precomputed so the supervisor loop allocates none. A CPU
 // sample taken mid-attempt then attributes to the engine that executed it
 // — including attempts re-run on a lower rung of the degradation ladder.
-var engineLabels = [...]pprof.LabelSet{
-	EngineFull:  pprof.Labels("engine", "TRAP"),
-	EngineSTRAP: pprof.Labels("engine", "STRAP"),
-	EngineLoops: pprof.Labels("engine", "LOOPS"),
-}
+var engineLabels = func() (ls [core.NumAlgorithms]pprof.LabelSet) {
+	for e := range ls {
+		ls[e] = pprof.Labels("engine", Engine(e).String())
+	}
+	return ls
+}()
 
 func engineLabelSet(e Engine) pprof.LabelSet {
 	if int(e) >= 0 && int(e) < len(engineLabels) {

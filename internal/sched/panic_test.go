@@ -17,7 +17,7 @@ func recovered(f func()) (r any) {
 func TestDo2PanicInSpawnedTask(t *testing.T) {
 	var sibling atomic.Bool
 	r := recovered(func() {
-		doAll(true, nil,
+		doAll(true,
 			func() { panic("boom-a") },
 			func() { sibling.Store(true) })
 	})
@@ -39,7 +39,7 @@ func TestDo2PanicInSpawnedTask(t *testing.T) {
 func TestDo2PanicInInlineTask(t *testing.T) {
 	var sibling atomic.Bool
 	r := recovered(func() {
-		doAll(true, nil,
+		doAll(true,
 			func() { sibling.Store(true) },
 			func() { panic("boom-b") })
 	})
@@ -59,7 +59,7 @@ func TestDo2SerialPanicUnwrapped(t *testing.T) {
 	// Serial execution has no goroutines in flight: the panic must unwind
 	// naturally, unwrapped, so purely serial users see the original value.
 	r := recovered(func() {
-		doAll(false, nil, func() { panic("serial") }, func() {})
+		doAll(false, func() { panic("serial") }, func() {})
 	})
 	if r != "serial" {
 		t.Fatalf("recovered %v, want the raw value", r)
@@ -80,7 +80,7 @@ func TestDoAllPanicDrainsAllSiblings(t *testing.T) {
 				}
 			}
 		}
-		doAll(true, nil, fns...)
+		doAll(true, fns...)
 	})
 	pe, ok := r.(*PanicError)
 	if !ok {
@@ -98,9 +98,9 @@ func TestNestedSyncPreservesOriginalPanic(t *testing.T) {
 	// A panic crossing two sync points must arrive as the same
 	// *PanicError, not re-wrapped, so the stack names the real culprit.
 	r := recovered(func() {
-		doAll(true, nil,
+		doAll(true,
 			func() {
-				doAll(true, nil, func() { panic("inner") }, func() {})
+				doAll(true, func() { panic("inner") }, func() {})
 			},
 			func() {})
 	})
@@ -119,7 +119,7 @@ func TestNestedSyncPreservesOriginalPanic(t *testing.T) {
 func TestPanicErrorUnwrap(t *testing.T) {
 	sentinel := errors.New("sentinel")
 	r := recovered(func() {
-		doAll(true, nil, func() { panic(sentinel) }, func() {})
+		doAll(true, func() { panic(sentinel) }, func() {})
 	})
 	pe, ok := r.(*PanicError)
 	if !ok {

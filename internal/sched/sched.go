@@ -111,70 +111,36 @@ func (s *panicSlot) rethrow() {
 	}
 }
 
-// Counter observes the scheduler's spawn-vs-inline decisions. Implementations
-// (telemetry shards) are goroutine-private: the scheduler only invokes the
-// counter on the calling goroutine, never from a spawned one. A nil Counter
-// disables observation at the cost of one comparison.
-type Counter interface {
-	// Spawned reports n tasks handed to fresh goroutines.
-	Spawned(n int)
-	// Inlined reports n tasks run on the calling goroutine.
-	Inlined(n int)
-}
-
-// WorkerObserver extends Counter with notifications bracketing the lifetime
-// of each spawned worker goroutine, detected by type assertion on a Region's
-// Counter. Unlike the Counter methods, which fire only on the calling
-// goroutine, WorkerStarted and WorkerFinished fire on the spawned goroutine
-// itself, so implementations must be safe for concurrent use (the metrics
-// active-workers gauge is a single atomic).
-type WorkerObserver interface {
-	Counter
-	// WorkerStarted fires on a spawned goroutine before its task runs.
-	WorkerStarted()
-	// WorkerFinished fires when the spawned task returns, panicking or not.
-	WorkerFinished()
-}
-
 // Region is one fork-join region — "cilk_spawn ...; cilk_sync" — for callers
 // that decide task by task whether to spawn:
 //
-//	rg := sched.Region{Counter: c}
+//	var rg sched.Region
 //	defer rg.Wait()
 //	for ... {
 //		if big { rg.Go(task) } else { runInline() }
 //	}
 //
-// The value lives on the caller's stack and stays three words until the
+// The value lives on the caller's stack and stays one nil pointer until the
 // first Go, so a region that ends up spawning nothing allocates nothing and
 // touches no synchronisation. Every spawned task runs under a recover; the
 // first panic of the region — in a spawned task, or in the owner's inline
 // code once a task is in flight — wins, the in-flight siblings drain, and
 // Wait re-raises it as a *PanicError on the owner's goroutine. With nothing
 // in flight a panic in the owner unwinds naturally, unwrapped, at no cost.
-//
-// Counter, if set, hears Spawned(1) per Go on the calling goroutine, and
-// WorkerStarted/WorkerFinished on each spawned goroutine when it is also a
-// WorkerObserver. Inline work is the owner's to count.
+// What a caller spawns and inlines is its own to count.
 type Region struct {
-	Counter Counter
-	st      *regionState // shared with the spawned goroutines; nil until the first Go
+	st *regionState // shared with the spawned goroutines; nil until the first Go
 }
 
 type regionState struct {
 	wg    sync.WaitGroup
 	first panicSlot
-	obs   WorkerObserver
 }
 
 // Go runs fn on a fresh goroutine that Wait joins.
 func (r *Region) Go(fn func()) {
 	if r.st == nil {
 		r.st = new(regionState)
-		r.st.obs, _ = r.Counter.(WorkerObserver)
-	}
-	if r.Counter != nil {
-		r.Counter.Spawned(1)
 	}
 	r.st.wg.Add(1)
 	go r.st.run(fn)
@@ -183,10 +149,6 @@ func (r *Region) Go(fn func()) {
 func (st *regionState) run(fn func()) {
 	defer st.wg.Done()
 	defer st.first.capture()
-	if st.obs != nil {
-		st.obs.WorkerStarted()
-		defer st.obs.WorkerFinished()
-	}
 	fn()
 }
 

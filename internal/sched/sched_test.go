@@ -7,17 +7,13 @@ import (
 )
 
 // doAll runs fns as one fork-join Region, "spawn f0; ... spawn fn-2; call
-// fn-1; sync" when parallel and all inline in order otherwise, reporting the
-// inline runs to c (the Region reports the spawns).
-func doAll(parallel bool, c Counter, fns ...func()) {
+// fn-1; sync" when parallel and all inline in order otherwise.
+func doAll(parallel bool, fns ...func()) {
 	spawn := 0
 	if parallel {
 		spawn = max(len(fns)-1, 0)
 	}
-	if c != nil && len(fns) > 0 {
-		c.Inlined(len(fns) - spawn)
-	}
-	rg := Region{Counter: c}
+	var rg Region
 	defer rg.Wait()
 	for i, f := range fns {
 		if i < spawn {
@@ -31,7 +27,7 @@ func doAll(parallel bool, c Counter, fns ...func()) {
 func TestDo2(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		var a, b atomic.Bool
-		doAll(parallel, nil, func() { a.Store(true) }, func() { b.Store(true) })
+		doAll(parallel, func() { a.Store(true) }, func() { b.Store(true) })
 		if !a.Load() || !b.Load() {
 			t.Fatalf("parallel=%v: both closures must run", parallel)
 		}
@@ -40,7 +36,7 @@ func TestDo2(t *testing.T) {
 
 func TestDo2SerialOrder(t *testing.T) {
 	var order []int
-	doAll(false, nil, func() { order = append(order, 1) }, func() { order = append(order, 2) })
+	doAll(false, func() { order = append(order, 1) }, func() { order = append(order, 2) })
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("serial doAll order = %v", order)
 	}
@@ -54,7 +50,7 @@ func TestDoAll(t *testing.T) {
 			for i := range fns {
 				fns[i] = func() { count.Add(1) }
 			}
-			doAll(parallel, nil, fns...)
+			doAll(parallel, fns...)
 			if count.Load() != int64(n) {
 				t.Fatalf("parallel=%v n=%d: ran %d", parallel, n, count.Load())
 			}
@@ -105,88 +101,6 @@ func TestForChunksRespectBounds(t *testing.T) {
 func TestWorkersPositive(t *testing.T) {
 	if Workers() < 1 {
 		t.Fatal("Workers must be at least 1")
-	}
-}
-
-// tally is a test Counter.
-type tally struct{ spawned, inlined int }
-
-func (c *tally) Spawned(n int) { c.spawned += n }
-func (c *tally) Inlined(n int) { c.inlined += n }
-
-func TestDo2Counted(t *testing.T) {
-	var c tally
-	doAll(false, &c, func() {}, func() {})
-	if c.spawned != 0 || c.inlined != 2 {
-		t.Fatalf("serial doAll(2): %+v", c)
-	}
-	c = tally{}
-	doAll(true, &c, func() {}, func() {})
-	if c.spawned != 1 || c.inlined != 1 {
-		t.Fatalf("parallel doAll(2): %+v", c)
-	}
-}
-
-func TestDoAllCounted(t *testing.T) {
-	mk := func(n int) []func() {
-		fns := make([]func(), n)
-		for i := range fns {
-			fns[i] = func() {}
-		}
-		return fns
-	}
-	var c tally
-	doAll(true, &c, mk(5)...)
-	if c.spawned != 4 || c.inlined != 1 {
-		t.Fatalf("parallel doAll(5): %+v", c)
-	}
-	c = tally{}
-	doAll(false, &c, mk(5)...)
-	if c.spawned != 0 || c.inlined != 5 {
-		t.Fatalf("serial doAll(5): %+v", c)
-	}
-	c = tally{}
-	doAll(true, &c, mk(1)...)
-	if c.spawned != 0 || c.inlined != 1 {
-		t.Fatalf("parallel doAll(1) must inline: %+v", c)
-	}
-	c = tally{}
-	doAll(true, &c)
-	if c.spawned != 0 || c.inlined != 0 {
-		t.Fatalf("empty doAll must count nothing: %+v", c)
-	}
-	// nil counter must not panic.
-	doAll(true, nil, mk(3)...)
-}
-
-// watcher is a test WorkerObserver.
-type watcher struct {
-	tally
-	started, finished atomic.Int32
-}
-
-func (w *watcher) WorkerStarted()  { w.started.Add(1) }
-func (w *watcher) WorkerFinished() { w.finished.Add(1) }
-
-func TestRegionCountsEachSpawn(t *testing.T) {
-	var w watcher
-	var ran atomic.Int32
-	func() {
-		rg := Region{Counter: &w}
-		defer rg.Wait()
-		for i := 0; i < 5; i++ {
-			if i%2 == 0 {
-				rg.Go(func() { ran.Add(1) })
-			} else {
-				ran.Add(1) // inline work is the owner's to run and count
-			}
-		}
-	}()
-	if ran.Load() != 5 || w.spawned != 3 || w.inlined != 0 {
-		t.Fatalf("ran %d, counter %+v; want 5 run, 3 spawned, inlines left to the owner", ran.Load(), w.tally)
-	}
-	if w.started.Load() != 3 || w.finished.Load() != 3 {
-		t.Fatalf("worker notifications %d/%d, want 3/3", w.started.Load(), w.finished.Load())
 	}
 }
 

@@ -9,9 +9,9 @@
 // The design has two halves:
 //
 //   - Recorder owns the clock epoch and a pool of Shards. Telemetry is
-//     strictly opt-in: engines carry a *Recorder that is nil by default,
-//     and every instrumentation point is guarded by a single pointer
-//     check, so disabled runs execute the exact seed code path.
+//     strictly opt-in: a run's probe carries a *Recorder that is nil by
+//     default, and every recording point is guarded by a single pointer
+//     check.
 //
 //   - Shard is a per-worker-goroutine event buffer plus counters. A
 //     goroutine acquires a shard when it starts working and releases it
@@ -204,8 +204,8 @@ func (s *Shard) Base(volume int64, interior bool, h int) int {
 	return s.begin(SpanBase, volume, in, int64(h))
 }
 
-// Spawned and Inlined implement sched.Counter: they count the scheduler's
-// decisions to run tasks on fresh goroutines vs. the current one.
+// Spawned and Inlined count the walker's decisions to run subzoids on fresh
+// goroutines vs. the current one.
 func (s *Shard) Spawned(n int) { s.spawns += int64(n) }
 func (s *Shard) Inlined(n int) { s.inlines += int64(n) }
 
@@ -331,8 +331,8 @@ type Recorder struct {
 	running  int
 }
 
-// New creates an empty recorder. Pass it to the engine (via
-// pochoir.Options.Telemetry or core.Walker.Rec) to enable recording.
+// New creates an empty recorder. Pass it to the engine via
+// pochoir.Options.Telemetry to enable recording.
 func New() *Recorder {
 	return &Recorder{epoch: time.Now()}
 }

@@ -184,14 +184,11 @@ type Options struct {
 	// functions); it exists for the ablation experiments.
 	NoUnifiedPeriodic bool
 	// Telemetry, when non-nil, records the run's decomposition decisions
-	// into the recorder (see Recorder). Nil — the default — keeps the
-	// engine entirely uninstrumented: the only cost is one pointer check.
+	// into the recorder (see Recorder).
 	Telemetry *Recorder
 	// Metrics, when non-nil, arms the live metrics registry: zoid, cut,
 	// and base-case counters, point throughput, worker activity, and a
 	// run-progress estimator, all scrapeable mid-run through ServeMonitor.
-	// Nil — the default — costs one pointer check per instrumentation
-	// point, like Telemetry.
 	Metrics *MetricsRegistry
 	// ProgressLabel overrides the label under which this stencil's runs
 	// appear in the registry's /progressz snapshot (default "run", or
@@ -199,16 +196,12 @@ type Options struct {
 	// against one shared registry labels each run with its job id so a
 	// per-job progress view can find it.
 	ProgressLabel string
-	// FlightRecorder overrides the black-box flight recorder this stencil
-	// records into. Nil — the default — uses the process-wide recorder,
-	// which is always on (POCHOIR_FLIGHT=off disables it; the
-	// POCHOIR_FLIGHT_RING variable resizes it). Unlike Telemetry and
-	// Metrics the recorder needs no arming: every run appends its recent
-	// events, and any terminal failure automatically freezes the rings and
-	// writes a pochoir-postmortem/v1 bundle (see PostmortemBundle).
-	FlightRecorder *FlightRecorder
 	// NoFlightRecorder disables black-box recording and automatic
-	// post-mortem bundles for this stencil only.
+	// post-mortem bundles for this stencil only. Otherwise every run appends
+	// its recent events to the process-wide flight recorder, which needs no
+	// arming (POCHOIR_FLIGHT=off disables it, POCHOIR_FLIGHT_RING resizes
+	// it), and any terminal failure freezes the rings and writes a
+	// pochoir-postmortem/v1 bundle (see PostmortemBundle).
 	NoFlightRecorder bool
 	// Trace, when non-nil, is the causal trace this stencil's supervised
 	// runs record into: RunSupervised opens a "supervised-run" span and
@@ -309,8 +302,6 @@ func (s *Stencil[T]) newWalker() (*core.Walker, error) {
 		Serial:    s.opts.Serial,
 		Algorithm: s.opts.Algorithm,
 		Grain:     s.opts.Grain,
-		Rec:       s.opts.Telemetry,
-		Flight:    s.flightRecorder(),
 	}
 	for i := 0; i < d; i++ {
 		w.Slopes[i] = s.shape.Slope(i)
@@ -513,18 +504,18 @@ func (s *Stencil[T]) runWalker(ctx context.Context, w *core.Walker, steps int) e
 	t0 := depth + s.stepsRun
 	t1 := t0 + steps
 
-	// Arm the metrics instruments and the progress estimator. A supervised
+	// Compose the run's probe from the sinks the options arm. A supervised
 	// run spans many walker invocations, so RunSupervised pre-installs a
-	// run-wide estimator in activeProg; a plain Run owns its own, finished
-	// (success raises done to the predicted total) when the walk returns.
+	// run-wide progress estimator in activeProg; a plain Run owns its own,
+	// finished (success raises done to the predicted total) when the walk
+	// returns.
 	met := s.runMetrics()
-	w.Met = met
 	prog := s.activeProg
 	ownProg := met != nil && prog == nil
 	if ownProg {
 		prog = s.opts.Metrics.StartProgress(s.progressLabel("run"), int64(steps)*s.gridVolume())
 	}
-	w.Prog = prog
+	w.Probe = &runProbe{tel: s.opts.Telemetry, met: met, prog: prog, fr: s.flightRecorder()}
 
 	var pre RunStats
 	if s.opts.Telemetry != nil {

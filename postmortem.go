@@ -17,8 +17,9 @@ import (
 // cancellation and panic markers) that every run appends to through a
 // lock-free write path. Unlike Options.Telemetry it is cheap enough to leave
 // enabled everywhere; it is only ever read when a run dies, at which point
-// its frozen window becomes the core of the post-mortem bundle. See
-// Options.FlightRecorder.
+// its frozen window becomes the core of the post-mortem bundle. Every run
+// records into the process-wide one (see DefaultFlightRecorder) unless
+// Options.NoFlightRecorder is set.
 type FlightRecorder = flight.Recorder
 
 // FlightEvent is one decoded flight-recorder entry; FlightEvent.Describe
@@ -41,12 +42,6 @@ type PostmortemCause = flight.Cause
 // it under last_incident in /statusz.
 type Incident = flight.Incident
 
-// NewFlightRecorder creates a private flight recorder with ringSize events
-// per worker lane (<= 0 selects flight.DefaultRing); pass it via
-// Options.FlightRecorder to isolate a stencil's black box from the
-// process-wide one.
-func NewFlightRecorder(ringSize int) *FlightRecorder { return flight.New(ringSize) }
-
 // DefaultFlightRecorder returns the process-wide always-on recorder, or nil
 // when disabled with POCHOIR_FLIGHT=off.
 func DefaultFlightRecorder() *FlightRecorder { return flight.Default() }
@@ -62,16 +57,12 @@ func ReadPostmortemBundle(path string) (*PostmortemBundle, error) {
 }
 
 // flightRecorder resolves the black-box recorder in effect for this
-// stencil: an explicit Options.FlightRecorder wins, then the process-wide
-// default. NoFlightRecorder (or POCHOIR_FLIGHT=off) resolves to nil, which
-// disables both recording and automatic bundles — nil is safe everywhere
-// downstream.
+// stencil: the process-wide default, or nil under NoFlightRecorder (or
+// POCHOIR_FLIGHT=off), which disables both recording and automatic bundles —
+// nil is safe everywhere downstream.
 func (s *Stencil[T]) flightRecorder() *flight.Recorder {
 	if s.opts.NoFlightRecorder {
 		return nil
-	}
-	if s.opts.FlightRecorder != nil {
-		return s.opts.FlightRecorder
 	}
 	return flight.Default()
 }

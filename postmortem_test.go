@@ -10,6 +10,7 @@ package pochoir_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -160,18 +161,27 @@ func TestNoFlightRecorderSkipsBundle(t *testing.T) {
 	}
 }
 
-// TestPrivateRecorderCapturesRunLifecycle: an explicit Options.FlightRecorder
-// isolates the black box, and a healthy run brackets its window with
+// freshDefaultRecorder replaces the process-wide flight recorder with an empty
+// one of ring events per lane for the rest of the test, so what it holds is
+// what the test recorded.
+func freshDefaultRecorder(t *testing.T, ring int) *pochoir.FlightRecorder {
+	t.Helper()
+	t.Cleanup(func() { flight.SetDefaultRing(0) })
+	return flight.SetDefaultRing(ring)
+}
+
+// TestPrivateRecorderCapturesRunLifecycle: the black box a run records into
+// is the process-wide one, and a healthy run brackets its window with
 // run-start/run-end markers.
 func TestPrivateRecorderCapturesRunLifecycle(t *testing.T) {
 	const X, Y, steps = 32, 32, 4
-	fr := pochoir.NewFlightRecorder(256)
-	st, _, kern := heatStencil(t, pochoir.Options{FlightRecorder: fr}, X, Y, 3)
+	fr := freshDefaultRecorder(t, 256)
+	st, _, kern := heatStencil(t, pochoir.Options{}, X, Y, 3)
 	if err := st.Run(steps, kern); err != nil {
 		t.Fatal(err)
 	}
-	if fr.TotalRecorded() == 0 {
-		t.Fatal("private recorder saw no events")
+	if fr != pochoir.DefaultFlightRecorder() || fr.TotalRecorded() == 0 {
+		t.Fatal("default recorder saw no events")
 	}
 	counts := kindCounts(fr.Snapshot())
 	if counts[flight.EvRunStart] != 1 || counts[flight.EvRunEnd] != 1 {
@@ -184,6 +194,32 @@ func TestPrivateRecorderCapturesRunLifecycle(t *testing.T) {
 	last := evs[len(evs)-1]
 	if last.Kind != flight.EvRunEnd || last.A0 != 0 {
 		t.Fatalf("last event = %+v, want successful EvRunEnd", last)
+	}
+}
+
+// TestEnginePanicHonoursRunRecorder: a panic on the run's goroutine outside
+// any base case — a cut-site fault before anything spawned — is recorded by
+// the run's own recorder: the default one normally, none under
+// NoFlightRecorder.
+func TestEnginePanicHonoursRunRecorder(t *testing.T) {
+	const X, Y, steps = 32, 32, 8
+	bundleDir(t)
+	defer faultpoint.DisarmAll()
+	for _, off := range []bool{true, false} {
+		fr := freshDefaultRecorder(t, 1024)
+		faultpoint.Arm(faultpoint.SiteCut, faultpoint.Spec{Kind: faultpoint.KindPanic, Depth: faultpoint.AnyDepth, Times: 1})
+		st, _, kern := heatStencil(t, pochoir.Options{NoFlightRecorder: off, Serial: true}, X, Y, 5)
+		var ep *pochoir.EnginePanicError
+		if err := st.Run(steps, kern); !errors.As(err, &ep) {
+			t.Fatalf("NoFlightRecorder=%v: got %v, want an engine panic", off, err)
+		}
+		want := 1
+		if off {
+			want = 0
+		}
+		if got := kindCounts(fr.Snapshot())[flight.EvPanic]; got != want {
+			t.Errorf("NoFlightRecorder=%v: default recorder holds %d EvPanic, want %d", off, got, want)
+		}
 	}
 }
 

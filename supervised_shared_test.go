@@ -2,12 +2,12 @@ package pochoir_test
 
 // Shared-infrastructure supervision suite: many concurrent RunSupervised
 // jobs — the serving gateway's steady state — funneled through ONE metrics
-// registry and ONE flight recorder, under -race. The instruments are
-// designed for exactly this (atomic counters, lock-free seqlock rings,
-// per-run progress entries keyed by label), and this test is the executable
-// proof: no data race, no cross-talk between jobs' results, a parseable
-// exposition afterwards, and a deadline-cancelled job failing cleanly while
-// its neighbours finish.
+// registry and the process's one flight recorder, under -race. The
+// instruments are designed for exactly this (atomic counters, lock-free
+// seqlock rings, per-run progress entries keyed by label), and this test is
+// the executable proof: no data race, no cross-talk between jobs' results, a
+// parseable exposition afterwards, and a deadline-cancelled job failing
+// cleanly while its neighbours finish.
 
 import (
 	"bytes"
@@ -24,7 +24,7 @@ import (
 func TestSupervisedConcurrentSharedRegistry(t *testing.T) {
 	const X, Y, steps = 48, 48, 24
 	reg := pochoir.NewMetrics()
-	fr := pochoir.NewFlightRecorder(4096)
+	fr := freshDefaultRecorder(t, 4096)
 
 	// Reference checksums, one per seed, computed serially and unshared.
 	want := make(map[int64][]float64)
@@ -43,9 +43,8 @@ func TestSupervisedConcurrentSharedRegistry(t *testing.T) {
 				// it must fail with context.DeadlineExceeded and must not
 				// disturb the other four.
 				st, _, kern := heatStencil(t, pochoir.Options{
-					Metrics:        reg,
-					FlightRecorder: fr,
-					ProgressLabel:  "job-deadline",
+					Metrics:       reg,
+					ProgressLabel: "job-deadline",
 				}, 128, 128, 99)
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 				defer cancel()
@@ -59,9 +58,8 @@ func TestSupervisedConcurrentSharedRegistry(t *testing.T) {
 			}
 			seed := int64(i)
 			st, u, kern := heatStencil(t, pochoir.Options{
-				Metrics:        reg,
-				FlightRecorder: fr,
-				ProgressLabel:  fmt.Sprintf("job-%d", i),
+				Metrics:       reg,
+				ProgressLabel: fmt.Sprintf("job-%d", i),
 			}, X, Y, seed)
 			rep, err := st.RunSupervised(context.Background(), steps, kern,
 				pochoir.SupervisePolicy{SegmentSteps: 8})
