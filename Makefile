@@ -4,13 +4,18 @@
 # recorder).
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: build vet test race bench verify fuzz-smoke soak crash-soak monitor-smoke bench-lab flight-smoke gateway-smoke trace-smoke profile-smoke
 
 build:
 	$(GO) build ./...
 
+# vet also fails on any Go file gofmt would change (dot directories, such as
+# the benchmark's build cache, are skipped).
 vet:
+	@unformatted=$$(find . -path './.*' -prune -o -name '*.go' -print | xargs $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
 test:

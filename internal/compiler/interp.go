@@ -71,9 +71,12 @@ func (c *Checked) NewInstance(sizes ...int) (*Instance, error) {
 	}
 	// §4's two clones: interior zoids walk their rows in true coordinates,
 	// everything else takes the row-splitting boundary clone (rowexec.go).
+	// That clone runs an edge row's in-domain span at interior speed, so
+	// the walker need not cut rows (WholeRows).
 	inst.clones = pochoir.BaseKernels{
-		Interior: func(z pochoir.Zoid) { inst.lowered().exec(z, false) },
-		Boundary: func(z pochoir.Zoid) { inst.lowered().exec(z, true) },
+		Interior:  func(z pochoir.Zoid) { inst.lowered().exec(z, false) },
+		Boundary:  func(z pochoir.Zoid) { inst.lowered().exec(z, true) },
+		WholeRows: true,
 	}
 	inst.Stencil.AttachBaseKernels(inst.clones)
 	return inst, nil

@@ -117,7 +117,10 @@ func checkRowsMatchPoints(t *testing.T, src string, seed uint64) int {
 	}
 	steps := []int{0, 1, 7}[rng.Intn(3)]
 	// Half the time the paper's default coarsening (one base case spans the
-	// box), half the time cutoffs small enough to force real cuts.
+	// box), half the time cutoffs small enough to force real cuts. Only the
+	// fine half drives the interior clone (exec with wrap=false): under
+	// default options no zoid here is interior in any dimensionality, since
+	// the clones declare WholeRows and every row reaches the domain edge.
 	var fine pochoir.Options
 	if rng.Intn(2) == 0 {
 		fine.TimeCutoff = 1 + rng.Intn(3)

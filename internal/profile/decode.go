@@ -203,7 +203,7 @@ func parseProfile(data []byte) (*rawProfile, error) {
 		strings     []string
 		sampleTypes []pbValueType
 		samples     []pbSample
-		funcNames   = map[uint64]int64{}  // function id → name string index
+		funcNames   = map[uint64]int64{}    // function id → name string index
 		locLines    = map[uint64][]uint64{} // location id → function ids, leaf first
 		periodType  pbValueType
 		period      int64

@@ -58,11 +58,11 @@ func TestTraceparentRoundTrip(t *testing.T) {
 func TestTraceparentRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
 		"00-xyz-abc-01",
-		"00-0123456789abcdef-0123456789abcdef-01",  // 16-digit trace id
-		"00-" + strings.Repeat("0", 32) + "-0123456789abcdef-01", // zero trace id
+		"00-0123456789abcdef-0123456789abcdef-01",                               // 16-digit trace id
+		"00-" + strings.Repeat("0", 32) + "-0123456789abcdef-01",                // zero trace id
 		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("0", 16) + "-01", // zero span id
-		"ff-" + strings.Repeat("a", 32) + "-0123456789abcdef-01", // forbidden version
-		"00-" + strings.Repeat("a", 32) + "-0123456789abcdef",    // missing flags
+		"ff-" + strings.Repeat("a", 32) + "-0123456789abcdef-01",                // forbidden version
+		"00-" + strings.Repeat("a", 32) + "-0123456789abcdef",                   // missing flags
 	} {
 		if _, err := ParseTraceparent(bad); err == nil {
 			t.Errorf("ParseTraceparent(%q): want error", bad)

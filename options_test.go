@@ -1,9 +1,16 @@
 package pochoir_test
 
 import (
+	"context"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pochoir"
+	"pochoir/internal/core"
+	"pochoir/internal/faultpoint"
 )
 
 // refHeat1D advances a 1D heat grid independently of the engine.
@@ -139,6 +146,130 @@ func TestOptionsValidation(t *testing.T) {
 		if err := mk(opts); err != nil {
 			t.Errorf("opts %+v: unexpected error %v", opts, err)
 		}
+	}
+}
+
+// TestWholeRowsCoarsening pins the whole-row rule. Under default options, a
+// 2D stencil whose clones declare WholeRows never has its unit-stride
+// dimension cut: every zoid handed to either clone spans it whole, on every
+// engine and on every rung of the supervised ladder. An explicit
+// SpaceCutoff still cuts it, and clones without the declaration decompose
+// by the §4 heuristic exactly as an explicit DefaultCoarsening does.
+func TestWholeRowsCoarsening(t *testing.T) {
+	defer faultpoint.DisarmAll()
+	const X, Y, steps = 300, 300, 10
+	sh := heat2DShape()
+	newStencil := func(opts pochoir.Options) *pochoir.Stencil[float64] {
+		st := pochoir.NewWithOptions[float64](sh, opts)
+		u := pochoir.MustArray[float64](sh.Depth(), X, Y)
+		u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
+		st.MustRegisterArray(u)
+		return st
+	}
+	// The recording clones compute nothing: only the zoids matter here.
+	var (
+		mu     sync.Mutex
+		engine string
+		got    []pochoir.Zoid
+		rungs  = map[string]int{}
+	)
+	record := func(z pochoir.Zoid) {
+		mu.Lock()
+		got = append(got, z)
+		rungs[engine]++
+		mu.Unlock()
+	}
+	clones := func(wholeRows bool) pochoir.BaseKernels {
+		return pochoir.BaseKernels{Interior: record, Boundary: record, WholeRows: wholeRows}
+	}
+	specialized := func(opts pochoir.Options, wholeRows bool) []pochoir.Zoid {
+		t.Helper()
+		got = nil
+		if err := newStencil(opts).RunSpecialized(steps, clones(wholeRows)); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 {
+			t.Fatalf("opts %+v: no zoid reached the clones", opts)
+		}
+		return got
+	}
+	// firstCut returns a zoid that does not span the unit-stride dimension.
+	firstCut := func(zs []pochoir.Zoid) (pochoir.Zoid, bool) {
+		for _, z := range zs {
+			if z.Lo[1] != 0 || z.Hi[1] != Y || z.DLo[1] != 0 || z.DHi[1] != 0 {
+				return z, true
+			}
+		}
+		return pochoir.Zoid{}, false
+	}
+
+	for _, alg := range []core.Algorithm{core.TRAP, core.STRAP, core.LOOPS} {
+		for _, serial := range []bool{true, false} {
+			opts := pochoir.Options{Algorithm: alg, Serial: serial}
+			if z, cut := firstCut(specialized(opts, true)); cut {
+				t.Fatalf("%v serial=%v: zoid %v cuts the unit-stride dimension", alg, serial, z)
+			}
+			if alg == core.LOOPS {
+				continue // LOOPS chunks dimension 0 only, whatever the cutoffs
+			}
+			opts.SpaceCutoff = []int{100, 100}
+			if _, cut := firstCut(specialized(opts, true)); !cut {
+				t.Fatalf("%v serial=%v: an explicit SpaceCutoff did not cut the unit-stride dimension", alg, serial)
+			}
+		}
+	}
+
+	// Without the declaration: the §4 heuristic, which cuts rows in 2D.
+	tc, sc := pochoir.DefaultCoarsening(2)
+	plain := specialized(pochoir.Options{Serial: true}, false)
+	if explicit := specialized(pochoir.Options{Serial: true, TimeCutoff: tc, SpaceCutoff: sc}, false); !reflect.DeepEqual(plain, explicit) {
+		t.Fatalf("clones without WholeRows decompose into %d zoids, DefaultCoarsening into %d", len(plain), len(explicit))
+	}
+	if _, cut := firstCut(plain); !cut {
+		t.Fatal("clones without WholeRows: the 2D heuristic no longer cuts the unit-stride dimension")
+	}
+
+	// Supervised, on the attached clones, with base-site panics on every
+	// third visit, four times: two failed TRAP attempts, two failed STRAP
+	// attempts, then LOOPS completes. Serial keeps the count per attempt
+	// deterministic.
+	st := newStencil(pochoir.Options{Serial: true, NoFlightRecorder: true})
+	st.AttachBaseKernels(clones(true))
+	var visits atomic.Int64
+	faultpoint.Arm(faultpoint.SiteBase, faultpoint.Spec{
+		Kind: faultpoint.KindPanic, Depth: faultpoint.AnyDepth, Times: 4, Prob: 0.5,
+		Rand: func() float64 {
+			if visits.Add(1)%3 == 0 {
+				return 0
+			}
+			return 1
+		},
+	})
+	got, engine = nil, pochoir.EngineFull.String()
+	rep, err := st.RunSupervised(context.Background(), steps, pochoir.K2(func(int, int, int) {}), pochoir.SupervisePolicy{
+		MaxAttempts: 6, DegradeAfter: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond,
+		OnEvent: func(ev pochoir.SupervisorEvent) {
+			if ev.Kind.String() == "degrade" {
+				mu.Lock()
+				engine = ev.Engine
+				mu.Unlock()
+			}
+		},
+	})
+	faultpoint.DisarmAll()
+	if err != nil {
+		t.Fatalf("supervised run: %v", err)
+	}
+	if rep.FinalEngine != pochoir.EngineLoops || rep.Degradations != 2 {
+		t.Fatalf("final engine %v after %d degradations, want LOOPS after 2", rep.FinalEngine, rep.Degradations)
+	}
+	for _, eng := range []pochoir.SupervisorEngine{pochoir.EngineFull, pochoir.EngineSTRAP, pochoir.EngineLoops} {
+		if rungs[eng.String()] == 0 {
+			t.Fatalf("no zoid reached the clones on the %v rung (%v)", eng, rungs)
+		}
+	}
+	if z, cut := firstCut(got); cut {
+		t.Fatalf("RunSupervised: zoid %v cuts the unit-stride dimension", z)
 	}
 }
 

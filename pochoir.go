@@ -164,15 +164,20 @@ type Stencil[T any] struct {
 // The zero value requests the paper's defaults: the TRAP algorithm with
 // hyperspace cuts, parallel execution, and the §4 coarsening heuristic.
 type Options struct {
-	// Algorithm selects TRAP (default) or STRAP decomposition.
+	// Algorithm selects TRAP (default), STRAP, or the LOOPS sweep, which
+	// runs every time step as SpaceCutoff[0]-wide chunks along dimension 0.
 	Algorithm core.Algorithm
 	// Serial disables parallel execution (Pochoir on 1 core).
 	Serial bool
-	// TimeCutoff and SpaceCutoff override base-case coarsening; zero
-	// values select the paper's heuristic (§4): 100x100 space chunks
-	// with 5 time steps for 2D, 1000x3x3 with 3 time steps for 3D and
-	// above (never cutting the unit-stride dimension), and uncoarsened
-	// time with width 100 for 1D.
+	// TimeCutoff and SpaceCutoff override base-case coarsening. A zero
+	// TimeCutoff and a nil SpaceCutoff select the paper's heuristic (§4,
+	// DefaultCoarsening): width 1000 with 100 time steps for 1D, 100x100
+	// with 5 time steps for 2D, and 3x...x3 with 3 time steps for 3D and
+	// above, never cutting the unit-stride dimension. A zero SpaceCutoff
+	// entry leaves that dimension uncoarsened: cut as far as the slopes allow.
+	// Base-case clones that declare BaseKernels.WholeRows extend the
+	// never-cut rule to 2D under a nil SpaceCutoff; an explicit
+	// SpaceCutoff always wins.
 	TimeCutoff  int
 	SpaceCutoff []int
 	// Grain is the minimum approximate subzoid volume processed on a
@@ -276,8 +281,9 @@ func (s *Stencil[T]) Arrays() []*Array[T] { return s.arrays }
 func (s *Stencil[T]) Sizes() []int { return append([]int(nil), s.sizes...) }
 
 // newWalker assembles the decomposition engine for this stencil, after
-// validating the execution options.
-func (s *Stencil[T]) newWalker() (*core.Walker, error) {
+// validating the execution options; wholeRows is the WholeRows declaration
+// of the clones the walker will run.
+func (s *Stencil[T]) newWalker(wholeRows bool) (*core.Walker, error) {
 	if len(s.arrays) == 0 {
 		return nil, fmt.Errorf("pochoir: no arrays registered")
 	}
@@ -311,19 +317,24 @@ func (s *Stencil[T]) newWalker() (*core.Walker, error) {
 		// nonperiodic behaviour comes from the boundary function.
 		w.Periodic[i] = !s.opts.NoUnifiedPeriodic
 	}
-	timeCut, spaceCut := s.coarsening()
+	timeCut, spaceCut := s.coarsening(wholeRows)
 	w.TimeCutoff = timeCut
 	copy(w.SpaceCutoff[:], spaceCut)
 	return w, nil
 }
 
 // coarsening returns the effective (time, per-dim space) base-case cutoffs:
-// the user's overrides when set, otherwise the paper's §4 heuristic.
-func (s *Stencil[T]) coarsening() (timeCut int, spaceCut []int) {
-	defTime, defSpace := DefaultCoarsening(s.shape.NDims)
+// the user's overrides when set, otherwise the paper's §4 heuristic, with
+// the unit-stride dimension never cut for clones that run whole rows.
+func (s *Stencil[T]) coarsening(wholeRows bool) (timeCut int, spaceCut []int) {
+	d := s.shape.NDims
+	defTime, defSpace := DefaultCoarsening(d)
 	spaceCut = defSpace
-	if s.opts.SpaceCutoff != nil {
+	switch {
+	case s.opts.SpaceCutoff != nil:
 		copy(spaceCut, s.opts.SpaceCutoff)
+	case wholeRows && d > 1:
+		spaceCut[d-1] = neverCut
 	}
 	timeCut = s.opts.TimeCutoff
 	if timeCut == 0 {
@@ -332,9 +343,14 @@ func (s *Stencil[T]) coarsening() (timeCut int, spaceCut []int) {
 	return timeCut, spaceCut
 }
 
+// neverCut is a space cutoff no dimension reaches: the walker never cuts a
+// dimension that carries it.
+const neverCut = 1 << 30
+
 // DefaultCoarsening returns the paper's §4 base-case coarsening heuristic
 // for a d-dimensional stencil: the time cutoff and per-dimension space
-// cutoffs a zero-valued Options selects. Exported so analytical replays of
+// cutoffs a zero-valued Options selects (for clones that do not declare
+// BaseKernels.WholeRows). Exported so analytical replays of
 // the decomposition (the work/span analyzer, the cache-trace simulator, the
 // benchmark lab) can build walker geometries identical to the engine's.
 func DefaultCoarsening(d int) (timeCut int, spaceCut []int) {
@@ -350,7 +366,7 @@ func DefaultCoarsening(d int) (timeCut int, spaceCut []int) {
 		for i := 0; i < d-1; i++ {
 			spaceCut[i] = 3
 		}
-		spaceCut[d-1] = 1 << 30 // effectively: never cut
+		spaceCut[d-1] = neverCut
 	}
 	switch {
 	case d == 1:
@@ -382,7 +398,7 @@ func (s *Stencil[T]) Run(steps int, kern Kernel) error {
 // A cancelled run leaves the arrays partially updated and the stencil
 // poisoned; see ErrPoisoned.
 func (s *Stencil[T]) RunContext(ctx context.Context, steps int, kern Kernel) error {
-	w, err := s.newWalker()
+	w, err := s.newWalker(false)
 	if err != nil {
 		return err
 	}
@@ -413,7 +429,7 @@ func (s *Stencil[T]) RunCheckedContext(ctx context.Context, steps int, kern Kern
 			a.DisableShapeCheck()
 		}
 	}()
-	w, err := s.newWalker()
+	w, err := s.newWalker(false)
 	if err != nil {
 		return err
 	}
@@ -442,6 +458,12 @@ func (s *Stencil[T]) RunCheckedContext(ctx context.Context, steps int, kern Kern
 type BaseKernels struct {
 	Interior BaseFunc
 	Boundary BaseFunc
+	// WholeRows declares that Boundary runs a row reaching the domain edge
+	// at near-interior speed, so base cases should sweep whole rows: under
+	// a nil Options.SpaceCutoff the walker then never cuts the unit-stride
+	// dimension, in 2D as the §4 heuristic already does in 3D and above.
+	// The compiler's row-program clones set it.
+	WholeRows bool
 }
 
 // GenericBase wraps the point kernel in the generic checked base-case
@@ -473,7 +495,7 @@ func (s *Stencil[T]) RunSpecializedContext(ctx context.Context, steps int, b Bas
 	if b.Boundary == nil {
 		return fmt.Errorf("pochoir: RunSpecialized requires a boundary clone")
 	}
-	w, err := s.newWalker()
+	w, err := s.newWalker(b.WholeRows)
 	if err != nil {
 		return err
 	}

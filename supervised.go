@@ -213,7 +213,7 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 // override the decomposition — and for LOOPS also force serial execution,
 // so the last rung shares nothing with the failure modes above it.
 func (s *Stencil[T]) runSegment(ctx context.Context, eng resilience.Engine, b BaseKernels, n int) error {
-	w, err := s.newWalker()
+	w, err := s.newWalker(b.WholeRows)
 	if err != nil {
 		return err
 	}
