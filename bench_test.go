@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -63,7 +64,8 @@ func updates(inst stencils.Instance) float64 {
 	return float64(inst.Points()) * float64(inst.Steps())
 }
 
-// BenchmarkIntroHeat reproduces the §1 headline comparison.
+// BenchmarkIntroHeat reproduces the §1 headline comparison: parallel loops
+// against Pochoir, which runs the compiler's clones of specs/heat2p.pch.
 func BenchmarkIntroHeat(b *testing.B) {
 	mk := benchInstance(b, "Heat 2p")
 	up := updates(mk())
@@ -345,44 +347,55 @@ func BenchmarkFig10(b *testing.B) {
 	})
 }
 
-// fig13Instance narrows a Heat 2p instance to the macro-shadow runner.
-type fig13Instance interface {
+// ablationInstance narrows a Heat 2p instance to its §4 and Fig. 13
+// ablations.
+type ablationInstance interface {
 	stencils.Instance
 	PochoirMacroShadow(pochoir.Options) stencils.Job
-}
-
-// BenchmarkFig13 regenerates Fig. 13: the two loop-indexing styles.
-func BenchmarkFig13(b *testing.B) {
-	f := stencils.NewHeat2DFactory(true)
-	w := benchdef.AblationHeat2D
-	mk := func() fig13Instance { return f.New(w.Sizes, w.Steps).(fig13Instance) }
-	up := updates(mk())
-	b.Run("SplitPointer", func(b *testing.B) {
-		benchJob(b, func() stencils.Job { return mk().Pochoir(pochoir.Options{}) }, up)
-	})
-	b.Run("SplitMacroShadow", func(b *testing.B) {
-		benchJob(b, func() stencils.Job { return mk().PochoirMacroShadow(pochoir.Options{}) }, up)
-	})
-}
-
-// modInstance narrows a Heat 2p instance to the no-interior ablation.
-type modInstance interface {
-	stencils.Instance
 	PochoirNoInterior(pochoir.Options) stencils.Job
 }
 
-// BenchmarkModuloIndexing regenerates the §4 modular-indexing ablation.
-func BenchmarkModuloIndexing(b *testing.B) {
+// benchAblation times the compiled clones (Pochoir) beside one ablation of
+// them on the ablation box, and holds each sub-benchmark's last result bit
+// for bit against the serial loops. Both run in the §4 cut-rows geometry
+// (DefaultCoarsening): under the clones' default whole rows no zoid is
+// interior, and the two would run the same code.
+func benchAblation(b *testing.B, cloned, ablated string, job func(ablationInstance, pochoir.Options) stencils.Job) {
 	f := stencils.NewHeat2DFactory(true)
 	w := benchdef.AblationHeat2D
-	mk := func() modInstance { return f.New(w.Sizes, w.Steps).(modInstance) }
+	mk := func() ablationInstance { return f.New(w.Sizes, w.Steps).(ablationInstance) }
 	up := updates(mk())
-	b.Run("CodeCloning", func(b *testing.B) {
-		benchJob(b, func() stencils.Job { return mk().Pochoir(pochoir.Options{}) }, up)
-	})
-	b.Run("ModEverywhere", func(b *testing.B) {
-		benchJob(b, func() stencils.Job { return mk().PochoirNoInterior(pochoir.Options{}) }, up)
-	})
+	ref := mk().LoopsSerial().Run()
+	_, space := pochoir.DefaultCoarsening(2)
+	cutRows := pochoir.Options{SpaceCutoff: space}
+	for _, c := range []struct {
+		name string
+		job  func(ablationInstance, pochoir.Options) stencils.Job
+	}{
+		{cloned, ablationInstance.Pochoir},
+		{ablated, job},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var last stencils.Job
+			benchJob(b, func() stencils.Job { last = c.job(mk(), cutRows); return last }, up)
+			if got := last.Result(); !slices.Equal(got, ref) {
+				b.Fatalf("%s differs from the serial loops", c.name)
+			}
+		})
+	}
+}
+
+// BenchmarkFig13 regenerates Fig. 13: the compiler's row-program interior
+// clone beside the split-macro-shadow one of Fig. 12(b), both with the
+// compiled boundary clone.
+func BenchmarkFig13(b *testing.B) {
+	benchAblation(b, "RowProgram", "SplitMacroShadow", ablationInstance.PochoirMacroShadow)
+}
+
+// BenchmarkModuloIndexing regenerates the §4 modular-indexing ablation: the
+// compiled boundary clone alone, on every zoid.
+func BenchmarkModuloIndexing(b *testing.B) {
+	benchAblation(b, "CodeCloning", "ModEverywhere", ablationInstance.PochoirNoInterior)
 }
 
 // BenchmarkCoarsening regenerates the §4 base-case-coarsening ablation.
@@ -492,15 +505,13 @@ func BenchmarkPhase1VsPhase2(b *testing.B) {
 	})
 }
 
-// BenchmarkDSLHeat2D puts the served path beside the library path on one
-// box: DSL Heat 2p through Instance.Run (the row-program clones every
-// pochoird job runs) against the hand-written stencils Heat 2p clones, on
-// the ablation box (512², whose working set overflows a 2 MiB L2) and on the
-// served one (192², which fits). The row clones declare WholeRows, so under
-// default options their base cases sweep whole rows while the hand-written
-// pair keeps the §4 heuristic's 100x100 cuts; the DSL row is expected to
-// beat the hand-written one on both boxes (benchlab's "DSL Heat 2p" and
-// "DSL Heat 2p served" rows record the same jobs in BENCH_baseline.json).
+// BenchmarkDSLHeat2D puts the served path beside loops-native on one box:
+// DSL Heat 2p through Instance.Run (the row-program clones every pochoird
+// job runs, and stencils' Heat 2p Pochoir path) against the parallel
+// modular-indexing loop nest (stencils' Heat 2p LoopsParallel), on the
+// ablation box (512², whose working set overflows a 2 MiB L2) and on the
+// served one (192², which fits). benchlab's "DSL Heat 2p" and "DSL Heat 2p
+// served" rows record the same row-program jobs in BENCH_baseline.json.
 func BenchmarkDSLHeat2D(b *testing.B) {
 	// The Fig. 6 program in the specification language: the same update as
 	// stencils' Heat 2p.
@@ -533,11 +544,9 @@ func BenchmarkDSLHeat2D(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(up*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpts/s")
 		})
-		b.Run(size+"/HandWritten", func(b *testing.B) {
+		b.Run(size+"/LoopsNative", func(b *testing.B) {
 			f := stencils.NewHeat2DFactory(true)
-			benchJob(b, func() stencils.Job {
-				return f.New(w.Sizes, w.Steps).Pochoir(pochoir.Options{})
-			}, up)
+			benchJob(b, func() stencils.Job { return f.New(w.Sizes, w.Steps).LoopsParallel() }, up)
 		})
 	}
 }

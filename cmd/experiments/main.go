@@ -6,7 +6,7 @@
 //	-run fig5     Fig. 5: 3D 7-point / 27-point throughput
 //	-run fig9     Fig. 9: parallelism of TRAP vs STRAP (work/span analysis)
 //	-run fig10    Fig. 10: cache-miss ratios (ideal-cache simulation)
-//	-run fig13    Fig. 13: split-pointer vs split-macro-shadow
+//	-run fig13    Fig. 13: row-program vs split-macro-shadow interior clone
 //	-run mod      §4 modular-indexing ablation (interior clone disabled)
 //	-run coarsen  §4 base-case-coarsening ablation
 //	-run tune     §4 autotuned coarsening (ISAT substitute)

@@ -194,6 +194,10 @@ func (inst *Instance) Run(steps int, opts pochoir.Options) error {
 	return inst.Stencil.RunSpecialized(steps, inst.clones)
 }
 
+// Clones returns the row-program clones Run executes, for a caller that
+// runs them, or one of them, through Stencil.RunSpecialized itself.
+func (inst *Instance) Clones() pochoir.BaseKernels { return inst.clones }
+
 // RunChecked executes the point kernel with the Pochoir Guarantee enforced:
 // any access outside the inferred shape is reported. Because the shape is
 // inferred from these very accesses this should never fire; it exists to

@@ -64,8 +64,30 @@ func (d *dslInstance) PochoirGeneric(opts pochoir.Options) Job {
 	})
 }
 
+// PochoirNoInterior is the §4 modular-indexing ablation: the compiled
+// boundary clone runs every zoid, the interior ones too.
+func (d *dslInstance) PochoirNoInterior(opts pochoir.Options) Job {
+	return d.specialized(opts, func(b pochoir.BaseKernels) pochoir.BaseKernels {
+		b.Interior = nil
+		return b
+	})
+}
+
+// specialized is Pochoir on the clones edit makes of the compiled pair.
+func (d *dslInstance) specialized(opts pochoir.Options, edit func(pochoir.BaseKernels) pochoir.BaseKernels) Job {
+	return d.job(func() error {
+		d.inst.Stencil.SetOptions(opts)
+		return d.inst.Stencil.RunSpecialized(d.steps, edit(d.inst.Clones()))
+	})
+}
+
+// array is the specification's one array.
+func (d *dslInstance) array() *pochoir.Array[float64] {
+	return d.inst.Arrays[d.spec.Prog.Arrays[0].Name]
+}
+
 func (d *dslInstance) job(run func() error) Job {
-	u := func() *pochoir.Array[float64] { return d.inst.Arrays[d.spec.Prog.Arrays[0].Name] }
+	u := d.array
 	return Job{
 		Setup: func() {
 			var err error

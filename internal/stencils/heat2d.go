@@ -12,11 +12,14 @@ import (
 //	                      + CY*(u(t,x,y+1) - 2u(t,x,y) + u(t,x,y-1)).
 //
 // The periodic variant wraps on a torus; the nonperiodic variant has a
-// zero Dirichlet boundary. The loop baselines follow the paper exactly:
-// modular indexing on every access for the periodic stencil, ghost cells
-// for the nonperiodic one.
+// zero Dirichlet boundary. Their Pochoir paths run specs/heat2p.pch and
+// specs/heat2.pch. The loop nests below are the oracle, and follow the
+// paper's baselines exactly: modular indexing on every access for the
+// periodic stencil, ghost cells for the nonperiodic one.
 
 const heatCX, heatCY = 0.125, 0.125
+
+var heat2Spec, heat2pSpec = mustSpec("heat2"), mustSpec("heat2p")
 
 func init() {
 	register(NewHeat2DFactory(false))
@@ -25,11 +28,9 @@ func init() {
 
 // NewHeat2DFactory returns the Heat 2 / Heat 2p benchmark.
 func NewHeat2DFactory(periodic bool) Factory {
-	name := "Heat 2"
-	order := 1
+	name, order, spec := "Heat 2", 1, heat2Spec
 	if periodic {
-		name = "Heat 2p"
-		order = 2
+		name, order, spec = "Heat 2p", 2, heat2pSpec
 	}
 	return Factory{
 		Name:       name,
@@ -39,362 +40,152 @@ func NewHeat2DFactory(periodic bool) Factory {
 		PaperSteps: 500,
 		New: func(sizes []int, steps int) Instance {
 			sizes, steps = defaults(sizes, steps, []int{2000, 2000}, 64)
-			return &heat2D{X: sizes[0], Y: sizes[1], steps: steps, periodic: periodic}
+			h := &heat2D{X: sizes[0], Y: sizes[1], steps: steps, periodic: periodic}
+			return heat2Instance{&dslInstance{name: name, spec: spec, sizes: sizes, steps: steps, flops: 10,
+				init: h.initStates, loops: h.loops}}
 		},
-		Shape:    Heat2DShape,
+		Shape:    func() *pochoir.Shape { return spec.Shape },
 		Periodic: []bool{periodic, periodic},
 	}
 }
 
+// heat2Instance is a Heat 2 or Heat 2p instance: its specification's, with
+// the Fig. 13 ablation besides.
+type heat2Instance struct{ *dslInstance }
+
+// PochoirMacroShadow runs the compiled clones with macroShadow in place of
+// the row program's interior clone; the Fig. 13 experiment compares the two.
+func (h heat2Instance) PochoirMacroShadow(opts pochoir.Options) Job {
+	return h.specialized(opts, func(b pochoir.BaseKernels) pochoir.BaseKernels {
+		b.Interior = macroShadow(h.array())
+		return b
+	})
+}
+
+// macroShadow is the -split-macro-shadow interior clone of Fig. 12(b): full
+// address arithmetic on every access, no boundary checks, no cursors. Its
+// products are rounded as the loops' are.
+func macroShadow(u *pochoir.Array[float64]) pochoir.BaseFunc {
+	ys := u.Stride(0)
+	return func(z pochoir.Zoid) {
+		lo0, hi0 := z.Lo[0], z.Hi[0]
+		lo1, hi1 := z.Lo[1], z.Hi[1]
+		for t := z.T0; t < z.T1; t++ {
+			w, r := u.Slot(t), u.Slot(t-1)
+			for x := lo0; x < hi0; x++ {
+				for y := lo1; y < hi1; y++ {
+					cc := r[x*ys+y]
+					w[x*ys+y] = cc + float64(heatCX*(r[(x+1)*ys+y]-float64(2*cc)+r[(x-1)*ys+y])) +
+						float64(heatCY*(r[x*ys+y+1]-float64(2*cc)+r[x*ys+y-1]))
+				}
+			}
+			lo0 += z.DLo[0]
+			hi0 += z.DHi[0]
+			lo1 += z.DLo[1]
+			hi1 += z.DHi[1]
+		}
+	}
+}
+
+// heat2D is the loop baseline: raw double buffers, padded by a zero halo
+// when nonperiodic.
 type heat2D struct {
 	X, Y     int
 	steps    int
 	periodic bool
 
-	// Pochoir-path state.
-	st *pochoir.Stencil[float64]
-	u  *pochoir.Array[float64]
-
-	// Loops-path state (raw double buffers; padded when nonperiodic).
 	cur, next []float64
 }
 
-func (h *heat2D) Name() string {
-	if h.periodic {
-		return "Heat 2p"
-	}
-	return "Heat 2"
-}
-func (h *heat2D) Dims() int              { return 2 }
-func (h *heat2D) Sizes() []int           { return []int{h.X, h.Y} }
-func (h *heat2D) Steps() int             { return h.steps }
-func (h *heat2D) Points() int64          { return int64(h.X) * int64(h.Y) }
-func (h *heat2D) FlopsPerPoint() float64 { return 10 }
-
-// Shape returns the five-point shape of Fig. 6.
-func Heat2DShape() *pochoir.Shape {
-	return pochoir.MustShape(2, [][]int{
-		{1, 0, 0}, {0, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, -1}, {0, 0, 1},
-	})
-}
-
-func (h *heat2D) setupPochoir() {
-	sh := Heat2DShape()
-	h.st = pochoir.New[float64](sh)
-	h.u = pochoir.MustArray[float64](sh.Depth(), h.X, h.Y)
-	if h.periodic {
-		h.u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
-	} else {
-		h.u.RegisterBoundary(pochoir.ZeroBoundary[float64]())
-	}
-	h.st.MustRegisterArray(h.u)
+func (h *heat2D) initStates() [][]float64 {
 	init := make([]float64, h.X*h.Y)
 	fillRand(init, 2000)
-	if err := h.u.CopyIn(0, init); err != nil {
-		panic(err)
-	}
+	return [][]float64{init}
 }
 
-// pointKernel is the Phase-1 kernel (and the base of the boundary clone).
-func (h *heat2D) pointKernel() pochoir.Kernel {
-	u := h.u
-	return pochoir.K2(func(t, x, y int) {
-		c := u.Get(t, x, y)
-		u.Set(t+1, c+
-			heatCX*(u.Get(t, x+1, y)-2*c+u.Get(t, x-1, y))+
-			heatCY*(u.Get(t, x, y+1)-2*c+u.Get(t, x, y-1)), x, y)
-	})
-}
-
-// interiorBase is the split-pointer interior clone: raw slot walks with
-// per-term cursors, the code shape of the compiler's -split-pointer output
-// (Fig. 12c).
-func (h *heat2D) interiorBase() pochoir.BaseFunc {
-	u := h.u
-	ys := u.Stride(0)
-	return func(z pochoir.Zoid) {
-		lo0, hi0 := z.Lo[0], z.Hi[0]
-		lo1, hi1 := z.Lo[1], z.Hi[1]
-		for t := z.T0; t < z.T1; t++ {
-			w := u.Slot(t)
-			r := u.Slot(t - 1)
-			for x := lo0; x < hi0; x++ {
-				base := x * ys
-				dst := w[base+lo1 : base+hi1]
-				c := r[base+lo1:]
-				cl := r[base+lo1-1:]
-				cr := r[base+lo1+1:]
-				up := r[base-ys+lo1:]
-				dn := r[base+ys+lo1:]
-				for i := range dst {
-					cc := c[i]
-					dst[i] = cc + heatCX*(dn[i]-2*cc+up[i]) + heatCY*(cr[i]-2*cc+cl[i])
-				}
-			}
-			lo0 += z.DLo[0]
-			hi0 += z.DHi[0]
-			lo1 += z.DLo[1]
-			hi1 += z.DHi[1]
-		}
-	}
-}
-
-// boundaryBase is the specialized boundary clone: virtual coordinates are
-// reduced modulo the grid and every neighbor access is wrapped (periodic)
-// or bounds-checked against the zero Dirichlet halo (nonperiodic) — the
-// compiled counterpart of the checked template-library path.
-func (h *heat2D) boundaryBase() pochoir.BaseFunc {
-	u := h.u
-	ys := u.Stride(0)
-	X, Y := h.X, h.Y
-	periodic := h.periodic
-	return func(z pochoir.Zoid) {
-		lo0, hi0 := z.Lo[0], z.Hi[0]
-		lo1, hi1 := z.Lo[1], z.Hi[1]
-		for t := z.T0; t < z.T1; t++ {
-			w := u.Slot(t)
-			r := u.Slot(t - 1)
-			for x := lo0; x < hi0; x++ {
-				tx := mod(x, X)
-				row := tx * ys
-				var rowM, rowP int
-				rowMOK, rowPOK := true, true
-				if periodic {
-					rowM = mod(tx-1, X) * ys
-					rowP = mod(tx+1, X) * ys
-				} else {
-					rowM, rowP = row-ys, row+ys
-					rowMOK, rowPOK = tx-1 >= 0, tx+1 < X
-				}
-				for y := lo1; y < hi1; y++ {
-					ty := mod(y, Y)
-					var xm, xp, ym, yp float64
-					if rowMOK {
-						xm = r[rowM+ty]
-					}
-					if rowPOK {
-						xp = r[rowP+ty]
-					}
-					if periodic {
-						ym = r[row+mod(ty-1, Y)]
-						yp = r[row+mod(ty+1, Y)]
-					} else {
-						if ty-1 >= 0 {
-							ym = r[row+ty-1]
-						}
-						if ty+1 < Y {
-							yp = r[row+ty+1]
-						}
-					}
-					c := r[row+ty]
-					w[row+ty] = c + heatCX*(xp-2*c+xm) + heatCY*(yp-2*c+ym)
-				}
-			}
-			lo0 += z.DLo[0]
-			hi0 += z.DHi[0]
-			lo1 += z.DLo[1]
-			hi1 += z.DHi[1]
-		}
-	}
-}
-
-// interiorBaseMacro is the -split-macro-shadow interior clone (Fig. 12b):
-// full address arithmetic per access, no boundary checks, no cursors.
-func (h *heat2D) interiorBaseMacro() pochoir.BaseFunc {
-	u := h.u
-	ys := u.Stride(0)
-	return func(z pochoir.Zoid) {
-		lo0, hi0 := z.Lo[0], z.Hi[0]
-		lo1, hi1 := z.Lo[1], z.Hi[1]
-		for t := z.T0; t < z.T1; t++ {
-			w := u.Slot(t)
-			r := u.Slot(t - 1)
-			for x := lo0; x < hi0; x++ {
-				for y := lo1; y < hi1; y++ {
-					cc := r[x*ys+y]
-					w[x*ys+y] = cc + heatCX*(r[(x+1)*ys+y]-2*cc+r[(x-1)*ys+y]) +
-						heatCY*(r[x*ys+y+1]-2*cc+r[x*ys+y-1])
-				}
-			}
-			lo0 += z.DLo[0]
-			hi0 += z.DHi[0]
-			lo1 += z.DLo[1]
-			hi1 += z.DHi[1]
-		}
-	}
-}
-
-// PochoirMacroShadow runs with the Fig. 12(b)-style interior clone; the
-// Fig. 13 experiment compares it against the split-pointer default.
-func (h *heat2D) PochoirMacroShadow(opts pochoir.Options) Job {
-	return Job{
-		Setup: func() { h.setupPochoir() },
-		Compute: func() {
-			h.st.SetOptions(opts)
-			b := pochoir.BaseKernels{
-				Interior: h.interiorBaseMacro(),
-				Boundary: h.boundaryBase(),
-			}
-			if err := h.st.RunSpecialized(h.steps, b); err != nil {
-				panic(err)
-			}
-		},
-		Result: func() []float64 { return h.pochoirResult() },
-	}
-}
-
-func (h *heat2D) pochoirResult() []float64 {
-	out := make([]float64, h.X*h.Y)
-	if err := h.u.CopyOut(h.steps, out); err != nil {
-		panic(err)
-	}
-	return out
-}
-
-func (h *heat2D) Pochoir(opts pochoir.Options) Job {
-	return Job{
-		Setup: func() { h.setupPochoir() },
-		Compute: func() {
-			h.st.SetOptions(opts)
-			b := pochoir.BaseKernels{
-				Interior: h.interiorBase(),
-				Boundary: h.boundaryBase(),
-			}
-			if err := h.st.RunSpecialized(h.steps, b); err != nil {
-				panic(err)
-			}
-		},
-		Result: func() []float64 { return h.pochoirResult() },
-	}
-}
-
-// PochoirNoInterior is the §4 modular-indexing ablation: every zoid takes
-// the boundary clone, so every access pays the modulo/boundary check.
-func (h *heat2D) PochoirNoInterior(opts pochoir.Options) Job {
-	return Job{
-		Setup: func() { h.setupPochoir() },
-		Compute: func() {
-			h.st.SetOptions(opts)
-			// The compiled modular-indexing code everywhere — the paper's
-			// comparison point for code cloning.
-			b := pochoir.BaseKernels{Boundary: h.boundaryBase()}
-			if err := h.st.RunSpecialized(h.steps, b); err != nil {
-				panic(err)
-			}
-		},
-		Result: func() []float64 { return h.pochoirResult() },
-	}
-}
-
-func (h *heat2D) PochoirGeneric(opts pochoir.Options) Job {
-	return Job{
-		Setup: func() { h.setupPochoir() },
-		Compute: func() {
-			h.st.SetOptions(opts)
-			if err := h.st.Run(h.steps, h.pointKernel()); err != nil {
-				panic(err)
-			}
-		},
-		Result: func() []float64 { return h.pochoirResult() },
-	}
-}
-
-// ---- LOOPS baseline ----
-
-func (h *heat2D) setupLoops() {
-	if h.periodic {
-		h.cur = make([]float64, h.X*h.Y)
-		h.next = make([]float64, h.X*h.Y)
-		fillRand(h.cur, 2000)
-		return
-	}
-	// Ghost cells: a zero halo one cell wide around the grid.
-	px, py := h.X+2, h.Y+2
-	h.cur = make([]float64, px*py)
-	h.next = make([]float64, px*py)
-	init := make([]float64, h.X*h.Y)
-	fillRand(init, 2000)
-	for x := 0; x < h.X; x++ {
-		copy(h.cur[(x+1)*py+1:(x+1)*py+1+h.Y], init[x*h.Y:(x+1)*h.Y])
-	}
-}
-
-func (h *heat2D) loopsCompute(parallel bool) {
+// loops is LoopsSerial or LoopsParallel. Every product is rounded by an
+// explicit conversion, which forbids a fused multiply-add (arm64,
+// GOAMD64=v3), so that the loops compute what the row program computes from
+// the specifications, which are in their order.
+func (h *heat2D) loops(parallel bool) Job {
 	X, Y := h.X, h.Y
 	if h.periodic {
-		// Modular indexing on every access, per the paper's periodic
-		// loop baseline (Fig. 1).
-		loops.Run(0, h.steps, parallel, X, 1, func(t, x0, x1 int) {
-			cur, next := h.cur, h.next
-			if t%2 == 1 {
-				cur, next = next, cur
-			}
-			for x := x0; x < x1; x++ {
-				xm := ((x-1)%X + X) % X
-				xp := (x + 1) % X
-				row, rowm, rowp := x*Y, xm*Y, xp*Y
-				for y := 0; y < Y; y++ {
-					ym := ((y-1)%Y + Y) % Y
-					yp := (y + 1) % Y
-					c := cur[row+y]
-					next[row+y] = c + heatCX*(cur[rowp+y]-2*c+cur[rowm+y]) +
-						heatCY*(cur[row+yp]-2*c+cur[row+ym])
-				}
-			}
-		})
-		return
+		return Job{
+			Setup: func() {
+				h.cur, h.next = h.initStates()[0], make([]float64, X*Y)
+			},
+			// Modular indexing on every access, per the paper's periodic
+			// loop baseline (Fig. 1).
+			Compute: func() {
+				loops.Run(0, h.steps, parallel, X, 1, func(t, x0, x1 int) {
+					cur, next := h.cur, h.next
+					if t%2 == 1 {
+						cur, next = next, cur
+					}
+					for x := x0; x < x1; x++ {
+						xm := ((x-1)%X + X) % X
+						xp := (x + 1) % X
+						row, rowm, rowp := x*Y, xm*Y, xp*Y
+						for y := 0; y < Y; y++ {
+							ym := ((y-1)%Y + Y) % Y
+							yp := (y + 1) % Y
+							c := cur[row+y]
+							next[row+y] = c + float64(heatCX*(cur[rowp+y]-float64(2*c)+cur[rowm+y])) +
+								float64(heatCY*(cur[row+yp]-float64(2*c)+cur[row+ym]))
+						}
+					}
+				})
+			},
+			Result: func() []float64 { return append([]float64(nil), h.final()...) },
+		}
 	}
-	// Ghost-cell halo: branch-free inner loops over the padded grid.
+	// Ghost cells: a zero halo one cell wide around the grid, and
+	// branch-free inner loops over the padded grid.
 	py := Y + 2
-	loops.Run(0, h.steps, parallel, X, 1, func(t, x0, x1 int) {
-		cur, next := h.cur, h.next
-		if t%2 == 1 {
-			cur, next = next, cur
-		}
-		for x := x0; x < x1; x++ {
-			base := (x + 1) * py
-			dst := next[base+1 : base+1+Y]
-			c := cur[base+1:]
-			cl := cur[base:]
-			cr := cur[base+2:]
-			up := cur[base-py+1:]
-			dn := cur[base+py+1:]
-			for i := range dst {
-				cc := c[i]
-				dst[i] = cc + heatCX*(dn[i]-2*cc+up[i]) + heatCY*(cr[i]-2*cc+cl[i])
+	return Job{
+		Setup: func() {
+			h.cur, h.next = make([]float64, (X+2)*py), make([]float64, (X+2)*py)
+			init := h.initStates()[0]
+			for x := 0; x < X; x++ {
+				copy(h.cur[(x+1)*py+1:(x+1)*py+1+Y], init[x*Y:(x+1)*Y])
 			}
-		}
-	})
+		},
+		Compute: func() {
+			loops.Run(0, h.steps, parallel, X, 1, func(t, x0, x1 int) {
+				cur, next := h.cur, h.next
+				if t%2 == 1 {
+					cur, next = next, cur
+				}
+				for x := x0; x < x1; x++ {
+					base := (x + 1) * py
+					dst := next[base+1 : base+1+Y]
+					c := cur[base+1:]
+					cl := cur[base:]
+					cr := cur[base+2:]
+					up := cur[base-py+1:]
+					dn := cur[base+py+1:]
+					for i := range dst {
+						cc := c[i]
+						dst[i] = cc + float64(heatCX*(dn[i]-float64(2*cc)+up[i])) +
+							float64(heatCY*(cr[i]-float64(2*cc)+cl[i]))
+					}
+				}
+			})
+		},
+		Result: func() []float64 {
+			final, out := h.final(), make([]float64, X*Y)
+			for x := 0; x < X; x++ {
+				copy(out[x*Y:(x+1)*Y], final[(x+1)*py+1:(x+1)*py+1+Y])
+			}
+			return out
+		},
+	}
 }
 
-func (h *heat2D) loopsResult() []float64 {
-	final := h.cur
+// final is the buffer the last step wrote.
+func (h *heat2D) final() []float64 {
 	if h.steps%2 == 1 {
-		final = h.next
+		return h.next
 	}
-	if h.periodic {
-		return append([]float64(nil), final...)
-	}
-	py := h.Y + 2
-	out := make([]float64, h.X*h.Y)
-	for x := 0; x < h.X; x++ {
-		copy(out[x*h.Y:(x+1)*h.Y], final[(x+1)*py+1:(x+1)*py+1+h.Y])
-	}
-	return out
-}
-
-func (h *heat2D) LoopsSerial() Job {
-	return Job{
-		Setup:   func() { h.setupLoops() },
-		Compute: func() { h.loopsCompute(false) },
-		Result:  func() []float64 { return h.loopsResult() },
-	}
-}
-
-func (h *heat2D) LoopsParallel() Job {
-	return Job{
-		Setup:   func() { h.setupLoops() },
-		Compute: func() { h.loopsCompute(true) },
-		Result:  func() []float64 { return h.loopsResult() },
-	}
+	return h.cur
 }

@@ -16,10 +16,11 @@
 //     nonperiodic stencils and modular indexing for periodic ones, exactly
 //     as the paper's baselines do.
 //
-// Wave 3 and the two Fig. 5 kernels are written once, as specifications
-// in specs/, and both Pochoir paths run what the stencil compiler makes of
-// them (dslInstance): the row-program clones and the checked point kernel.
-// The other benchmarks carry a hand-written point kernel and clone pair.
+// Heat 2, Heat 2p, Wave 3 and the two Fig. 5 kernels are written once, as
+// specifications in specs/, and both Pochoir paths run what the stencil
+// compiler makes of them (dslInstance): the row-program clones and the
+// checked point kernel. The other benchmarks carry a hand-written point
+// kernel and clone pair.
 //
 // All paths compute bit-identical results (the same IEEE operations per
 // point, in the same order), which the package tests verify against the
