@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"pochoir/internal/flight"
 	"pochoir/internal/grid"
-	"pochoir/internal/metrics"
 	"pochoir/internal/telemetry"
 	"pochoir/internal/wire"
 )
@@ -126,10 +124,12 @@ func checkpointFromWire[T any](w *wire.Checkpoint) (*Checkpoint[T], error) {
 // resume cursor, and each point update is a pure function of older slots,
 // the resumed run's final grid is bit-identical to an uninterrupted run's.
 //
-// The resume decision is observable everywhere the supervisor is: a
-// SupResume telemetry event (Err records why a cold start happened), the
+// The resume decision is the first event of the returned report: a
+// SupResume whose Attempt is the restored cursor, or whose Err says why a
+// cold start happened, with Count the corrupt entries skipped. Like every
+// supervisor decision it also reaches the flight recorder, the
 // pochoir_resume_total and pochoir_resume_corrupt_entries_total counters,
-// and an EvSup flight-recorder stamp.
+// the trace and p.OnEvent.
 func (s *Stencil[T]) ResumeSupervised(ctx context.Context, totalSteps int, kern Kernel, p SupervisePolicy) (*RunReport, error) {
 	if p.SpillDir == "" {
 		return nil, fmt.Errorf("pochoir: ResumeSupervised needs SpillDir set")
@@ -140,29 +140,6 @@ func (s *Stencil[T]) ResumeSupervised(ctx context.Context, totalSteps int, kern 
 	if len(s.arrays) == 0 {
 		return nil, fmt.Errorf("pochoir: no arrays registered")
 	}
-	// Resolve the observability sinks exactly as RunSupervised will, so the
-	// resume decision lands in the same places as the run it starts.
-	rec := p.Telemetry
-	if rec == nil {
-		rec = s.opts.Telemetry
-	}
-	fr := p.Flight
-	if fr == nil {
-		fr = s.flightRecorder()
-	}
-	var sm *metrics.SupervisorMetrics
-	if reg := p.Metrics; reg != nil {
-		sm = metrics.NewSupervisorMetrics(reg)
-	} else if reg := s.opts.Metrics; reg != nil {
-		sm = metrics.NewSupervisorMetrics(reg)
-	}
-	emit := func(ev telemetry.SupEvent) {
-		if rec != nil {
-			rec.Supervisor(ev)
-		}
-		fr.Record(flight.EvSup, int64(ev.Kind), int64(ev.Segment), int64(ev.Attempt))
-	}
-
 	jour, err := wire.OpenJournal(p.SpillDir, p.SpillKeep)
 	if err != nil {
 		return nil, fmt.Errorf("pochoir: open spill journal: %w", err)
@@ -171,20 +148,14 @@ func (s *Stencil[T]) ResumeSupervised(ctx context.Context, totalSteps int, kern 
 	if err != nil {
 		return nil, fmt.Errorf("pochoir: read spill journal: %w", err)
 	}
-	if skipped > 0 && sm != nil {
-		sm.ResumeCorrupt.Add(int64(skipped))
-	}
+	resume := SupervisorEvent{Kind: telemetry.SupResume, Count: int64(skipped)}
 	if wcp == nil {
 		// Nothing durable to resume from: cold start.
-		reason := "journal empty (cold start)"
+		resume.Err = "journal empty (cold start)"
 		if skipped > 0 {
-			reason = fmt.Sprintf("all %d journal entries corrupt (cold start)", skipped)
+			resume.Err = fmt.Sprintf("all %d journal entries corrupt (cold start)", skipped)
 		}
-		if sm != nil {
-			sm.ResumeCold.Inc()
-		}
-		emit(telemetry.SupEvent{Kind: telemetry.SupResume, Err: reason})
-		return s.RunSupervised(ctx, totalSteps, kern, p)
+		return s.runSupervised(ctx, totalSteps, kern, p, &resume)
 	}
 	cp, err := checkpointFromWire[T](wcp)
 	if err != nil {
@@ -199,9 +170,6 @@ func (s *Stencil[T]) ResumeSupervised(ctx context.Context, totalSteps int, kern 
 	if err := s.Restore(cp); err != nil {
 		return nil, fmt.Errorf("pochoir: restore durable checkpoint %s: %w", ent.Path, err)
 	}
-	if sm != nil {
-		sm.ResumeRestored.Inc()
-	}
-	emit(telemetry.SupEvent{Kind: telemetry.SupResume, Attempt: cp.stepsRun})
-	return s.RunSupervised(ctx, totalSteps-cp.stepsRun, kern, p)
+	resume.Attempt = cp.stepsRun
+	return s.runSupervised(ctx, totalSteps-cp.stepsRun, kern, p, &resume)
 }

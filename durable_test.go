@@ -99,12 +99,10 @@ func TestResumeSupervisedContinuesInterruptedRun(t *testing.T) {
 	// segment (step 6).
 	spillHeat2D(t, dir, X, Y, steps-segSteps, segSteps, seed)
 
-	rec := pochoir.NewRecorder()
 	reg := pochoir.NewMetrics()
-	st, u, kern := heatStencil(t, pochoir.Options{}, X, Y, seed+1000) // fresh init: restore must overwrite it
+	st, u, kern := heatStencil(t, pochoir.Options{Metrics: reg}, X, Y, seed+1000) // fresh init: restore must overwrite it
 	rep, err := st.ResumeSupervised(context.Background(), steps, kern, pochoir.SupervisePolicy{
 		SegmentSteps: segSteps, SpillDir: dir, SpillKeep: 64,
-		Telemetry: rec, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +118,7 @@ func TestResumeSupervisedContinuesInterruptedRun(t *testing.T) {
 	// The resume decision must be observable: a SupResume event with the
 	// restored cursor, and the restored-outcome counter.
 	var resume *pochoir.SupervisorEvent
-	for _, ev := range rec.SupervisorEvents() {
+	for _, ev := range rep.Events {
 		if ev.Kind == telemetry.SupResume {
 			ev := ev
 			resume = &ev
@@ -187,13 +185,12 @@ func TestResumeSupervisedSkipsCorruptTail(t *testing.T) {
 			newest := ents[len(ents)-1]
 			damage(t, newest.Path)
 
-			rec := pochoir.NewRecorder()
 			reg := pochoir.NewMetrics()
-			st, u, kern := heatStencil(t, pochoir.Options{}, X, Y, seed+1000)
-			if _, err := st.ResumeSupervised(context.Background(), steps, kern, pochoir.SupervisePolicy{
+			st, u, kern := heatStencil(t, pochoir.Options{Metrics: reg}, X, Y, seed+1000)
+			rep, err := st.ResumeSupervised(context.Background(), steps, kern, pochoir.SupervisePolicy{
 				SegmentSteps: segSteps, SpillDir: dir, SpillKeep: 64,
-				Telemetry: rec, Metrics: reg,
-			}); err != nil {
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 			mustMatch(t, u, steps, want)
@@ -202,7 +199,7 @@ func TestResumeSupervisedSkipsCorruptTail(t *testing.T) {
 			if got := sm.ResumeCorrupt.Value(); got != 1 {
 				t.Fatalf("resume_corrupt_entries = %d, want 1", got)
 			}
-			for _, ev := range rec.SupervisorEvents() {
+			for _, ev := range rep.Events {
 				if ev.Kind == telemetry.SupResume {
 					if ev.Err != "" {
 						t.Fatalf("resume fell back to cold start: %s", ev.Err)
@@ -244,19 +241,18 @@ func TestResumeSupervisedColdStart(t *testing.T) {
 			dir := t.TempDir()
 			corrupt := prep(t, dir)
 
-			rec := pochoir.NewRecorder()
 			reg := pochoir.NewMetrics()
-			st, u, kern := heatStencil(t, pochoir.Options{}, X, Y, seed)
-			if _, err := st.ResumeSupervised(context.Background(), steps, kern, pochoir.SupervisePolicy{
+			st, u, kern := heatStencil(t, pochoir.Options{Metrics: reg}, X, Y, seed)
+			rep, err := st.ResumeSupervised(context.Background(), steps, kern, pochoir.SupervisePolicy{
 				SegmentSteps: segSteps, SpillDir: dir, SpillKeep: 64,
-				Telemetry: rec, Metrics: reg,
-			}); err != nil {
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 			mustMatch(t, u, steps, want)
 
 			var cold bool
-			for _, ev := range rec.SupervisorEvents() {
+			for _, ev := range rep.Events {
 				if ev.Kind == telemetry.SupResume && ev.Err != "" {
 					cold = true
 				}

@@ -7,7 +7,10 @@ package metrics
 // paths. A nil set pointer disarms every instrumentation point with a
 // single comparison, mirroring the telemetry recorder's discipline.
 
-import "pochoir/internal/core"
+import (
+	"pochoir/internal/core"
+	"pochoir/internal/telemetry"
+)
 
 // RunMetrics is the walker/scheduler instrument set.
 type RunMetrics struct {
@@ -134,6 +137,57 @@ func NewSupervisorMetrics(r *Registry) *SupervisorMetrics {
 		ResumeRestored: r.Counter("pochoir_resume_total", "Cross-process resume decisions by outcome.", Label{"outcome", "restored"}),
 		ResumeCold:     r.Counter("pochoir_resume_total", "Cross-process resume decisions by outcome.", Label{"outcome", "cold_start"}),
 		ResumeCorrupt:  r.Counter("pochoir_resume_corrupt_entries_total", "Corrupt or torn journal entries skipped while resuming."),
+	}
+}
+
+// Observe counts one supervisor decision. It is the only writer of the set:
+// every counter is a function of the event stream, so a scrape agrees with
+// the run's report. A retry is counted when the attempt it started ends.
+// A nil set observes nothing.
+func (m *SupervisorMetrics) Observe(ev telemetry.SupEvent) {
+	if m == nil {
+		return
+	}
+	switch ev.Kind {
+	case telemetry.SupSegmentDone:
+		m.SegmentsDone.Inc()
+	case telemetry.SupSegmentFail:
+		m.SegmentsFailed.Inc()
+		if ev.Delay > 0 {
+			m.WatchdogTrips.Inc()
+		}
+	case telemetry.SupCheckpoint:
+		m.Checkpoints.Inc()
+	case telemetry.SupRestore:
+		m.Restores.Inc()
+	case telemetry.SupBackoff:
+		m.BackoffNS.Add(ev.Delay.Nanoseconds())
+	case telemetry.SupDegrade:
+		m.Degradations.Inc()
+	case telemetry.SupVerifyOK:
+		m.VerifyOK.Inc()
+	case telemetry.SupVerifyMismatch:
+		m.VerifyMismatch.Inc()
+	case telemetry.SupGiveUp:
+		m.GiveUps.Inc()
+	case telemetry.SupSpill:
+		if ev.Err != "" {
+			m.SpillErrors.Inc()
+			return
+		}
+		m.Spills.Inc()
+		m.SpillBytes.Add(ev.Count)
+		m.SpillNS.Add(ev.Delay.Nanoseconds())
+	case telemetry.SupResume:
+		m.ResumeCorrupt.Add(ev.Count)
+		if ev.Err != "" {
+			m.ResumeCold.Inc()
+		} else {
+			m.ResumeRestored.Inc()
+		}
+	}
+	if (ev.Kind == telemetry.SupSegmentDone || ev.Kind == telemetry.SupSegmentFail) && ev.Attempt > 1 {
+		m.Retries.Inc()
 	}
 }
 

@@ -51,7 +51,7 @@ type Report struct {
 	LastSpillPath string
 	LastSpillStep int
 	// Events is the ordered supervisor decision log, the same records
-	// emitted to Policy.Telemetry.
+	// handed to Policy.OnEvent.
 	Events []telemetry.SupEvent
 	// Err is the terminal error of an unsuccessful run (also returned by
 	// Supervise).

@@ -21,9 +21,11 @@
 //
 // The supervisor is generic: it drives a Driver of closures (run a segment
 // with a given engine, checkpoint, restore, verify) supplied by
-// pochoir.Stencil.RunSupervised, and reports every decision twice — as
-// typed telemetry.SupEvent records through the run's Recorder, and in the
-// Report returned to the caller. Time is abstracted behind Clock so the
+// pochoir.Stencil.RunSupervised. Each decision becomes one typed
+// telemetry.SupEvent, stamped, appended to the Report and handed to
+// Policy.OnEvent, and that is all the supervisor does with it: the package
+// knows no sink, and the caller composes metrics, the flight record and
+// trace spans behind the hook. Time is abstracted behind Clock so the
 // backoff and watchdog logic is testable with a fake clock and zero real
 // sleeps.
 package resilience
@@ -34,8 +36,6 @@ import (
 	"time"
 
 	"pochoir/internal/core"
-	"pochoir/internal/flight"
-	"pochoir/internal/metrics"
 	"pochoir/internal/telemetry"
 )
 
@@ -170,23 +170,12 @@ type Policy struct {
 	// Rand overrides the jitter source with a func returning [0,1);
 	// nil means math/rand.
 	Rand func() float64
-	// Telemetry, when non-nil, receives every supervisor decision as a
-	// typed SupEvent (pochoir defaults it to the run's recorder).
-	Telemetry *telemetry.Recorder
-	// Metrics, when non-nil, also counts every decision in the live
-	// metrics registry (retries, degradations, watchdog trips, verify
-	// outcomes, ...), so a monitor sees a supervised run's health mid-run.
-	Metrics *metrics.Registry
-	// Flight, when non-nil, stamps every decision into the black-box flight
-	// recorder, so a post-mortem bundle interleaves supervisor decisions
-	// with the engine events around them (pochoir defaults it to the
-	// process-wide recorder).
-	Flight *flight.Recorder
 	// OnEvent, when non-nil, receives every supervisor decision
 	// synchronously from the supervising goroutine, after its report
-	// timestamp is stamped. The causal tracer hangs off this hook
-	// (trace.SupervisorSpans) to grow the run's span tree live; any other
-	// observer may too. It must not block.
+	// timestamp is stamped. It is the supervisor's only observer: pochoir
+	// hangs the flight record, the live metrics and the causal tracer's
+	// spans off it (before any hook of the caller's), and the Report keeps
+	// the same events. It must not block.
 	OnEvent func(telemetry.SupEvent)
 }
 

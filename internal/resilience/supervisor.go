@@ -7,8 +7,6 @@ import (
 	"runtime/pprof"
 
 	"pochoir/internal/core"
-	"pochoir/internal/flight"
-	"pochoir/internal/metrics"
 	"pochoir/internal/profile"
 	"pochoir/internal/telemetry"
 )
@@ -84,16 +82,8 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 	}
 	rung := 0
 	rep := &Report{Steps: d.Steps, FinalEngine: p.Ladder[0]}
-	var sm *metrics.SupervisorMetrics
-	if p.Metrics != nil {
-		sm = metrics.NewSupervisorMetrics(p.Metrics)
-	}
 	start := p.Clock.Now()
 	emit := func(ev telemetry.SupEvent) {
-		if p.Telemetry != nil {
-			p.Telemetry.Supervisor(ev) // the recorder stamps its copy itself
-		}
-		p.Flight.Record(flight.EvSup, int64(ev.Kind), int64(ev.Segment), int64(ev.Attempt))
 		ev.TS = p.Clock.Now().Sub(start).Nanoseconds()
 		rep.Events = append(rep.Events, ev)
 		if p.OnEvent != nil {
@@ -101,9 +91,6 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 		}
 	}
 	fail := func(seg SegmentReport, err error) (*Report, error) {
-		if sm != nil {
-			sm.GiveUps.Inc()
-		}
 		rep.Segments = append(rep.Segments, seg)
 		rep.FinalEngine = p.Ladder[rung]
 		rep.Err = err
@@ -132,9 +119,6 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 				return fail(seg, fmt.Errorf("resilience: checkpoint before segment %d: %w", seg.Index, cperr))
 			}
 			rep.Checkpoints++
-			if sm != nil {
-				sm.Checkpoints.Inc()
-			}
 			emit(telemetry.SupEvent{Kind: telemetry.SupCheckpoint, Segment: seg.Index})
 
 			if d.Spill != nil {
@@ -145,27 +129,20 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 				pprof.Do(ctx, profile.LabelsCheckpoint, func(context.Context) {
 					path, bytes, serr = d.Spill(seg.Index, from)
 				})
-				spillNS := p.Clock.Now().Sub(spillStart).Nanoseconds()
+				ev := telemetry.SupEvent{Kind: telemetry.SupSpill, Segment: seg.Index,
+					Delay: p.Clock.Now().Sub(spillStart)}
 				if serr != nil {
 					// Durability degraded, run intact: record and move on.
 					rep.SpillErrors++
-					if sm != nil {
-						sm.SpillErrors.Inc()
-					}
-					emit(telemetry.SupEvent{Kind: telemetry.SupSpill, Segment: seg.Index,
-						Err: serr.Error()})
+					ev.Err = serr.Error()
 				} else {
 					rep.Spills++
 					rep.SpillBytes += bytes
 					rep.LastSpillPath = path
 					rep.LastSpillStep = from
-					if sm != nil {
-						sm.Spills.Inc()
-						sm.SpillBytes.Add(bytes)
-						sm.SpillNS.Add(spillNS)
-					}
-					emit(telemetry.SupEvent{Kind: telemetry.SupSpill, Segment: seg.Index})
+					ev.Count = bytes
 				}
+				emit(ev)
 			}
 		}
 
@@ -175,9 +152,6 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 			rep.Attempts++
 			if attempt > 1 {
 				rep.Retries++
-				if sm != nil {
-					sm.Retries.Inc()
-				}
 			}
 			seg.Attempts = attempt
 			eng := p.Ladder[rung]
@@ -207,18 +181,12 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 				})
 				if verr != nil {
 					rep.VerifyMismatches++
-					if sm != nil {
-						sm.VerifyMismatch.Inc()
-					}
 					seg.VerifyMismatch = true
 					emit(telemetry.SupEvent{Kind: telemetry.SupVerifyMismatch, Segment: seg.Index,
 						Attempt: attempt, Engine: eng.String(), Err: verr.Error()})
 					err = verr
 				} else {
 					rep.Verified++
-					if sm != nil {
-						sm.VerifyOK.Inc()
-					}
 					seg.Verified = true
 					emit(telemetry.SupEvent{Kind: telemetry.SupVerifyOK, Segment: seg.Index,
 						Attempt: attempt, Engine: eng.String()})
@@ -231,17 +199,15 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 			}
 			segErr = err
 			failures++
-			if sm != nil {
-				sm.SegmentsFailed.Inc()
+			seg.Failures = append(seg.Failures, err.Error())
+			fev := telemetry.SupEvent{Kind: telemetry.SupSegmentFail, Segment: seg.Index,
+				Attempt: attempt, Engine: eng.String(), Err: err.Error()}
+			if p.SegmentTimeout > 0 && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 				// A deadline error with the parent still live means the
 				// per-attempt watchdog fired, not an outside cancellation.
-				if p.SegmentTimeout > 0 && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-					sm.WatchdogTrips.Inc()
-				}
+				fev.Delay = p.SegmentTimeout
 			}
-			seg.Failures = append(seg.Failures, err.Error())
-			emit(telemetry.SupEvent{Kind: telemetry.SupSegmentFail, Segment: seg.Index,
-				Attempt: attempt, Engine: eng.String(), Err: err.Error()})
+			emit(fev)
 
 			if ctx.Err() != nil {
 				// The parent gave up; retrying would spin on a dead context.
@@ -265,26 +231,17 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 				break
 			}
 			rep.Restores++
-			if sm != nil {
-				sm.Restores.Inc()
-			}
 			emit(telemetry.SupEvent{Kind: telemetry.SupRestore, Segment: seg.Index, Attempt: attempt})
 
 			if failures%p.DegradeAfter == 0 && rung < len(p.Ladder)-1 {
 				rung++
 				rep.Degradations++
-				if sm != nil {
-					sm.Degradations.Inc()
-				}
 				emit(telemetry.SupEvent{Kind: telemetry.SupDegrade, Segment: seg.Index,
 					Attempt: attempt, Engine: p.Ladder[rung].String()})
 			}
 
 			delay := p.backoffDelay(failures)
 			rep.BackoffTotal += delay
-			if sm != nil {
-				sm.BackoffNS.Add(delay.Nanoseconds())
-			}
 			seg.Backoff += delay
 			emit(telemetry.SupEvent{Kind: telemetry.SupBackoff, Segment: seg.Index,
 				Attempt: attempt, Delay: delay})
@@ -299,9 +256,6 @@ func Supervise(ctx context.Context, d Driver, p Policy) (*Report, error) {
 		rep.FinalEngine = p.Ladder[rung]
 		rep.Segments = append(rep.Segments, seg)
 		rep.StepsDone = from + steps
-		if sm != nil {
-			sm.SegmentsDone.Inc()
-		}
 		emit(telemetry.SupEvent{Kind: telemetry.SupSegmentDone, Segment: seg.Index,
 			Attempt: seg.Attempts, Engine: seg.Engine.String()})
 		from += steps

@@ -3,6 +3,11 @@ package resilience
 import (
 	"context"
 	"errors"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,8 +126,6 @@ func TestSuperviseRetryBackoffAndDegrade(t *testing.T) {
 	p.SegmentSteps = 2
 	p.MaxAttempts = 4
 	p.DegradeAfter = 2
-	rec := telemetry.New()
-	p.Telemetry = rec
 	rep, err := Supervise(context.Background(), d, p)
 	if err != nil {
 		t.Fatal(err)
@@ -148,10 +151,6 @@ func TestSuperviseRetryBackoffAndDegrade(t *testing.T) {
 	}
 	if got := rep.Segments[0].Failures; len(got) != 2 || got[0] != "injected" {
 		t.Fatalf("failures = %v", got)
-	}
-	// The same decision log reached the recorder.
-	if evs := rec.SupervisorEvents(); len(evs) != len(rep.Events) {
-		t.Fatalf("recorder has %d events, report has %d", len(evs), len(rep.Events))
 	}
 	var kinds []telemetry.SupKind
 	for _, ev := range rep.Events {
@@ -288,6 +287,10 @@ func TestSuperviseWatchdogDeadlinePerAttempt(t *testing.T) {
 	if rep.Retries != 1 || rep.StepsDone != 2 {
 		t.Fatalf("report = %+v", rep)
 	}
+	// The failure the watchdog caused carries its timeout.
+	if fail := rep.Events[2]; fail.Kind != telemetry.SupSegmentFail || fail.Delay != 50*time.Millisecond {
+		t.Fatalf("event 2 = %+v, want a segment-fail with the 50ms watchdog timeout", fail)
+	}
 }
 
 func TestSuperviseVerifyMismatchRetries(t *testing.T) {
@@ -390,5 +393,37 @@ func TestSuperviseCheckpointFailureIsTerminal(t *testing.T) {
 	rep, err := Supervise(context.Background(), d, noJitter(&fakeClock{}))
 	if !errors.Is(err, boom) || rep.Err == nil {
 		t.Fatalf("err = %v, report = %+v", err, rep)
+	}
+}
+
+// TestResilienceImportsNoObservability pins the seam: the supervisor hands
+// every decision to Policy.OnEvent and knows no sink. Its non-test files may
+// import from the module only core (the engines), telemetry (the SupEvent
+// type) and profile (the pprof label sets).
+func TestResilienceImportsNoObservability(t *testing.T) {
+	allowed := map[string]bool{
+		"pochoir/internal/core":      true,
+		"pochoir/internal/telemetry": true,
+		"pochoir/internal/profile":   true,
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if (path == "pochoir" || strings.HasPrefix(path, "pochoir/")) && !allowed[path] {
+				t.Errorf("%s imports %s", name, path)
+			}
+		}
 	}
 }

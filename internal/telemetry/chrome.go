@@ -8,7 +8,6 @@ import (
 	"os"
 	"slices"
 	"strconv"
-	"strings"
 )
 
 // WriteChromeTrace renders the recorded events in the Chrome trace-event
@@ -40,25 +39,11 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 					ev.Kind, s.id, ts, beginArgs(ev))
 			}
 		}
-		if len(r.sup) > 0 {
-			// Supervisor decisions render as instant events on a dedicated
-			// track above the worker span trees.
-			supTid := len(r.shards)
-			emit(threadName, supTid, strconv.Quote("supervisor"))
-			for _, ev := range r.sup {
-				emit(`{"name":"%s","cat":"supervisor","ph":"i","s":"p","pid":1,"tid":%d,"ts":%.3f,"args":{%s}}`,
-					ev.Kind, supTid, float64(ev.TS)/1e3, supArgs(ev))
-			}
-		}
 	})
 }
 
 // emitFunc appends one event, formatted as by fmt.Sprintf, to the trace.
 type emitFunc func(format string, args ...any)
-
-// threadName is the metadata record naming track tid: emit it with the tid
-// and the quoted name.
-const threadName = `{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`
 
 // writeChrome writes one Chrome trace-event document, the "JSON Array with
 // metadata" flavor every exporter here shares: the header, the process name,
@@ -79,7 +64,7 @@ func writeChrome(w io.Writer, process string, tracks map[int]string, body func(e
 	}
 	emit(`{"name":"process_name","ph":"M","pid":1,"args":{"name":%s}}`, strconv.Quote(process))
 	for _, tid := range slices.Sorted(maps.Keys(tracks)) {
-		emit(threadName, tid, strconv.Quote(tracks[tid]))
+		emit(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`, tid, strconv.Quote(tracks[tid]))
 	}
 	body(emit)
 	if _, err := bw.WriteString("]}\n"); err != nil {
@@ -105,23 +90,6 @@ func beginArgs(ev Event) string {
 		return fmt.Sprintf(`"volume":%d,"clone":"%s","height":%d`, ev.A0, clone, ev.A2)
 	}
 	return ""
-}
-
-// supArgs renders the args object body of a supervisor instant event.
-// Error strings come from arbitrary panic values, so they are JSON-quoted.
-func supArgs(ev SupEvent) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, `"segment":%d,"attempt":%d`, ev.Segment, ev.Attempt)
-	if ev.Engine != "" {
-		fmt.Fprintf(&sb, `,"engine":%s`, strconv.Quote(ev.Engine))
-	}
-	if ev.Delay > 0 {
-		fmt.Fprintf(&sb, `,"delay_us":%d`, ev.Delay.Microseconds())
-	}
-	if ev.Err != "" {
-		fmt.Fprintf(&sb, `,"err":%s`, strconv.Quote(ev.Err))
-	}
-	return sb.String()
 }
 
 // ChromeInstant is one instant event of a generic Chrome trace: a named

@@ -38,6 +38,7 @@ type supEventJSON struct {
 	Attempt int     `json:"attempt,omitempty"`
 	Engine  string  `json:"engine,omitempty"`
 	DelayNS int64   `json:"delay_ns,omitempty"`
+	Count   int64   `json:"count,omitempty"`
 	Err     string  `json:"error,omitempty"`
 }
 
@@ -46,7 +47,7 @@ type supEventJSON struct {
 func (e SupEvent) MarshalJSON() ([]byte, error) {
 	return json.Marshal(supEventJSON{
 		TS: e.TS, Kind: e.Kind, Segment: e.Segment, Attempt: e.Attempt,
-		Engine: e.Engine, DelayNS: e.Delay.Nanoseconds(), Err: e.Err,
+		Engine: e.Engine, DelayNS: e.Delay.Nanoseconds(), Count: e.Count, Err: e.Err,
 	})
 }
 
@@ -58,7 +59,7 @@ func (e *SupEvent) UnmarshalJSON(data []byte) error {
 	}
 	*e = SupEvent{
 		TS: j.TS, Kind: j.Kind, Segment: j.Segment, Attempt: j.Attempt,
-		Engine: j.Engine, Delay: time.Duration(j.DelayNS), Err: j.Err,
+		Engine: j.Engine, Delay: time.Duration(j.DelayNS), Count: j.Count, Err: j.Err,
 	}
 	return nil
 }

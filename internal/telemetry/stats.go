@@ -52,10 +52,6 @@ type Stats struct {
 
 	// Events is the total number of recorded begin/end events.
 	Events int64
-
-	// SupEvents is the number of recorded supervisor decision events
-	// (segments, retries, backoffs, degradations, verifications).
-	SupEvents int64
 }
 
 // Zoids returns the total number of decomposition nodes visited: every
@@ -201,7 +197,6 @@ func (st Stats) Delta(prev Stats) Stats {
 		}
 	}
 	out.Events -= prev.Events
-	out.SupEvents -= prev.SupEvents
 	return out
 }
 
@@ -260,9 +255,6 @@ func (st Stats) WriteReport(w io.Writer) {
 	}
 	fmt.Fprintf(w, "achieved parallelism: %.2f (busy %.3fs / wall %.3fs)\n",
 		st.AchievedParallelism(), st.BusyTotal().Seconds(), st.Wall.Seconds())
-	if st.SupEvents > 0 {
-		fmt.Fprintf(w, "supervisor: %d decision events\n", st.SupEvents)
-	}
 }
 
 // Report returns WriteReport's output as a string.

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -49,63 +47,5 @@ func TestBaseVolumePercentile(t *testing.T) {
 	rep := st.Report()
 	if !strings.Contains(rep, "p50") || !strings.Contains(rep, "p99") {
 		t.Fatalf("report missing percentile line:\n%s", rep)
-	}
-}
-
-// TestChromeTraceSupInstantEvents pins the satellite contract: supervisor
-// decisions export as Chrome-trace instant events ("ph":"i") on a dedicated
-// supervisor track, alongside the span tree.
-func TestChromeTraceSupInstantEvents(t *testing.T) {
-	r := New()
-	s := r.Acquire()
-	s.End(s.Base(16, true, 1))
-	r.Release(s)
-	for _, ev := range []SupEvent{
-		{Kind: SupSegmentStart, Segment: 0, Engine: "TRAP"},
-		{Kind: SupSegmentFail, Segment: 0, Attempt: 1, Engine: "TRAP", Err: "kernel panic"},
-		{Kind: SupRestore, Segment: 0, Attempt: 1},
-		{Kind: SupDegrade, Segment: 0, Attempt: 1, Engine: "STRAP"},
-		{Kind: SupSegmentDone, Segment: 0, Attempt: 2, Engine: "STRAP"},
-	} {
-		r.Supervisor(ev)
-	}
-
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Cat  string         `json:"cat"`
-			Ph   string         `json:"ph"`
-			Tid  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	instants := map[string]bool{}
-	supTid := -1
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph == "i" && ev.Cat == "supervisor" {
-			instants[ev.Name] = true
-			if supTid == -1 {
-				supTid = ev.Tid
-			} else if ev.Tid != supTid {
-				t.Fatalf("supervisor instants on multiple tracks: %d and %d", supTid, ev.Tid)
-			}
-		}
-		if ev.Ph == "M" && ev.Name == "thread_name" {
-			if name, _ := ev.Args["name"].(string); name == "supervisor" && supTid >= 0 && ev.Tid != supTid {
-				t.Fatalf("supervisor track metadata tid %d != instant tid %d", ev.Tid, supTid)
-			}
-		}
-	}
-	for _, want := range []string{"segment-start", "segment-fail", "restore", "degrade", "segment-done"} {
-		if !instants[want] {
-			t.Fatalf("trace missing supervisor instant %q; got %v\n%s", want, instants, buf.String())
-		}
 	}
 }

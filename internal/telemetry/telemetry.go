@@ -220,8 +220,9 @@ func log2Bucket(v int64) int {
 }
 
 // SupKind classifies one supervisor decision (see SupEvent). The
-// supervision layer in internal/resilience emits these; telemetry only
-// stores and exports them, keeping the package dependency-free.
+// supervision layer in internal/resilience emits these into its report and
+// its one observer hook; telemetry only defines the type, keeping the
+// package dependency-free.
 type SupKind uint8
 
 const (
@@ -289,17 +290,21 @@ func (k SupKind) String() string {
 	return "unknown"
 }
 
-// SupEvent is one typed, timestamped supervisor decision. Events are rare
-// (a handful per segment), so they are recorded under the recorder's lock
-// rather than through shards.
+// SupEvent is one typed, timestamped supervisor decision.
 type SupEvent struct {
-	TS      int64 // nanoseconds since the recorder's epoch; stamped on record
+	TS      int64 // nanoseconds since the supervised run started; stamped on emit
 	Kind    SupKind
-	Segment int           // segment index, 0-based
-	Attempt int           // attempt number within the segment, 1-based
-	Engine  string        // engine in effect (TRAP, STRAP, LOOPS)
-	Delay   time.Duration // backoff delay (SupBackoff) or watchdog timeout
-	Err     string        // failure description, when applicable
+	Segment int    // segment index, 0-based
+	Attempt int    // attempt number within the segment, 1-based
+	Engine  string // engine in effect (TRAP, STRAP, LOOPS)
+	// Delay is the backoff delay (SupBackoff), the spill's duration
+	// (SupSpill), or the watchdog timeout of a SupSegmentFail the watchdog
+	// caused.
+	Delay time.Duration
+	// Count is the bytes written (SupSpill) or the corrupt journal entries
+	// skipped (SupResume).
+	Count int64
+	Err   string // failure description, when applicable
 }
 
 // String renders the event as a one-line log entry:
@@ -325,7 +330,6 @@ type Recorder struct {
 	mu       sync.Mutex
 	shards   []*Shard
 	free     []*Shard
-	sup      []SupEvent
 	wallNS   int64
 	runStart time.Time
 	running  int
@@ -388,25 +392,6 @@ func (r *Recorder) RunFinished() {
 	r.mu.Unlock()
 }
 
-// Supervisor records one supervisor decision event, stamping it with the
-// recorder's epoch clock. Unlike span recording it may be called while an
-// instrumented run executes on other goroutines: supervisor events live in
-// their own slice under the recorder lock.
-func (r *Recorder) Supervisor(ev SupEvent) {
-	r.mu.Lock()
-	ev.TS = r.now()
-	r.sup = append(r.sup, ev)
-	r.mu.Unlock()
-}
-
-// SupervisorEvents returns a copy of the recorded supervisor decisions in
-// order.
-func (r *Recorder) SupervisorEvents() []SupEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]SupEvent(nil), r.sup...)
-}
-
 // Workers returns the number of distinct worker shards created so far.
 func (r *Recorder) Workers() int {
 	r.mu.Lock()
@@ -445,6 +430,5 @@ func (r *Recorder) Snapshot() Stats {
 		st.WorkerBusy[i] = time.Duration(s.busyNS)
 		st.Events += int64(len(s.events))
 	}
-	st.SupEvents = int64(len(r.sup))
 	return st
 }

@@ -9,6 +9,8 @@ import (
 	"strconv"
 
 	"pochoir/internal/core"
+	"pochoir/internal/flight"
+	"pochoir/internal/metrics"
 	"pochoir/internal/resilience"
 	"pochoir/internal/telemetry"
 	"pochoir/internal/trace"
@@ -29,7 +31,8 @@ type VerifyPolicy = resilience.VerifyPolicy
 
 // RunReport summarizes a supervised run: steps completed, per-segment
 // attempts and failures, retries, degradations, backoff spent, shadow
-// verifications, and the full ordered supervisor decision log.
+// verifications, and the full ordered supervisor decision log (Events,
+// the one log of them; a resumed run's starts with its resume decision).
 type RunReport = resilience.Report
 
 // SegmentReport describes one segment of a supervised run.
@@ -39,7 +42,7 @@ type SegmentReport = resilience.SegmentReport
 type VerifyError = resilience.VerifyError
 
 // SupervisorEvent is one typed supervisor decision; RunReport.Events holds
-// them in order, and they are also emitted through the run's Recorder.
+// them in order, and SupervisePolicy.OnEvent receives each as it happens.
 type SupervisorEvent = telemetry.SupEvent
 
 // SupervisorEngine names a rung of the degradation ladder.
@@ -70,26 +73,45 @@ const (
 // verification re-executes per point.
 //
 // The returned RunReport is non-nil in all cases and records every
-// supervisor decision; the same events flow to p.Telemetry (defaulted to
-// Options.Telemetry). On success the stencil has advanced by steps, exactly
-// as after Run. On failure the error is also recorded in the report and the
-// stencil is left poisoned at the failed segment's start (restored state),
-// except with p.NoCheckpoint where the torn state stays.
-func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, p SupervisePolicy) (rep *RunReport, err error) {
+// supervisor decision. Each decision also goes, in order, to the flight
+// recorder, the Options.Metrics counters, the Options.Trace spans and
+// p.OnEvent. On success the stencil has advanced by steps, exactly as after
+// Run. On failure the error is also recorded in the report and the stencil
+// is left poisoned at the failed segment's start (restored state), except
+// with p.NoCheckpoint where the torn state stays.
+func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, p SupervisePolicy) (*RunReport, error) {
+	return s.runSupervised(ctx, steps, kern, p, nil)
+}
+
+// supervisorSink composes the observers of a supervised run's decisions
+// from the stencil's Options: the flight record, the live metrics, the
+// trace's segment and attempt spans under runSpan, then the caller's hook.
+func (s *Stencil[T]) supervisorSink(runSpan trace.SpanID, onEvent func(SupervisorEvent)) func(SupervisorEvent) {
+	fr := s.flightRecorder()
+	var sm *metrics.SupervisorMetrics
+	if reg := s.opts.Metrics; reg != nil {
+		sm = metrics.NewSupervisorMetrics(reg)
+	}
+	spans := trace.SupervisorSpans(s.opts.Trace, runSpan)
+	return func(ev SupervisorEvent) {
+		fr.Record(flight.EvSup, int64(ev.Kind), int64(ev.Segment), int64(ev.Attempt))
+		sm.Observe(ev)
+		spans(ev)
+		if onEvent != nil {
+			onEvent(ev)
+		}
+	}
+}
+
+// runSupervised is RunSupervised with, for ResumeSupervised, the resume
+// decision: it goes through the run's sink once the run's span is open, and
+// leads the report's events.
+func (s *Stencil[T]) runSupervised(ctx context.Context, steps int, kern Kernel, p SupervisePolicy, resume *SupervisorEvent) (rep *RunReport, err error) {
 	if steps < 0 {
 		return nil, fmt.Errorf("pochoir: negative step count %d", steps)
 	}
 	if len(s.arrays) == 0 {
 		return nil, fmt.Errorf("pochoir: no arrays registered")
-	}
-	if p.Telemetry == nil {
-		p.Telemetry = s.opts.Telemetry
-	}
-	if p.Metrics == nil {
-		p.Metrics = s.opts.Metrics
-	}
-	if p.Flight == nil {
-		p.Flight = s.flightRecorder()
 	}
 	if reg := s.opts.Metrics; reg != nil {
 		// One progress estimator spans the whole supervised run: segments
@@ -107,23 +129,15 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 	// Resolve the policy defaults here, not just inside Supervise: the verify
 	// closure below reads the effective BoxSide/Every/Tolerance and Rand.
 	p = p.WithDefaults()
+	var runSpan trace.SpanID
 	if tr := s.opts.Trace; tr != nil {
 		// The supervised run gets its own span, and the supervisor's
 		// decision stream grows segment/attempt spans under it live — so a
 		// post-mortem snapshot of a run that dies mid-segment still shows
-		// the attempt it died in. Chain rather than replace any caller
-		// OnEvent.
-		runSpan := tr.StartSpan("supervised-run", s.opts.TraceParent,
+		// the attempt it died in.
+		runSpan = tr.StartSpan("supervised-run", s.opts.TraceParent,
 			trace.Attr{Key: "steps", Value: strconv.Itoa(steps)},
 			trace.Attr{Key: "algorithm", Value: s.opts.Algorithm.String()})
-		spanSink := trace.SupervisorSpans(tr, runSpan)
-		prevSink := p.OnEvent
-		p.OnEvent = func(ev telemetry.SupEvent) {
-			spanSink(ev)
-			if prevSink != nil {
-				prevSink(ev)
-			}
-		}
 		defer func() {
 			status := trace.StatusOK
 			switch {
@@ -142,6 +156,7 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 			tr.EndSpan(runSpan, status, attrs...)
 		}()
 	}
+	p.OnEvent = s.supervisorSink(runSpan, p.OnEvent)
 	// Segments run the attached compiled clones when the stencil carries
 	// them (AttachBaseKernels); shadow verification always re-executes the
 	// point kernel.
@@ -201,7 +216,13 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 	// writes the post-mortem bundle, supervisor decision log included.
 	s.inSupervise = true
 	defer func() { s.inSupervise = false }()
+	if resume != nil {
+		p.OnEvent(*resume)
+	}
 	rep, err = resilience.Supervise(ctx, d, p)
+	if resume != nil {
+		rep.Events = append([]SupervisorEvent{*resume}, rep.Events...)
+	}
 	if err != nil {
 		s.writePostmortem(err, rep)
 	}
