@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet test race bench verify fuzz-smoke soak crash-soak monitor-smoke bench-lab flight-smoke gateway-smoke trace-smoke profile-smoke
+.PHONY: build vet test race bench verify fuzz-smoke soak crash-soak bench-lab flight-smoke gateway-smoke trace-smoke profile-smoke
 
 build:
 	$(GO) build ./...
@@ -27,7 +27,9 @@ test:
 # hardened-execution suite (panic isolation, cancellation, poisoning,
 # checkpoint/restore, fault injection) and the supervised-resilience suite
 # (segment retries, degradation ladder, shadow verification) under the
-# detector.
+# detector, as well as the live monitor: every scrape of /metrics a valid
+# exposition, the zoid counter rising across runs, and a recovered supervised
+# run's progress never falling and ending at 100%.
 race:
 	$(GO) test -race ./internal/core ./internal/sched ./internal/telemetry ./internal/loops ./internal/faultpoint ./internal/resilience ./internal/metrics ./internal/flight ./internal/wire ./internal/compiler ./internal/gateway ./internal/trace ./internal/profile
 	$(GO) test -race -run 'Panic|Cancel|Poison|Checkpoint|Restore|Fault|RegisterArray|Supervised|LoopsEngine|Monitor|Progress|Bundle|Recorder|Incident|Resume|Durable' .
@@ -82,14 +84,6 @@ crash-soak:
 bench:
 	$(GO) test -run '^$$' -bench '^Benchmark(Heat2D|AllSignalsOn|WalkOnly)$$' -benchtime 10x .
 
-# monitor-smoke runs the self-scraping monitoring experiment: a supervised
-# run scraped twice over HTTP from its own embedded monitor server, every
-# exposition validated line-by-line, the zoid counter checked strictly
-# increasing, and the progress estimator checked to finish at 100%. The
-# experiment exits nonzero on any violation.
-monitor-smoke:
-	$(GO) run ./cmd/experiments -run monitor -quick
-
 # bench-lab runs the performance observatory: the paper suite across the
 # TRAP/STRAP/LOOPS engines with wall clock, telemetry, work/span, and
 # cache-sim signals fused into BENCH_pochoir.json, then gates the report
@@ -100,20 +94,14 @@ bench-lab:
 	$(GO) run ./cmd/benchlab run -profile quick -out BENCH_pochoir.json
 	$(GO) run ./cmd/benchlab check -informational -baseline BENCH_baseline.json BENCH_pochoir.json
 
-# flight-smoke is the black-box post-mortem smoke test: POCHOIR_FAULTPOINTS
-# kills the run at its 121st base case — past 90% of the quick workload's
-# 128 (the experiment calibrates the total with a clean run and fails if the
-# armed count lands at <=90%, so a decomposition change that shifts the base
-# count gets caught, not silently mis-tuned) — and the flight experiment
-# asserts the crash bundle exists, parses, attributes the failing zoid, and
-# holds the panic in its event window. cmd/blackbox must then list, render,
-# diff, and trace-export the same bundle. Bundles land in ./flight-smoke-out
-# so CI can upload them as artifacts.
+# flight-smoke is the black-box post-mortem smoke test: examples/blackbox
+# crashes a Heat 2D run with a kernel panic 90% of the way through and reads
+# back the crash bundle the always-on flight recorder wrote, then
+# cmd/blackbox must list, render, diff, and trace-export the same bundle.
+# Bundles land in ./flight-smoke-out so CI can upload them as artifacts.
 flight-smoke:
 	rm -rf flight-smoke-out && mkdir -p flight-smoke-out
-	POCHOIR_POSTMORTEM_DIR=$(CURDIR)/flight-smoke-out \
-		POCHOIR_FAULTPOINTS='walker/base=panic:after=120' \
-		$(GO) run ./cmd/experiments -run flight -quick
+	POCHOIR_POSTMORTEM_DIR=$(CURDIR)/flight-smoke-out $(GO) run ./examples/blackbox
 	POCHOIR_POSTMORTEM_DIR=$(CURDIR)/flight-smoke-out $(GO) run ./cmd/blackbox list
 	POCHOIR_POSTMORTEM_DIR=$(CURDIR)/flight-smoke-out $(GO) run ./cmd/blackbox show -tail 12
 	POCHOIR_POSTMORTEM_DIR=$(CURDIR)/flight-smoke-out $(GO) run ./cmd/blackbox diff

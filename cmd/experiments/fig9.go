@@ -3,18 +3,22 @@ package main
 import (
 	"fmt"
 
+	"pochoir"
 	"pochoir/internal/benchdef"
 	"pochoir/internal/cachesim"
 	"pochoir/internal/cilkview"
 	"pochoir/internal/core"
 	"pochoir/internal/shape"
+	"pochoir/internal/stencils"
 )
 
 // runFig9 regenerates Fig. 9: the parallelism (T1/T-infinity, measured by
 // the work/span analyzer standing in for Cilkview) of hyperspace cuts
 // (TRAP) vs serial space cuts (STRAP) on uncoarsened recursions.
 // (a) 2D nonperiodic heat, space-time 1000*N^2; (b) 3D nonperiodic wave,
-// space-time 1000*N^3.
+// space-time 1000*N^3. A cross-check then sets one instrumented Heat 2p
+// run's achieved parallelism beside the parallelism predicted for the
+// recursion it made.
 func runFig9() {
 	header("Fig. 9(a): parallelism, 2D heat (space-time 1000*N^2, uncoarsened)")
 	ns := benchdef.Fig9Sweep2D
@@ -42,6 +46,29 @@ func runFig9() {
 		fmt.Printf("%8d %18.1f %18.1f %7.2fx\n", n, pt, ps, pt/ps)
 	}
 	fmt.Println("(paper at N=800: TRAP 337 vs STRAP 23)")
+	footer()
+
+	sizes, steps := []int{512, 512}, 64
+	if *quick {
+		sizes, steps = []int{256, 256}, 16
+	}
+	header(fmt.Sprintf("Fig. 9 cross-check: achieved vs predicted parallelism, Heat 2p (%dx%d, %d steps)", sizes[0], sizes[1], steps))
+	rec := pochoir.NewRecorder()
+	timeJob(stencils.NewHeat2DFactory(true).New(sizes, steps).Pochoir(pochoir.Options{Telemetry: rec}))
+	st := rec.Snapshot()
+	// The replay is the run's own recursion: TRAP under the §4 heuristic,
+	// with dimension 1 never cut because the compiled clones run whole rows.
+	w := cilkview.Config(2, sizes[0], 1, true, core.TRAP)
+	tc, sc := pochoir.DefaultCoarsening(2)
+	w.TimeCutoff, w.SpaceCutoff[0], w.SpaceCutoff[1] = tc, sc[0], 1<<30
+	m := cilkview.New(w, cilkview.DefaultCosts()).Analyze(1, 1+steps)
+	if m.Bases != st.Bases {
+		panic(fmt.Sprintf("fig9: cilkview replays %d base cases, the run made %d", m.Bases, st.Bases))
+	}
+	fmt.Printf("run:      %d base cases, %d spawns; achieved parallelism %.2f (busy %.3fs / wall %.3fs, %d core(s))\n",
+		st.Bases, st.Spawns, st.AchievedParallelism(), st.BusyTotal().Seconds(), st.Wall.Seconds(), goMaxProcs())
+	fmt.Printf("cilkview: %d base cases, %d spawns; predicted parallelism T1/Tinf %.1f\n",
+		m.Bases, m.Spawns, m.Parallelism())
 	footer()
 }
 

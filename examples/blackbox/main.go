@@ -13,7 +13,8 @@
 //
 //	go run ./examples/blackbox
 //
-// and render the printed bundle path with:
+// (the bundle goes to POCHOIR_POSTMORTEM_DIR when it is set, else to a
+// fresh temp directory) and render the printed bundle path with:
 //
 //	go run ./cmd/blackbox show <path>
 package main
@@ -28,12 +29,16 @@ import (
 )
 
 func main() {
-	// Bundles default under the OS temp dir; keep this demo's private.
-	dir, err := os.MkdirTemp("", "blackbox-example")
-	if err != nil {
-		log.Fatal(err)
+	// Bundles default under the OS temp dir; unless told where, keep this
+	// demo's private.
+	dir := os.Getenv("POCHOIR_POSTMORTEM_DIR")
+	if dir == "" {
+		var err error
+		if dir, err = os.MkdirTemp("", "blackbox-example"); err != nil {
+			log.Fatal(err)
+		}
+		os.Setenv("POCHOIR_POSTMORTEM_DIR", dir)
 	}
-	os.Setenv("POCHOIR_POSTMORTEM_DIR", dir)
 
 	const X, Y, T = 128, 128, 40
 	sh := pochoir.MustShape(2, [][]int{

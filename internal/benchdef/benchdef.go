@@ -71,16 +71,6 @@ func Quick(name string) (Workload, bool) {
 	return w, ok
 }
 
-// BenchNames returns every benchmark name the tables define (all profiles
-// cover the same set).
-func BenchNames() []string {
-	out := make([]string, 0, len(bench))
-	for n := range bench {
-		out = append(out, n)
-	}
-	return out
-}
-
 // AblationHeat2D and AblationHeat2DSmall are the Heat 2p workloads the §4
 // ablation benchmarks (coarsening, modular indexing, loop-indexing styles,
 // Phase 1 vs Phase 2) share with the Fig. 3 Heat 2p row.

@@ -18,9 +18,9 @@
 //     many matching visits to skip first, so a test can place a fault at
 //     "the third base case at depth 2" and get it every run.
 //
-//   - Failpoints arm programmatically (Arm/Disarm, used by tests) or from
-//     the POCHOIR_FAULTPOINTS environment variable (used to fault-inject
-//     unmodified binaries such as cmd/experiments).
+//   - Failpoints arm programmatically (Arm/DisarmAll, used by tests) or
+//     from the POCHOIR_FAULTPOINTS environment variable (used to
+//     fault-inject unmodified binaries such as examples/quickstart).
 //
 // The environment spec grammar is a semicolon-separated list of
 //
@@ -166,16 +166,6 @@ func Arm(site Site, spec Spec) {
 		armed.Add(1)
 	}
 	points[site] = &state{spec: spec}
-	mu.Unlock()
-}
-
-// Disarm removes the failpoint at site, if any.
-func Disarm(site Site) {
-	mu.Lock()
-	if _, ok := points[site]; ok {
-		delete(points, site)
-		armed.Add(-1)
-	}
 	mu.Unlock()
 }
 

@@ -140,9 +140,6 @@ func (a *Array[T]) Slot(t int) []T {
 // one replaces the old (§2, Register_Boundary).
 func (a *Array[T]) RegisterBoundary(b Boundary[T]) { a.boundary = b }
 
-// HasBoundary reports whether a boundary function has been registered.
-func (a *Array[T]) HasBoundary() bool { return a.boundary != nil }
-
 // inDomain reports whether idx lies inside the spatial domain.
 func (a *Array[T]) inDomain(idx []int) bool {
 	for i, x := range idx {

@@ -18,7 +18,6 @@ package profile
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"runtime/pprof"
@@ -417,13 +416,3 @@ func SetGlobal(p *Profiler) { global.Store(p) }
 
 // Global returns the process-wide profiler, or nil.
 func Global() *Profiler { return global.Load() }
-
-// DoPhase runs f under the parent labels in ctx plus the given phase
-// label. With a nil ctx it falls back to context.Background so callers
-// outside a labeled request still attribute their phase.
-func DoPhase(ctx context.Context, labels pprof.LabelSet, f func(context.Context)) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pprof.Do(ctx, labels, f)
-}

@@ -234,9 +234,6 @@ func New(cfg Config) *Tracer {
 	return t
 }
 
-// Epoch returns the tracer's epoch (span clocks are relative to it).
-func (t *Tracer) Epoch() time.Time { return t.epoch }
-
 // splitmix64 is the ID/RNG mixer (Vigna's splitmix64 output function).
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15

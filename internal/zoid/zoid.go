@@ -149,12 +149,6 @@ func (z *Zoid) Volume() int64 {
 	return vol
 }
 
-// LoAt returns the (inclusive) lower bound along dimension i at time t.
-func (z *Zoid) LoAt(i, t int) int { return z.Lo[i] + z.DLo[i]*(t-z.T0) }
-
-// HiAt returns the (exclusive) upper bound along dimension i at time t.
-func (z *Zoid) HiAt(i, t int) int { return z.Hi[i] + z.DHi[i]*(t-z.T0) }
-
 // Extremes returns the minimum lower bound and maximum upper bound attained
 // along dimension i over the executed time steps T0 .. T1-1. Because the
 // bounds move linearly the extremes occur at the endpoints.

@@ -98,11 +98,7 @@ func TestOptionMatrix1D(t *testing.T) {
 				{Algorithm: 1, Serial: true},
 				{TimeCutoff: 1, SpaceCutoff: []int{1}},
 				{TimeCutoff: 7, SpaceCutoff: []int{13}, Grain: 1},
-				{NoUnifiedPeriodic: !periodic}, // box decomposition (nonperiodic only)
 			} {
-				if opts.NoUnifiedPeriodic && periodic {
-					continue
-				}
 				got := run1D(t, n, steps, periodic, opts, specialized)
 				if d := maxAbsDiff(got, want); d > 1e-12 {
 					t.Fatalf("periodic=%v specialized=%v opts=%+v: diff %g",

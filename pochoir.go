@@ -183,11 +183,6 @@ type Options struct {
 	// Grain is the minimum approximate subzoid volume processed on a
 	// fresh goroutine; zero selects core.DefaultGrain.
 	Grain int64
-	// NoUnifiedPeriodic disables the §4 virtual-coordinate circle cuts
-	// and decomposes the grid as a plain box. This is only valid for
-	// stencils with no wraparound dependencies (nonperiodic boundary
-	// functions); it exists for the ablation experiments.
-	NoUnifiedPeriodic bool
 	// Telemetry, when non-nil, records the run's decomposition decisions
 	// into the recorder (see Recorder).
 	Telemetry *Recorder
@@ -209,17 +204,13 @@ type Options struct {
 	// pochoir-postmortem/v1 bundle (see PostmortemBundle).
 	NoFlightRecorder bool
 	// Trace, when non-nil, is the causal trace this stencil's supervised
-	// runs record into: RunSupervised opens a "supervised-run" span and
-	// grows a child span per segment attempt (with retry, degradation,
-	// spill, and verify causes) as the supervisor decides. The serving
-	// gateway threads each job's ActiveTrace through here; library users
-	// may pass their own (see NewTracer). Nil — the default — keeps runs
-	// untraced at the cost of one pointer check.
+	// runs record into: RunSupervised opens a "supervised-run" span under
+	// the trace's root and grows a child span per segment attempt (with
+	// retry, degradation, spill, and verify causes) as the supervisor
+	// decides. The serving gateway threads each job's ActiveTrace through
+	// here; library users may pass their own (see NewTracer). Nil — the
+	// default — keeps runs untraced at the cost of one pointer check.
 	Trace *ActiveTrace
-	// TraceParent, when Trace is set, parents the supervised-run span
-	// under an enclosing span (the gateway's per-job root); zero attaches
-	// to the trace's root span.
-	TraceParent TraceSpanID
 }
 
 // New creates a stencil object for the given shape.
@@ -315,7 +306,7 @@ func (s *Stencil[T]) newWalker(wholeRows bool) (*core.Walker, error) {
 		w.Sizes[i] = s.sizes[i]
 		// The unified scheme (§4) treats every dimension as periodic;
 		// nonperiodic behaviour comes from the boundary function.
-		w.Periodic[i] = !s.opts.NoUnifiedPeriodic
+		w.Periodic[i] = true
 	}
 	timeCut, spaceCut := s.coarsening(wholeRows)
 	w.TimeCutoff = timeCut

@@ -118,7 +118,6 @@ func TestHeat2DMatchesReferenceDirichlet(t *testing.T) {
 	for _, opts := range []pochoir.Options{
 		{},
 		{Serial: true},
-		{NoUnifiedPeriodic: true}, // box decomposition is valid for nonperiodic
 		{Algorithm: 1, Grain: 1},
 	} {
 		got := runHeat2D(t, X, Y, steps, false, opts)

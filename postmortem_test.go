@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -76,8 +77,10 @@ func TestFaultpointFailureWritesBundle(t *testing.T) {
 		Kind: faultpoint.KindPanic, Depth: faultpoint.AnyDepth, After: 40,
 	})
 	st, _, kern := heatStencil(t, fine, X, Y, 13)
-	if err := st.Run(steps, kern); err == nil {
-		t.Fatal("faulted run returned nil")
+	err := st.Run(steps, kern)
+	var kp *pochoir.KernelPanicError
+	if !errors.As(err, &kp) {
+		t.Fatalf("faulted run returned %v, want *KernelPanicError", err)
 	}
 
 	files := bundleFiles(t, dir)
@@ -96,6 +99,12 @@ func TestFaultpointFailureWritesBundle(t *testing.T) {
 	}
 	if b.Cause.Zoid == nil || len(b.Cause.Zoid.Lo) != 2 || b.Cause.Zoid.T1 <= b.Cause.Zoid.T0 {
 		t.Fatalf("cause zoid not attributed: %+v", b.Cause.Zoid)
+	}
+	// The bundle names the zoid the run's error names, so a zoid that covers
+	// the failing step in the error covers it in the bundle too.
+	if z, want := b.Cause.Zoid, kp.Zoid; z.T0 != want.T0 || z.T1 != want.T1 ||
+		!slices.Equal(z.Lo, want.Lo[:2]) || !slices.Equal(z.Hi, want.Hi[:2]) {
+		t.Fatalf("bundle zoid %+v, the run's error names %+v", *z, want)
 	}
 	if !strings.Contains(b.Cause.Error, "injected panic") {
 		t.Fatalf("cause error %q does not name the injected fault", b.Cause.Error)

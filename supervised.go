@@ -135,7 +135,7 @@ func (s *Stencil[T]) runSupervised(ctx context.Context, steps int, kern Kernel, 
 		// decision stream grows segment/attempt spans under it live — so a
 		// post-mortem snapshot of a run that dies mid-segment still shows
 		// the attempt it died in.
-		runSpan = tr.StartSpan("supervised-run", s.opts.TraceParent,
+		runSpan = tr.StartSpan("supervised-run", trace.SpanID{},
 			trace.Attr{Key: "steps", Value: strconv.Itoa(steps)},
 			trace.Attr{Key: "algorithm", Value: s.opts.Algorithm.String()})
 		defer func() {

@@ -24,9 +24,6 @@ type ActiveTrace = trace.Active
 // parsed from and rendered to `traceparent` headers.
 type TraceContext = trace.Context
 
-// TraceSpanID identifies one span within a trace.
-type TraceSpanID = trace.SpanID
-
 // NewTracer creates a causal tracer; pass it to the serving gateway
 // (gateway.Config.Trace) or drive it directly via StartTrace for library
 // use.
