@@ -452,7 +452,7 @@ func inspectEntry(path string) error {
 		return err
 	}
 	fmt.Printf("entry     %s\n", path)
-	fmt.Printf("schema    %s\n", wire.Schema)
+	fmt.Printf("schema    pochoir-checkpoint/v%d\n", cp.Version)
 	fmt.Printf("steps     %d (resume cursor)\n", cp.StepsRun)
 	fmt.Printf("grid      %dD sizes=%v\n", len(cp.Sizes), cp.Sizes)
 	pts := 1
@@ -461,8 +461,9 @@ func inspectEntry(path string) error {
 	}
 	for i, a := range cp.Arrays {
 		kind, n, _ := wire.KindOf(a.Data)
-		fmt.Printf("array %-3d %s, %d slots, %d elements (%d points x %d slots), %d payload bytes\n",
-			i, kind, a.Slots, n, pts, a.Slots, n*kind.Size())
+		held := a.Held(pts)
+		fmt.Printf("array %-3d %s, %d slots, live times %d..%d, holds %d slots: %d elements (%d points x %d), %d payload bytes\n",
+			i, kind, a.Slots, cp.StepsRun, cp.StepsRun+a.Slots-2, held, n, pts, held, n*kind.Size())
 	}
 	fmt.Println("integrity ok (header and all section CRCs validate)")
 	return nil

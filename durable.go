@@ -11,17 +11,18 @@ import (
 )
 
 // CheckpointSchema identifies the durable checkpoint wire format
-// ("pochoir-checkpoint/v1"): a schema-versioned, compact binary encoding of
+// ("pochoir-checkpoint/v2"): a schema-versioned, compact binary encoding of
 // a Checkpoint — magic, version, resume cursor, grid geometry, and one typed
-// data section per registered array, each independently CRC-32 protected.
-// See internal/wire for the layout.
+// data section per registered array holding its live time slots, each
+// independently CRC-32 protected. Version-1 encodings, which held every
+// slot, still decode. See internal/wire for the layout.
 const CheckpointSchema = wire.Schema
 
 // SpillEntry describes one entry of a durable spill journal; see
 // ListSpillJournal.
 type SpillEntry = wire.Entry
 
-// EncodeCheckpoint writes cp to w in the versioned pochoir-checkpoint/v1
+// EncodeCheckpoint writes cp to w in the versioned pochoir-checkpoint/v2
 // wire format. The encoding streams through a fixed scratch buffer — it
 // never materializes a second copy of the grid — and covers the header and
 // every array section with independent CRC-32 checksums, so a later decode
@@ -36,10 +37,11 @@ func EncodeCheckpoint[T any](w io.Writer, cp *Checkpoint[T]) error {
 	return wire.Encode(w, wcp)
 }
 
-// DecodeCheckpoint reads one pochoir-checkpoint/v1 encoding from r and
-// converts it back to a Checkpoint restorable into a stencil of element type
-// T. Corrupt, truncated, or hostile input returns an error — never a panic —
-// and allocation is bounded by the bytes actually present in the input.
+// DecodeCheckpoint reads one pochoir-checkpoint/v2 (or v1) encoding from r
+// and converts it back to a Checkpoint restorable into a stencil of element
+// type T. Corrupt, truncated, or hostile input returns an error — never a
+// panic — and allocation is bounded by the bytes actually present in the
+// input.
 func DecodeCheckpoint[T any](r io.Reader) (*Checkpoint[T], error) {
 	wcp, err := wire.Decode(r)
 	if err != nil {
@@ -96,7 +98,7 @@ func checkpointFromWire[T any](w *wire.Checkpoint) (*Checkpoint[T], error) {
 			return nil, fmt.Errorf("pochoir: checkpoint array %d holds %T elements, stencil element type is %T",
 				i, a.Data, zero)
 		}
-		acp, err := grid.NewArrayCheckpoint(w.Sizes, a.Slots, data)
+		acp, err := grid.NewArrayCheckpoint(w.Sizes, a.Slots, w.StepsRun, data)
 		if err != nil {
 			return nil, fmt.Errorf("pochoir: checkpoint array %d: %w", i, err)
 		}
@@ -120,9 +122,10 @@ func checkpointFromWire[T any](w *wire.Checkpoint) (*Checkpoint[T], error) {
 //   - an empty (or fully corrupt) journal falls back to a cold start: the
 //     full run from step zero, again under RunSupervised.
 //
-// Because a checkpoint captures every time slot of every array plus the
-// resume cursor, and each point update is a pure function of older slots,
-// the resumed run's final grid is bit-identical to an uninterrupted run's.
+// Because a checkpoint captures every time slot the remaining steps read,
+// of every array, plus the resume cursor, and each point update is a pure
+// function of older slots, the resumed run's final grid is bit-identical to
+// an uninterrupted run's.
 //
 // The resume decision is the first event of the returned report: a
 // SupResume whose Attempt is the restored cursor, or whose Err says why a

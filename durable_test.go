@@ -271,6 +271,66 @@ func TestResumeSupervisedColdStart(t *testing.T) {
 	}
 }
 
+// wave2DStencil is the stencil internal/wire/testdata's version-1 entry
+// was spilled from: a 2D wave equation of depth 2 on a 16x16 torus, with
+// times 0 and 1 set by formula.
+func wave2DStencil(t *testing.T) (*pochoir.Stencil[float64], *pochoir.Array[float64], pochoir.Kernel) {
+	t.Helper()
+	const X, Y = 16, 16
+	sh := pochoir.MustShape(2, [][]int{
+		{1, 0, 0}, {0, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}, {-1, 0, 0},
+	})
+	u := pochoir.MustArray[float64](sh.Depth(), X, Y)
+	u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
+	st := pochoir.New[float64](sh)
+	st.MustRegisterArray(u)
+	for x := 0; x < X; x++ {
+		for y := 0; y < Y; y++ {
+			u.Set(0, float64((7*x+3*y)%11)/11, x, y)
+			u.Set(1, float64((5*x+9*y)%13)/13, x, y)
+		}
+	}
+	kern := pochoir.K2(func(tt, x, y int) {
+		c := u.Get(tt, x, y)
+		u.Set(tt+1, 2*c-u.Get(tt-1, x, y)+
+			0.1*(u.Get(tt, x+1, y)+u.Get(tt, x-1, y)+u.Get(tt, x, y+1)+u.Get(tt, x, y-1)-4*c), x, y)
+	})
+	return st, u, kern
+}
+
+// TestResumeSupervisedFromV1Journal: a journal written before checkpoints
+// held only their live slots — its one entry is the version-1 encoding of
+// wave2DStencil at step 8 — still resumes, bit-identical to an
+// uninterrupted run.
+func TestResumeSupervisedFromV1Journal(t *testing.T) {
+	const steps = 16
+	st, u, kern := wave2DStencil(t)
+	if err := st.Run(steps, kern); err != nil {
+		t.Fatal(err)
+	}
+	want := snapshot2(t, u, steps+1, 16*16)
+
+	entry, err := os.ReadFile("internal/wire/testdata/v1-wave2d-16x16-step8.pchk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(dir+"/ckpt-000000000008-000000.pchk", entry, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2, u2, kern2 := wave2DStencil(t)
+	u2.Fill(0, -1) // restore must overwrite it
+	u2.Fill(1, -1)
+	rep, err := st2.ResumeSupervised(context.Background(), steps, kern2, pochoir.SupervisePolicy{SegmentSteps: 4, SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := rep.Events[0]; ev.Kind != telemetry.SupResume || ev.Attempt != 8 {
+		t.Fatalf("resume decision %+v, want a resume from step 8", ev)
+	}
+	mustMatch(t, u2, steps+1, want)
+}
+
 // Restore error paths: every rejection must happen before any array is
 // mutated, so a failed Restore never leaves a half-restored stencil.
 func TestRestoreErrorPaths(t *testing.T) {

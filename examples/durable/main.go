@@ -2,7 +2,7 @@
 //
 // SupervisePolicy.SpillDir makes the supervisor persist every segment
 // checkpoint to a crash-safe journal: the versioned binary wire format
-// (pochoir-checkpoint/v1) is written to a temp file, fsynced, and renamed
+// (pochoir-checkpoint/v2) is written to a temp file, fsynced, and renamed
 // into place, so a crash mid-write can never corrupt an older entry. A
 // fresh process then calls ResumeSupervised on the same directory: the
 // newest CRC-valid entry is decoded and restored, torn or corrupted tails

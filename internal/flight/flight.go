@@ -27,10 +27,13 @@
 //     drop torn slots. Appends therefore never block, never allocate after
 //     construction, and are safe against a concurrent dump under -race.
 //
-//   - Timestamps are coarse: a shared nanosecond clock refreshed every
-//     clockEvery appends per shard, so most appends pay no clock read. Events
-//     between refreshes share a timestamp; Snapshot orders them by (time,
-//     shard, sequence), which preserves per-worker order exactly.
+//   - Timestamps of the per-zoid events (cuts and base cases) are coarse: a
+//     shared nanosecond clock refreshed every clockEvery appends per shard,
+//     so most appends pay no clock read. Events between refreshes share a
+//     timestamp; Snapshot orders them by (time, shard, sequence), which
+//     preserves per-worker order exactly. Every other event reads the clock,
+//     and the shared clock only moves forward, so a run's end sorts after
+//     every base case that finished before it.
 //
 // Of the layers it records it imports only core and telemetry, for the names
 // of engines, cuts and supervisor decisions, so every other layer can feed or
@@ -348,9 +351,8 @@ func (r *Recorder) Record(kind Kind, a0, a1, a2 int64) {
 	sh := &r.shards[laneIndex()&r.mask]
 	idx := sh.cursor.Add(1) - 1
 	var ts int64
-	if idx%clockEvery == 0 {
-		ts = int64(time.Since(r.epoch))
-		r.coarse.Store(ts)
+	if idx%clockEvery == 0 || kind != EvBase && kind != EvCut {
+		ts = r.now()
 	} else {
 		ts = r.coarse.Load()
 	}
@@ -362,6 +364,16 @@ func (r *Recorder) Record(kind Kind, a0, a1, a2 int64) {
 	s.a2.Store(a2)
 	s.kind.Store(uint32(kind))
 	s.seq.Store(idx + 1)
+}
+
+// now reads the clock and advances the shared coarse clock to it. The
+// coarse clock never moves back: a lane that read the clock before another
+// may store after it.
+func (r *Recorder) now() int64 {
+	ts := int64(time.Since(r.epoch))
+	for cur := r.coarse.Load(); ts > cur && !r.coarse.CompareAndSwap(cur, ts); cur = r.coarse.Load() {
+	}
+	return ts
 }
 
 // Freeze latches the recorder read-only so an incident window is not

@@ -228,3 +228,30 @@ func BenchmarkRecord(b *testing.B) {
 		}
 	})
 }
+
+// TestLifecycleEventSortsAfterStaleCoarseClock: a lane that read the clock
+// early and stored it late leaves the shared coarse clock behind the events
+// already recorded. A run-end recorded then still reads the clock itself, so
+// Snapshot ends with it, and the coarse clock is never moved back.
+func TestLifecycleEventSortsAfterStaleCoarseClock(t *testing.T) {
+	r := New(64)
+	for i := 0; i < 40; i++ {
+		r.Record(EvBase, 0, 0, 0)
+	}
+	r.coarse.Store(0) // the stale store
+	r.Record(EvRunEnd, 0, 0, 0)
+	evs := r.Snapshot()
+	if last := evs[len(evs)-1]; last.Kind != EvRunEnd {
+		t.Fatalf("snapshot ends with %v at %d, want run-end", last.Kind, last.TS)
+	}
+
+	const future = int64(1) << 62
+	r.coarse.Store(future)
+	for i := 0; i < clockEvery; i++ {
+		r.Record(EvBase, 0, 0, 0)
+	}
+	r.Record(EvRunStart, 0, 0, 0)
+	if got := r.coarse.Load(); got != future {
+		t.Fatalf("coarse clock moved back from %d to %d", future, got)
+	}
+}

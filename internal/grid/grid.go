@@ -18,6 +18,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"pochoir/internal/shape"
 )
@@ -39,6 +40,7 @@ type Array[T any] struct {
 	data    []T
 
 	boundary Boundary[T]
+	owned    idxArena
 
 	// Shape-compliance checking (the Pochoir Guarantee, Phase 1).
 	checkShape *shape.Shape
@@ -164,26 +166,61 @@ func (a *Array[T]) Idx(idx []int) int {
 // accesses are served by the registered boundary function; it is an error
 // (panic) to read off-domain without one. When shape checking is active the
 // access offset is verified against the declared stencil shape.
+//
+// idx never escapes Get, so a caller's variadic index stays on its stack and
+// an in-domain access allocates nothing.
 func (a *Array[T]) Get(t int, idx ...int) T {
 	if a.checkShape != nil {
 		a.verify(t, idx)
 	}
 	if !a.inDomain(idx) {
-		if a.boundary == nil {
-			panic(fmt.Sprintf("grid: off-domain read at t=%d idx=%v with no boundary function registered", t, idx))
-		}
-		return a.boundary(a, t, idx)
+		return a.offDomain(t, a.owned.copyOf(idx))
 	}
 	return a.Slot(t)[a.Idx(idx)]
 }
 
+// offDomain serves an off-domain read from the boundary function, which
+// receives own, a copy of the index it may keep.
+func (a *Array[T]) offDomain(t int, own []int) T {
+	if a.boundary == nil {
+		panic(fmt.Sprintf("grid: off-domain read at t=%d idx=%v with no boundary function registered", t, own))
+	}
+	return a.boundary(a, t, own)
+}
+
+// idxArena hands out the index copies off-domain reads pass to the boundary
+// function. A boundary function may keep its copy, so none is ever reused;
+// carving them from shared chunks costs one allocation per chunk instead of
+// one per read, and every read along a grid's edge is one.
+type idxArena struct {
+	mu   sync.Mutex
+	free []int
+}
+
+// idxChunk is the ints per arena chunk: 512 copies of a 2D index.
+const idxChunk = 1024
+
+func (r *idxArena) copyOf(idx []int) []int {
+	n := len(idx)
+	r.mu.Lock()
+	if len(r.free) < n {
+		r.free = make([]int, max(idxChunk, n))
+	}
+	own := r.free[:n:n]
+	r.free = r.free[n:]
+	r.mu.Unlock()
+	copy(own, idx)
+	return own
+}
+
 // Set stores v at time t and spatial index idx, which must be in-domain.
+// Like Get, it lets no part of idx escape.
 func (a *Array[T]) Set(t int, v T, idx ...int) {
 	if a.checkShape != nil {
 		a.verify(t, idx)
 	}
 	if !a.inDomain(idx) {
-		panic(fmt.Sprintf("grid: off-domain write at t=%d idx=%v", t, idx))
+		panic(fmt.Sprintf("grid: off-domain write at t=%d idx=%v", t, append([]int(nil), idx...)))
 	}
 	a.Slot(t)[a.Idx(idx)] = v
 }
@@ -246,65 +283,102 @@ func (a *Array[T]) CopyOut(t int, dst []T) error {
 	return nil
 }
 
-// ArrayCheckpoint is a deep copy of an array's temporal buffer, taken with
-// Array.Checkpoint and reapplied with Array.Restore. It is immutable after
-// capture: restoring never aliases the checkpoint's storage into the live
-// array, so one checkpoint can seed any number of retries.
+// ArrayCheckpoint holds the time slots of an array that are live at a time
+// from: the slots-1 slots of times from … from+slots-2, in time order. They
+// are all that the steps writing time from+slots-1 and later read (§2: an
+// array keeps depth+1 slots, and a step reads depth of them), so the
+// remaining slot, which holds time from-1, is dead and is neither copied
+// nor restored. A checkpoint
+// taken with Array.Checkpoint is immutable after capture: restoring never
+// aliases its storage into the live array, so one checkpoint can seed any
+// number of retries.
 type ArrayCheckpoint[T any] struct {
 	sizes []int
 	slots int
+	from  int
 	data  []T
 }
 
 // Sizes returns the spatial extents the checkpoint was taken with.
 func (cp *ArrayCheckpoint[T]) Sizes() []int { return append([]int(nil), cp.sizes...) }
 
-// Slots returns the number of temporal copies the checkpoint was taken with.
+// Slots returns the temporal slot count (depth + 1) of the array the
+// checkpoint was taken from, not the number of slots it holds.
 func (cp *ArrayCheckpoint[T]) Slots() int { return cp.slots }
 
-// Data returns the checkpoint's slot-major element buffer — a read-only view
-// of the underlying storage (points-per-slot x slots elements), used by the
+// Data returns the checkpoint's elements, one slot of points after another
+// in time order — a read-only view of the underlying storage, used by the
 // wire codec to stream a checkpoint to disk without copying it again.
-// Callers must not mutate it: checkpoints are immutable after capture.
+// Callers must not mutate it.
 func (cp *ArrayCheckpoint[T]) Data() []T { return cp.data }
 
 // NewArrayCheckpoint reassembles an array checkpoint from its parts — the
-// decode half of the wire round trip. The data slice must hold exactly
-// product(sizes)*slots elements; the checkpoint takes ownership of it (the
-// caller must not retain a mutable reference).
-func NewArrayCheckpoint[T any](sizes []int, slots int, data []T) (*ArrayCheckpoint[T], error) {
+// decode half of the wire round trip. data holds held consecutive time
+// slots in time order from time from, where held is slots-1 (the live
+// slots) or slots (every slot, as a version-1 spill holds them); the
+// checkpoint takes ownership of it (the caller must not retain a mutable
+// reference).
+func NewArrayCheckpoint[T any](sizes []int, slots, from int, data []T) (*ArrayCheckpoint[T], error) {
 	if slots < 2 {
 		return nil, fmt.Errorf("grid: checkpoint needs >= 2 time slots, got %d", slots)
 	}
-	_, n, err := extent(slots-1, sizes)
+	total, n, err := extent(slots-1, sizes)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) != n {
-		return nil, fmt.Errorf("grid: checkpoint data holds %d elements, geometry %v x %d slots implies %d",
-			len(data), sizes, slots, n)
+	if len(data) != n-total && len(data) != n {
+		return nil, fmt.Errorf("grid: checkpoint data holds %d elements, geometry %v x %d slots implies %d live or %d in all",
+			len(data), sizes, slots, n-total, n)
 	}
 	return &ArrayCheckpoint[T]{
 		sizes: append([]int(nil), sizes...),
 		slots: slots,
+		from:  from,
 		data:  data,
 	}, nil
 }
 
-// Checkpoint deep-copies every live time slot of the array. The caller is
-// responsible for quiescence: checkpointing during a run captures a torn
-// state.
-func (a *Array[T]) Checkpoint() *ArrayCheckpoint[T] {
-	return &ArrayCheckpoint[T]{
-		sizes: append([]int(nil), a.sizes...),
-		slots: a.slots,
-		data:  append([]T(nil), a.data...),
-	}
+// Checkpoint copies the slots live at time from (see ArrayCheckpoint) into
+// a fresh checkpoint. The caller is responsible for quiescence:
+// checkpointing during a run captures a torn state.
+func (a *Array[T]) Checkpoint(from int) *ArrayCheckpoint[T] {
+	return a.CheckpointInto(nil, from)
 }
 
-// Restore overwrites the array's temporal buffer with the checkpoint's
-// copy. The checkpoint must come from an array of identical geometry —
-// same spatial extents and temporal depth.
+// CheckpointInto is Checkpoint into cp's storage, which it reuses when cp
+// was taken from an array of this geometry and allocates afresh otherwise
+// (cp may be nil). It returns the checkpoint it filled. A run that
+// checkpoints every segment keeps one such buffer and overwrites it.
+func (a *Array[T]) CheckpointInto(cp *ArrayCheckpoint[T], from int) *ArrayCheckpoint[T] {
+	live := (a.slots - 1) * a.total
+	if cp == nil || !a.sameGeometry(cp) || len(cp.data) != live {
+		cp = &ArrayCheckpoint[T]{sizes: append([]int(nil), a.sizes...), slots: a.slots, data: make([]T, live)}
+	}
+	cp.from = from
+	for k := 0; k < a.slots-1; k++ {
+		copy(cp.data[k*a.total:(k+1)*a.total], a.Slot(from+k))
+	}
+	return cp
+}
+
+// sameGeometry reports whether cp was taken from an array of a's spatial
+// extents and temporal depth.
+func (a *Array[T]) sameGeometry(cp *ArrayCheckpoint[T]) bool {
+	if cp.slots != a.slots || len(cp.sizes) != a.ndims {
+		return false
+	}
+	for i, s := range cp.sizes {
+		if s != a.sizes[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Restore writes the checkpoint's slots back into the array at the times
+// they were taken from; the dead slot keeps whatever it holds. The
+// checkpoint must come from an array of identical geometry — same spatial
+// extents and temporal depth.
 func (a *Array[T]) Restore(cp *ArrayCheckpoint[T]) error {
 	if cp == nil {
 		return fmt.Errorf("grid: Restore of a nil checkpoint")
@@ -312,15 +386,12 @@ func (a *Array[T]) Restore(cp *ArrayCheckpoint[T]) error {
 	if cp.slots != a.slots {
 		return fmt.Errorf("grid: checkpoint has %d time slots, array has %d", cp.slots, a.slots)
 	}
-	if len(cp.sizes) != a.ndims {
-		return fmt.Errorf("grid: checkpoint has %d dimensions, array has %d", len(cp.sizes), a.ndims)
+	if !a.sameGeometry(cp) {
+		return fmt.Errorf("grid: checkpoint sizes %v differ from array sizes %v", cp.sizes, a.sizes)
 	}
-	for i, s := range cp.sizes {
-		if s != a.sizes[i] {
-			return fmt.Errorf("grid: checkpoint sizes %v differ from array sizes %v", cp.sizes, a.sizes)
-		}
+	for k := 0; k*a.total < len(cp.data); k++ {
+		copy(a.Slot(cp.from+k), cp.data[k*a.total:(k+1)*a.total])
 	}
-	copy(a.data, cp.data)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"pochoir/internal/shape"
@@ -61,7 +62,7 @@ func TestGridSizeOverflow(t *testing.T) {
 	if a, err := NewArray[float64](1<<62, 4); err == nil {
 		t.Errorf("NewArray at depth 2⁶² returned %d slots behind %d elements", a.Slots(), len(a.data))
 	}
-	if _, err := NewArrayCheckpoint[float64]([]int{1 << 62}, 4, nil); err == nil {
+	if _, err := NewArrayCheckpoint[float64]([]int{1 << 62}, 4, 0, nil); err == nil {
 		t.Error("NewArrayCheckpoint took no data for 4 slots of 2⁶² points")
 	}
 }
@@ -120,6 +121,93 @@ func TestBoundaryFunctionInvocation(t *testing.T) {
 	}
 	if got := a.Get(0, -1); got != -1 || calls != 2 {
 		t.Fatal("negative index is off-domain")
+	}
+}
+
+// TestBoundaryKeepsOwnIndex: a boundary function may keep the idx it is
+// handed; it is a copy, so later accesses through the same caller slice do
+// not rewrite it.
+func TestBoundaryKeepsOwnIndex(t *testing.T) {
+	a := MustNewArray[float64](1, 4, 4)
+	var kept [][]int
+	a.RegisterBoundary(func(arr *Array[float64], tt int, idx []int) float64 {
+		kept = append(kept, idx)
+		return 0
+	})
+	idx := []int{-1, 2}
+	a.Get(0, idx...)
+	idx[0], idx[1] = 2, 9
+	a.Get(0, idx...)
+	idx[0] = 7
+	if len(kept) != 2 || kept[0][0] != -1 || kept[0][1] != 2 || kept[1][0] != 2 || kept[1][1] != 9 {
+		t.Fatalf("boundary function kept %v, want [[-1 2] [2 9]]", kept)
+	}
+}
+
+// TestBoundaryCopiesAcrossGoroutines: workers reading off-domain at once,
+// as a parallel run's do along shared edges, each get an intact copy.
+func TestBoundaryCopiesAcrossGoroutines(t *testing.T) {
+	const workers, reads = 4, 2000
+	a := MustNewArray[float64](1, 8, 8)
+	kept := make([][][]int, workers)
+	a.RegisterBoundary(func(arr *Array[float64], tt int, idx []int) float64 {
+		kept[tt] = append(kept[tt], idx)
+		return 0
+	})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				a.Get(w, -1-i, w) // the time argument names the worker's list
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, got := range kept {
+		for i, idx := range got {
+			if len(idx) != 2 || cap(idx) != 2 || idx[0] != -1-i || idx[1] != w {
+				t.Fatalf("worker %d read %d: boundary function kept %v (cap %d), want [%d %d]", w, i, idx, cap(idx), -1-i, w)
+			}
+		}
+	}
+}
+
+// TestInDomainAccessorsAllocateNothing pins the checked accessors to
+// address arithmetic: the variadic index stays on the caller's stack.
+func TestInDomainAccessorsAllocateNothing(t *testing.T) {
+	arrays := []*Array[float64]{
+		MustNewArray[float64](1, 8),
+		MustNewArray[float64](1, 8, 8),
+		MustNewArray[float64](2, 4, 4, 4),
+		MustNewArray[float64](1, 3, 3, 3, 3),
+	}
+	for _, a := range arrays {
+		a.RegisterBoundary(func(arr *Array[float64], tt int, idx []int) float64 { return 0 })
+	}
+	ops := map[string]func(){
+		"1D": func() {
+			a := arrays[0]
+			a.Set(1, a.Get(0, 3)+a.GetPeriodic(0, -1)+a.GetClamped(0, 9), 3)
+		},
+		"2D": func() {
+			a := arrays[1]
+			a.Set(1, a.Get(0, 3, 4)+a.GetPeriodic(0, -1, 8)+a.GetClamped(0, 9, -2), 3, 4)
+		},
+		"3D": func() {
+			a := arrays[2]
+			a.Set(2, a.Get(1, 1, 2, 3)+a.GetPeriodic(0, -1, 4, 5)+a.GetClamped(0, 9, -2, 1), 1, 2, 3)
+		},
+		"4D": func() {
+			a := arrays[3]
+			a.Set(1, a.Get(0, 0, 1, 2, 1)+a.GetPeriodic(0, -1, 3, 4, 0)+a.GetClamped(0, 9, -2, 1, 5), 0, 1, 2, 1)
+		},
+	}
+	for name, op := range ops {
+		if n := testing.AllocsPerRun(100, op); n != 0 {
+			t.Errorf("%s: %v allocations per Get/Set/GetPeriodic/GetClamped round, want 0", name, n)
+		}
 	}
 }
 

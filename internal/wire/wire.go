@@ -1,9 +1,9 @@
 // Package wire is the durable-checkpoint layer: a schema-versioned, compact
-// binary encoding of a stencil checkpoint (the full temporal buffer of every
+// binary encoding of a stencil checkpoint (the live time slots of every
 // registered array plus the resume cursor) and a crash-safe spill journal of
 // such encodings on disk.
 //
-// The format, "pochoir-checkpoint/v1", is designed for exactly two failure
+// The format, "pochoir-checkpoint/v2", is designed for exactly two failure
 // modes a long-running service meets in practice:
 //
 //   - torn writes: a process killed mid-spill must never leave an entry a
@@ -22,7 +22,7 @@
 //
 //	header:
 //	  magic     [4]byte  "PCHK"
-//	  version   uint32   1
+//	  version   uint32   2 (1 is still read; see below)
 //	  stepsRun  uint64   resume cursor (time steps completed)
 //	  ndims     uint32   spatial dimensionality (1..MaxDims)
 //	  sizes     ndims x uint64
@@ -31,10 +31,19 @@
 //
 //	per-array section:
 //	  kind      uint8    element kind (ElemKind)
-//	  slots     uint32   temporal copies (stencil depth + 1)
-//	  nbytes    uint64   payload length; must equal points*slots*elemSize
-//	  data      nbytes bytes, elements little-endian in slot-major order
+//	  slots     uint32   the array's temporal copies (stencil depth + 1)
+//	  nbytes    uint64   payload length: points*held*elemSize, 1 <= held <= slots
+//	  data      nbytes bytes: held time slots in time order from stepsRun,
+//	            elements little-endian
 //	  crc       uint32   CRC-32 (IEEE) of kind..data
+//
+// A stencil checkpoint holds slots-1 slots per array: at cursor stepsRun the
+// next step reads times stepsRun … stepsRun+slots-2, and the remaining slot
+// holds time stepsRun-1, which no later step reads. Version 1 had the same
+// layout but always held every slot, in slot-major order (slot i holds the
+// times congruent to i modulo slots). Decode still reads it and returns its
+// sections in version 2's form: all slots, rotated into time order from
+// stepsRun.
 //
 // Encoding streams: the encoder writes through a fixed scratch buffer and
 // never materializes a second full copy of the grid. Decoding is fuzz-safe:
@@ -52,17 +61,18 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Schema identifies the checkpoint wire format. It is not itself encoded
 // (the magic+version pair is); consumers report it in diagnostics.
-const Schema = "pochoir-checkpoint/v1"
+const Schema = "pochoir-checkpoint/v2"
 
 // Magic opens every encoded checkpoint.
 var Magic = [4]byte{'P', 'C', 'H', 'K'}
 
-// Version is the current format version.
-const Version = 1
+// Version is the format version Encode writes.
+const Version = 2
 
 // MaxDims caps the decoded dimensionality; it matches the engine's zoid
 // limit with headroom (the package stays dependency-free, so the cap is
@@ -139,6 +149,9 @@ func (k ElemKind) Size() int {
 // registered array. The pochoir root package converts its generic
 // Checkpoint[T] to and from this form.
 type Checkpoint struct {
+	// Version is the format version Decode read (1 or 2). Encode ignores it
+	// and always writes Version.
+	Version int
 	// StepsRun is the resume cursor: time steps completed when the
 	// checkpoint was taken.
 	StepsRun int
@@ -148,14 +161,28 @@ type Checkpoint struct {
 	Arrays []Array
 }
 
-// Array is one array section: the temporal slot count and the full buffer
-// as a typed slice (one of the supported element slices; see KindOf).
+// Array is one array section: the array's temporal slot count and the time
+// slots the checkpoint holds, as a typed slice (one of the supported
+// element slices; see KindOf).
 type Array struct {
-	// Slots is the number of temporal copies (stencil depth + 1).
+	// Slots is the array's number of temporal copies (stencil depth + 1).
 	Slots int
-	// Data is the slot-major element buffer: a typed slice of length
-	// points*Slots where points is the product of the checkpoint's Sizes.
+	// Data holds consecutive time slots of the array, one after another in
+	// time order from the checkpoint's StepsRun: a typed slice of length
+	// points*held, where points is the product of the checkpoint's Sizes
+	// and 1 <= held <= Slots. A stencil checkpoint holds the Slots-1 live
+	// slots.
 	Data any
+}
+
+// Held returns how many time slots a holds, or 0 when its length is not a
+// whole number of slots of points each, or outside 1..Slots.
+func (a Array) Held(points int) int {
+	_, n, ok := KindOf(a.Data)
+	if !ok || points <= 0 || n%points != 0 || n/points < 1 || n/points > a.Slots {
+		return 0
+	}
+	return n / points
 }
 
 // KindOf maps a supported typed slice to its element kind and length.
@@ -228,7 +255,7 @@ func points(sizes []int) (int, error) {
 	return total, nil
 }
 
-// Encode writes cp to w in pochoir-checkpoint/v1 form. The encoder streams
+// Encode writes cp to w in pochoir-checkpoint/v2 form. The encoder streams
 // through a fixed scratch buffer: it never allocates a buffer proportional
 // to the grid. Unsupported element types and geometry/data mismatches are
 // rejected before any byte is written.
@@ -248,18 +275,17 @@ func Encode(w io.Writer, cp *Checkpoint) error {
 	}
 	// Validate every section up front so a failed Encode writes nothing.
 	for i, a := range cp.Arrays {
-		kind, n, ok := KindOf(a.Data)
+		_, n, ok := KindOf(a.Data)
 		if !ok {
 			return fmt.Errorf("wire: array %d has unsupported element type %T", i, a.Data)
 		}
 		if a.Slots <= 0 {
 			return fmt.Errorf("wire: array %d has %d slots, want >= 1", i, a.Slots)
 		}
-		if n != pts*a.Slots {
-			return fmt.Errorf("wire: array %d has %d elements, geometry %v x %d slots implies %d",
-				i, n, cp.Sizes, a.Slots, pts*a.Slots)
+		if a.Held(pts) == 0 {
+			return fmt.Errorf("wire: array %d has %d elements, not 1 to %d slots of %v points",
+				i, n, a.Slots, cp.Sizes)
 		}
-		_ = kind
 	}
 
 	bw := bufio.NewWriterSize(w, chunk)
@@ -336,7 +362,19 @@ func encodeElems(w io.Writer, data any) error {
 	}
 	switch d := data.(type) {
 	case []float64:
-		return encode64(d, buf, flush, func(v float64) uint64 { return math.Float64bits(v) })
+		// The common case gets a loop of its own: through encode64 it pays
+		// a func-value call per element.
+		per := len(buf) / 8
+		for off := 0; off < len(d); off += per {
+			n := min(per, len(d)-off)
+			for j, v := range d[off : off+n] {
+				binary.LittleEndian.PutUint64(buf[j*8:], math.Float64bits(v))
+			}
+			if err := flush(n * 8); err != nil {
+				return err
+			}
+		}
+		return nil
 	case []float32:
 		return encode32(d, buf, flush, func(v float32) uint32 { return math.Float32bits(v) })
 	case []int64:
@@ -434,12 +472,14 @@ func (c *crcReader) Read(p []byte) (int, error) {
 func (c *crcReader) sum() uint32 { return c.crc.Sum32() }
 func (c *crcReader) reset()      { c.crc.Reset() }
 
-// Decode reads one pochoir-checkpoint/v1 checkpoint from r. Arbitrary or
-// corrupt input returns an error — never a panic, and never an allocation
-// beyond the input's actual size plus a fixed scratch buffer: every count is
-// validated against the format's caps and the header's own arithmetic before
-// use, and payloads are read through a bounded chunk loop so a hostile
-// declared length fails at EOF instead of pre-allocating.
+// Decode reads one pochoir-checkpoint/v2 or v1 checkpoint from r; a v1
+// section comes back rotated into v2's time order (see the package
+// comment). Arbitrary or corrupt input returns an error — never a panic,
+// and never an allocation beyond the input's actual size plus a fixed
+// scratch buffer: every count is validated against the format's caps and
+// the header's own arithmetic before use, and payloads are read through a
+// bounded chunk loop so a hostile declared length fails at EOF instead of
+// pre-allocating.
 func Decode(r io.Reader) (*Checkpoint, error) {
 	// No read-ahead buffering: every read is exact (io.ReadFull of either a
 	// fixed header field or a payload chunk), so Decode consumes precisely
@@ -480,8 +520,8 @@ func Decode(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != Version {
-		return nil, fmt.Errorf("wire: unsupported version %d, want %d", version, Version)
+	if version != 1 && version != Version {
+		return nil, fmt.Errorf("wire: unsupported version %d, want 1 or %d", version, Version)
 	}
 	stepsRun, err := getU64()
 	if err != nil {
@@ -528,7 +568,7 @@ func Decode(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("wire: header CRC mismatch: stored %08x, computed %08x", gotCRC, wantCRC)
 	}
 
-	cp := &Checkpoint{StepsRun: int(stepsRun), Sizes: sizes}
+	cp := &Checkpoint{Version: int(version), StepsRun: int(stepsRun), Sizes: sizes}
 	for ai := 0; ai < int(narrays); ai++ {
 		cr.reset()
 		if err := readFull(scratch[:1]); err != nil {
@@ -550,18 +590,26 @@ func Decode(r io.Reader) (*Checkpoint, error) {
 		if pts > math.MaxInt64/slots || pts*slots > math.MaxInt64/esize {
 			return nil, fmt.Errorf("wire: array %d geometry %v x %d slots overflows", ai, sizes, slots)
 		}
-		elems := pts * slots
 		nbytes, err := getU64()
 		if err != nil {
 			return nil, err
 		}
-		// nbytes must match what the geometry implies; anything else is a
-		// corrupt or hostile header, rejected before allocating.
-		if nbytes != uint64(elems)*uint64(esize) {
-			return nil, fmt.Errorf("wire: array %d declares %d payload bytes, geometry implies %d",
-				ai, nbytes, elems*esize)
+		// nbytes must be what the geometry implies — every slot in v1, 1 to
+		// slots whole slots in v2; anything else is a corrupt or hostile
+		// header, rejected before allocating.
+		slotBytes := uint64(pts) * uint64(esize)
+		held := int(nbytes / slotBytes)
+		if nbytes%slotBytes != 0 || held < 1 || held > slots || version == 1 && held != slots {
+			return nil, fmt.Errorf("wire: array %d declares %d payload bytes, not a whole number of %d-byte slots up to %d",
+				ai, nbytes, slotBytes, slots)
 		}
-		data, err := decodeElems(cr, kind, elems)
+		rot := 0
+		if version == 1 {
+			// Slot-major to time order: the slot holding time stepsRun
+			// comes first.
+			rot = int(stepsRun%uint64(slots)) * pts
+		}
+		data, err := decodeElems(cr, kind, pts*held, rot)
 		if err != nil {
 			return nil, err
 		}
@@ -579,40 +627,45 @@ func Decode(r io.Reader) (*Checkpoint, error) {
 }
 
 // decodeElems reads elems elements of the given kind through a bounded
-// chunk loop. The typed result slice grows as bytes actually arrive, so a
-// truncated input fails with at most one chunk of waste — the decoder never
-// trusts a declared length for an up-front allocation larger than the input.
-func decodeElems(r io.Reader, kind ElemKind, elems int) (any, error) {
+// chunk loop and rotates them left by rot in place. The typed result slice
+// grows as bytes actually arrive, so a truncated input fails with at most
+// one chunk of waste — the decoder never trusts a declared length for an
+// up-front allocation larger than the input.
+func decodeElems(r io.Reader, kind ElemKind, elems, rot int) (any, error) {
 	switch kind {
 	case ElemF64:
-		return decode64(r, elems, math.Float64frombits)
+		return decodeChunked(r, elems, 8, rot, func(dst []float64, src []byte) {
+			for i := range dst {
+				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
+			}
+		})
 	case ElemF32:
-		return decode32(r, elems, math.Float32frombits)
+		return decode32(r, elems, rot, math.Float32frombits)
 	case ElemI64:
-		return decode64(r, elems, func(b uint64) int64 { return int64(b) })
+		return decode64(r, elems, rot, func(b uint64) int64 { return int64(b) })
 	case ElemInt:
-		return decode64(r, elems, func(b uint64) int { return int(int64(b)) })
+		return decode64(r, elems, rot, func(b uint64) int { return int(int64(b)) })
 	case ElemU64:
-		return decode64(r, elems, func(b uint64) uint64 { return b })
+		return decode64(r, elems, rot, func(b uint64) uint64 { return b })
 	case ElemUint:
-		return decode64(r, elems, func(b uint64) uint { return uint(b) })
+		return decode64(r, elems, rot, func(b uint64) uint { return uint(b) })
 	case ElemI32:
-		return decode32(r, elems, func(b uint32) int32 { return int32(b) })
+		return decode32(r, elems, rot, func(b uint32) int32 { return int32(b) })
 	case ElemU32:
-		return decode32(r, elems, func(b uint32) uint32 { return b })
+		return decode32(r, elems, rot, func(b uint32) uint32 { return b })
 	case ElemI16:
-		return decode16(r, elems, func(b uint16) int16 { return int16(b) })
+		return decode16(r, elems, rot, func(b uint16) int16 { return int16(b) })
 	case ElemU16:
-		return decode16(r, elems, func(b uint16) uint16 { return b })
+		return decode16(r, elems, rot, func(b uint16) uint16 { return b })
 	case ElemI8:
-		return decodeBytes(r, elems, func(b byte) int8 { return int8(b) })
+		return decodeBytes(r, elems, rot, func(b byte) int8 { return int8(b) })
 	case ElemU8:
-		return decodeBytes(r, elems, func(b byte) uint8 { return b })
+		return decodeBytes(r, elems, rot, func(b byte) uint8 { return b })
 	}
 	return nil, fmt.Errorf("wire: unknown element kind %d", kind)
 }
 
-func decodeChunked[T any](r io.Reader, elems, esize int, fill func(dst []T, src []byte)) ([]T, error) {
+func decodeChunked[T any](r io.Reader, elems, esize, rot int, fill func(dst []T, src []byte)) ([]T, error) {
 	buf := make([]byte, chunk-chunk%esize)
 	per := len(buf) / esize
 	// Grow toward elems as data arrives instead of allocating elems up
@@ -630,35 +683,40 @@ func decodeChunked[T any](r io.Reader, elems, esize int, fill func(dst []T, src 
 		fill(out[got:got+n], buf[:n*esize])
 		got += n
 	}
+	if rot > 0 {
+		slices.Reverse(out[:rot])
+		slices.Reverse(out[rot:])
+		slices.Reverse(out)
+	}
 	return out, nil
 }
 
-func decode64[T any](r io.Reader, elems int, from func(uint64) T) ([]T, error) {
-	return decodeChunked(r, elems, 8, func(dst []T, src []byte) {
+func decode64[T any](r io.Reader, elems, rot int, from func(uint64) T) ([]T, error) {
+	return decodeChunked(r, elems, 8, rot, func(dst []T, src []byte) {
 		for i := range dst {
 			dst[i] = from(binary.LittleEndian.Uint64(src[i*8:]))
 		}
 	})
 }
 
-func decode32[T any](r io.Reader, elems int, from func(uint32) T) ([]T, error) {
-	return decodeChunked(r, elems, 4, func(dst []T, src []byte) {
+func decode32[T any](r io.Reader, elems, rot int, from func(uint32) T) ([]T, error) {
+	return decodeChunked(r, elems, 4, rot, func(dst []T, src []byte) {
 		for i := range dst {
 			dst[i] = from(binary.LittleEndian.Uint32(src[i*4:]))
 		}
 	})
 }
 
-func decode16[T any](r io.Reader, elems int, from func(uint16) T) ([]T, error) {
-	return decodeChunked(r, elems, 2, func(dst []T, src []byte) {
+func decode16[T any](r io.Reader, elems, rot int, from func(uint16) T) ([]T, error) {
+	return decodeChunked(r, elems, 2, rot, func(dst []T, src []byte) {
 		for i := range dst {
 			dst[i] = from(binary.LittleEndian.Uint16(src[i*2:]))
 		}
 	})
 }
 
-func decodeBytes[T any](r io.Reader, elems int, from func(byte) T) ([]T, error) {
-	return decodeChunked(r, elems, 1, func(dst []T, src []byte) {
+func decodeBytes[T any](r io.Reader, elems, rot int, from func(byte) T) ([]T, error) {
+	return decodeChunked(r, elems, 1, rot, func(dst []T, src []byte) {
 		for i := range dst {
 			dst[i] = from(src[i])
 		}

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 )
@@ -232,5 +234,78 @@ func TestElemKindStringAndSize(t *testing.T) {
 	}
 	if ElemKind(200).Size() != 0 {
 		t.Error("invalid kind has nonzero size")
+	}
+}
+
+// v1Entry is a spill journal entry the version-1 encoder wrote: a 2D wave
+// stencil (depth 2, so three slots) on a 16x16 torus, checkpointed at step
+// 8, whose slot-major payload starts with slot 0 although time 8 lives in
+// slot 2.
+const v1Entry = "testdata/v1-wave2d-16x16-step8.pchk"
+
+// TestDecodeV1Entry: a version-1 section decodes into version 2's form,
+// every slot in time order from StepsRun, and re-encodes as version 2.
+func TestDecodeV1Entry(t *testing.T) {
+	raw, err := os.ReadFile(v1Entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := Decode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pts, slots = 16 * 16, 3
+	if cp.Version != 1 || cp.StepsRun != 8 || len(cp.Sizes) != 2 || cp.Sizes[0] != 16 || cp.Sizes[1] != 16 || len(cp.Arrays) != 1 {
+		t.Fatalf("decoded version %d, step %d, sizes %v, %d arrays; want 1, 8, [16 16], 1", cp.Version, cp.StepsRun, cp.Sizes, len(cp.Arrays))
+	}
+	a := cp.Arrays[0]
+	data, ok := a.Data.([]float64)
+	if a.Slots != slots || !ok || a.Held(pts) != slots {
+		t.Fatalf("section: %d slots, %T holding %d slots; want 3 slots of float64, all held", a.Slots, a.Data, a.Held(pts))
+	}
+	// The payload follows a 44-byte header and the section's 13-byte
+	// preamble; slot s of it holds the times congruent to s modulo 3.
+	const payload = 44 + 13
+	for k := 0; k < slots; k++ {
+		s := (cp.StepsRun + k) % slots
+		for i := 0; i < pts; i++ {
+			want := math.Float64frombits(binary.LittleEndian.Uint64(raw[payload+8*(s*pts+i):]))
+			if got := data[k*pts+i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("time %d point %d = %v, want slot %d's %v", cp.StepsRun+k, i, got, s, want)
+			}
+		}
+	}
+	back, err := Decode(bytes.NewReader(encodeToBytes(t, cp)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Version != Version || !deepEqualSlices(back.Arrays[0].Data, a.Data) {
+		t.Fatalf("re-encoded entry decodes as version %d with different data", back.Version)
+	}
+}
+
+// TestLiveSlotSection: a section holding fewer slots than the array has
+// round-trips with its slot count, and its payload is only the slots held.
+func TestLiveSlotSection(t *testing.T) {
+	live := make([]float64, 2*6) // two of three slots of a 3x2 grid
+	for i := range live {
+		live[i] = float64(i) / 4
+	}
+	cp := &Checkpoint{StepsRun: 7, Sizes: []int{3, 2}, Arrays: []Array{{Slots: 3, Data: live}}}
+	full := &Checkpoint{StepsRun: 7, Sizes: []int{3, 2}, Arrays: []Array{{Slots: 3, Data: make([]float64, 3*6)}}}
+	data, fullData := encodeToBytes(t, cp), encodeToBytes(t, full)
+	if d := len(fullData) - len(data); d != 6*8 {
+		t.Fatalf("the live-slot encoding is %d bytes shorter than the full one, want one slot's 48", d)
+	}
+	got, err := Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Arrays[0].Slots != 3 || got.Arrays[0].Held(6) != 2 || !deepEqualSlices(got.Arrays[0].Data, live) {
+		t.Fatalf("decoded %d slots holding %d: %v", got.Arrays[0].Slots, got.Arrays[0].Held(6), got.Arrays[0].Data)
+	}
+	over := &Checkpoint{Sizes: []int{3, 2}, Arrays: []Array{{Slots: 1, Data: live}}}
+	if err := Encode(new(bytes.Buffer), over); err == nil {
+		t.Fatal("Encode took a section holding more slots than the array has")
 	}
 }

@@ -1,6 +1,8 @@
 package pochoir
 
 import (
+	"sync"
+
 	"pochoir/internal/core"
 	"pochoir/internal/zoid"
 )
@@ -56,6 +58,11 @@ func (s *Stencil[T]) checkedPointExecutor(kern Kernel) core.BaseFunc {
 	return s.executor(kern, true)
 }
 
+// pointCoords recycles the executor's coordinate buffers. Handing one to
+// kern, a func value, moves it to the heap, and a base case is too small a
+// unit of work to allocate for; kernels must not retain x anyway.
+var pointCoords = sync.Pool{New: func() any { return new([MaxDims]int) }}
+
 func (s *Stencil[T]) executor(kern Kernel, checked bool) core.BaseFunc {
 	d := s.shape.NDims
 	homeDT := s.shape.HomeDT()
@@ -63,7 +70,9 @@ func (s *Stencil[T]) executor(kern Kernel, checked bool) core.BaseFunc {
 	copy(sizes[:], s.sizes)
 	arrays := s.arrays
 	return func(z zoid.Zoid) {
-		var lo, hi, vx, x [MaxDims]int
+		var lo, hi, vx [MaxDims]int
+		x := pointCoords.Get().(*[MaxDims]int)
+		defer pointCoords.Put(x)
 		for i := 0; i < d; i++ {
 			lo[i], hi[i] = z.Lo[i], z.Hi[i]
 		}

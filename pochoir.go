@@ -588,15 +588,17 @@ func (s *Stencil[T]) Reset() {
 // refusing further runs (see ErrPoisoned).
 func (s *Stencil[T]) Poisoned() bool { return s.poisoned }
 
-// ArrayCheckpoint is a deep copy of one array's temporal buffer; see
-// Stencil.Checkpoint and Array.Checkpoint.
+// ArrayCheckpoint is a copy of the time slots of one array that are live
+// at a checkpoint; see Stencil.Checkpoint and Array.Checkpoint.
 type ArrayCheckpoint[T any] = grid.ArrayCheckpoint[T]
 
-// Checkpoint captures the live state of the computation — a deep copy of
-// every registered array's time slots plus the resume cursor — so a later
-// failure can be rolled back with Restore instead of restarting from
-// scratch. Checkpointing a poisoned stencil is refused: its arrays hold a
-// torn state not worth preserving.
+// Checkpoint captures the live state of the computation — a copy of the
+// time slots of every registered array that the next step reads, plus the
+// resume cursor — so a later failure can be rolled back with Restore
+// instead of restarting from scratch. At cursor n those are the slots of
+// times n … n+depth-1; the one other slot holds time n-1, which no later
+// step reads, and is neither copied nor restored. Checkpointing a poisoned
+// stencil is refused: its arrays hold a torn state not worth preserving.
 type Checkpoint[T any] struct {
 	stepsRun int
 	arrays   []*ArrayCheckpoint[T]
@@ -605,22 +607,32 @@ type Checkpoint[T any] struct {
 // StepsRun returns the resume cursor the checkpoint was taken at.
 func (cp *Checkpoint[T]) StepsRun() int { return cp.stepsRun }
 
-// Checkpoint deep-copies the stencil's live state; see the Checkpoint type.
+// Checkpoint copies the stencil's live state into a fresh checkpoint; see
+// the Checkpoint type.
 func (s *Stencil[T]) Checkpoint() (*Checkpoint[T], error) {
+	return s.checkpointInto(nil)
+}
+
+// checkpointInto is Checkpoint into cp's storage, reused where it fits (cp
+// may be nil): a supervised run overwrites one checkpoint every segment.
+func (s *Stencil[T]) checkpointInto(cp *Checkpoint[T]) (*Checkpoint[T], error) {
 	if s.poisoned {
 		return nil, ErrPoisoned
 	}
-	cp := &Checkpoint[T]{stepsRun: s.stepsRun}
-	for _, a := range s.arrays {
-		cp.arrays = append(cp.arrays, a.Checkpoint())
+	if cp == nil || len(cp.arrays) != len(s.arrays) {
+		cp = &Checkpoint[T]{arrays: make([]*ArrayCheckpoint[T], len(s.arrays))}
+	}
+	cp.stepsRun = s.stepsRun
+	for i, a := range s.arrays {
+		cp.arrays[i] = a.CheckpointInto(cp.arrays[i], s.stepsRun)
 	}
 	return cp, nil
 }
 
-// Restore rewinds the stencil to a checkpoint: every registered array's
-// temporal buffer is overwritten with the checkpoint's copy, the resume
-// cursor rewinds to the checkpointed step count, and the poisoned state is
-// cleared — the retry-after-failure path. The stencil must have the same
+// Restore rewinds the stencil to a checkpoint: the checkpoint's slots are
+// written back into every registered array, the resume cursor rewinds to
+// the checkpointed step count, and the poisoned state is cleared — the
+// retry-after-failure path. The stencil must have the same
 // registered arrays (count and geometry) as when the checkpoint was taken.
 func (s *Stencil[T]) Restore(cp *Checkpoint[T]) error {
 	if cp == nil {

@@ -165,14 +165,17 @@ func (s *Stencil[T]) runSupervised(ctx context.Context, steps int, kern Kernel, 
 	if clones.Boundary == nil {
 		clones = BaseKernels{Interior: exec, Boundary: exec}
 	}
-	var cpStart *Checkpoint[T]
+	// The run owns its checkpoint memory: cpStart, the current segment's
+	// start state, and cpEnd, shadow verification's copy of its result.
+	// Each is allocated once and overwritten every segment.
+	var cpStart, cpEnd *Checkpoint[T]
 	d := resilience.Driver{
 		Steps: steps,
 		Run: func(ctx context.Context, eng resilience.Engine, fromStep, n int) error {
 			return s.runSegment(ctx, eng, clones, n)
 		},
 		Checkpoint: func() error {
-			cp, err := s.Checkpoint()
+			cp, err := s.checkpointInto(cpStart)
 			if err != nil {
 				return err
 			}
@@ -207,7 +210,7 @@ func (s *Stencil[T]) runSupervised(ctx context.Context, steps int, kern Kernel, 
 	if p.Verify.Enabled {
 		vp := p.Verify
 		d.Verify = func(ctx context.Context, segIdx, fromStep, n int) error {
-			return s.shadowVerify(ctx, exec, vp, p.Rand, cpStart, segIdx, n)
+			return s.shadowVerify(ctx, exec, vp, p.Rand, cpStart, &cpEnd, segIdx, n)
 		}
 	}
 	// Per-attempt failures are the supervisor's to retry, so runWalker must
@@ -258,8 +261,9 @@ func (s *Stencil[T]) runSegment(ctx context.Context, eng resilience.Engine, b Ba
 // narrows by the stencil's reach each step so exactly the box remains at the
 // final step. When the cone's base would exceed a dimension's extent the
 // whole extent is swept at every step instead (slopes 0), which subsumes the
-// cone. On success the segment-end state is restored and the run resumes.
-func (s *Stencil[T]) shadowVerify(ctx context.Context, exec BaseFunc, vp VerifyPolicy, rnd func() float64, cpStart *Checkpoint[T], segIdx, n int) error {
+// cone. On success the segment-end state, saved in *cpEnd, is restored and
+// the run resumes.
+func (s *Stencil[T]) shadowVerify(ctx context.Context, exec BaseFunc, vp VerifyPolicy, rnd func() float64, cpStart *Checkpoint[T], cpEnd **Checkpoint[T], segIdx, n int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -315,10 +319,11 @@ func (s *Stencil[T]) shadowVerify(ctx context.Context, exec BaseFunc, vp VerifyP
 
 	// Rewind to the segment start, recompute the cone, compare, and put the
 	// segment-end state back whatever the verdict.
-	cpEnd, err := s.Checkpoint()
+	end, err := s.checkpointInto(*cpEnd)
 	if err != nil {
 		return fmt.Errorf("pochoir: shadow verify checkpoint: %w", err)
 	}
+	*cpEnd = end
 	if err := s.Restore(cpStart); err != nil {
 		return fmt.Errorf("pochoir: shadow verify restore: %w", err)
 	}
@@ -355,7 +360,7 @@ func (s *Stencil[T]) shadowVerify(ctx context.Context, exec BaseFunc, vp VerifyP
 		}
 		pos++
 	})
-	if err := s.Restore(cpEnd); err != nil {
+	if err := s.Restore(end); err != nil {
 		return fmt.Errorf("pochoir: shadow verify resume: %w", err)
 	}
 	if verr != nil {
