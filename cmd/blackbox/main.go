@@ -13,8 +13,8 @@
 // dir) — "what just crashed?" is the common case. The trace subcommand
 // writes Chrome trace-event JSON (-o FILE, default postmortem-trace.json)
 // loadable in chrome://tracing or https://ui.perfetto.dev, one instant-event
-// track per worker lane, alongside the span traces the live telemetry
-// recorder exports.
+// track per worker lane, written by the same writer as a job's /tracez
+// trace.
 //
 // checkpoints takes a spill-journal directory (lists every entry, validating
 // each end to end) or a single entry file (decodes and prints its header and
@@ -35,7 +35,7 @@ import (
 
 	"pochoir/internal/flight"
 	"pochoir/internal/profile"
-	"pochoir/internal/telemetry"
+	"pochoir/internal/trace"
 	"pochoir/internal/wire"
 )
 
@@ -469,10 +469,11 @@ func inspectEntry(path string) error {
 	return nil
 }
 
-// runTrace exports the window through the shared Chrome trace exporter: one
-// instant-event track per worker lane plus the decoded description of every
-// event, so a crash window drops into the same Perfetto UI as the live
-// telemetry span traces.
+// runTrace exports the window through the trace's Chrome writer as one
+// marker per event, the decoded description attached, on the track of its
+// worker lane: lane wL renders as worker-(L+1), since the writer names
+// track 0 after the job. A crash window thus drops into the same Perfetto
+// UI as a job's /tracez trace.
 func runTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	out := fs.String("o", "postmortem-trace.json", "output `FILE`")
@@ -481,28 +482,26 @@ func runTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	tracks := make(map[int]string)
-	evs := make([]telemetry.ChromeInstant, 0, len(b.Events))
+	tr := &trace.Trace{Spans: make([]trace.Span, 0, len(b.Events))}
+	tr.ID, _ = trace.ParseTraceID(b.TraceID) // zero when the run had no trace
 	for _, ev := range b.Events {
-		tracks[ev.Worker] = "lane-" + strconv.Itoa(ev.Worker)
-		evs = append(evs, telemetry.ChromeInstant{
-			Name: ev.Kind.String(),
-			TID:  ev.Worker,
-			TS:   ev.TS,
-			Args: fmt.Sprintf(`"desc":%s,"seq":%d`, strconv.Quote(ev.Describe()), ev.Seq),
+		tr.Spans = append(tr.Spans, trace.Span{
+			Name: ev.Kind.String(), Lane: ev.Worker + 1, StartNS: ev.TS, EndNS: ev.TS,
+			Attrs: []trace.Attr{{Key: "lane", Value: "w" + strconv.Itoa(ev.Worker)},
+				{Key: "desc", Value: ev.Describe()}, {Key: "seq", Value: strconv.FormatUint(ev.Seq, 10)}},
 		})
 	}
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
-	werr := telemetry.WriteChromeEvents(f, "pochoir post-mortem ("+b.Cause.Kind+")", tracks, evs)
+	werr := trace.WriteChrome(f, tr)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
 	if werr != nil {
 		return werr
 	}
-	fmt.Printf("wrote %d events from %s to %s\n", len(evs), filepath.Base(path), *out)
+	fmt.Printf("wrote %d events from %s to %s\n", len(tr.Spans), filepath.Base(path), *out)
 	return nil
 }

@@ -1,10 +1,11 @@
 // Telemetry: observing a Pochoir run. The Fig. 6 heat equation again, but
-// executed with an execution-telemetry recorder attached: the engine logs
-// every cut decision, base-case invocation, and spawn choice into
-// per-worker shards, and this program prints the aggregate stats report
+// executed with an execution-telemetry recorder attached: the engine counts
+// every cut decision, base-case invocation, and spawn choice in per-worker
+// shards, and this program prints the aggregate stats report
 // (decomposition counters, base-case volume histogram, achieved
-// parallelism) and optionally writes a Chrome trace-event JSON showing the
-// recursive decomposition as a span tree, one track per worker.
+// parallelism). With -trace it also records the run into a causal trace
+// and writes it as Chrome trace-event JSON: the recursive decomposition as
+// a span tree under a "walk" span, one track per worker.
 //
 // Run with:
 //
@@ -15,6 +16,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -37,10 +39,14 @@ func main() {
 		{1, 0, 0}, {0, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, -1}, {0, 0, 1},
 	})
 
-	// Attach a recorder through Options.Telemetry; everything else is the
-	// ordinary quickstart program.
-	rec := pochoir.NewRecorder()
-	heat := pochoir.NewWithOptions[float64](sh, pochoir.Options{Telemetry: rec})
+	// Attach a recorder through Options.Telemetry, and for -trace a trace
+	// through Options.Trace; everything else is the ordinary quickstart
+	// program.
+	opts := pochoir.Options{Telemetry: pochoir.NewRecorder()}
+	if *trace != "" {
+		opts.Trace = pochoir.NewTracer(pochoir.TracerConfig{}).StartTrace("heat", pochoir.TraceContext{})
+	}
+	heat := pochoir.NewWithOptions[float64](sh, opts)
 	u := pochoir.MustArray[float64](sh.Depth(), *n, *n)
 	u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
 	heat.MustRegisterArray(u)
@@ -75,7 +81,11 @@ func main() {
 	fmt.Printf("\nok: base cases covered exactly steps x grid volume = %d point updates\n", want)
 
 	if *trace != "" {
-		if err := rec.WriteChromeTraceFile(*trace); err != nil {
+		var buf bytes.Buffer
+		if err := pochoir.WriteChromeTrace(&buf, opts.Trace); err != nil {
+			log.Fatal(err)
+		}
+		if err := os.WriteFile(*trace, buf.Bytes(), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s — load it at chrome://tracing or https://ui.perfetto.dev\n", *trace)

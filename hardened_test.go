@@ -410,12 +410,12 @@ func TestResetClearsLastStats(t *testing.T) {
 
 func TestFailedRunTelemetryStaysConsistent(t *testing.T) {
 	defer faultpoint.DisarmAll()
-	rec := pochoir.NewRecorder()
+	rec, tr := pochoir.NewRecorder(), newTrace()
 	faultpoint.Arm(faultpoint.SiteBase, faultpoint.Spec{
 		Kind: faultpoint.KindPanic, Depth: faultpoint.AnyDepth, After: 4,
 	})
 	st, _, kern := heatStencil(t, pochoir.Options{
-		Telemetry: rec, Grain: 1, TimeCutoff: 2, SpaceCutoff: []int{16, 16},
+		Telemetry: rec, Trace: tr, Grain: 1, TimeCutoff: 2, SpaceCutoff: []int{16, 16},
 	}, 64, 64, 53)
 	if err := st.Run(16, kern); err == nil {
 		t.Fatal("fault-injected run returned nil")
@@ -428,17 +428,22 @@ func TestFailedRunTelemetryStaysConsistent(t *testing.T) {
 	if stats.Bases == 0 {
 		t.Fatal("failed run recorded no base cases despite After=4")
 	}
-	// ...and the trace it exports is balanced: every span a panic tore
-	// through was closed on shard release.
-	var sb strings.Builder
-	if err := rec.WriteChromeTrace(&sb); err != nil {
-		t.Fatal(err)
+	// ...and its walk in the trace is closed: every span the panic tore
+	// through ended, inside the walk, which ended in error (walkSums checks
+	// each span's interval against its walk's).
+	snap := tr.Snapshot()
+	sums := walkSums(t, snap)
+	if len(sums) != 1 || sums[0].walk.EndNS == 0 || sums[0].walk.Status != "error" || sums[0].bases == 0 {
+		t.Fatalf("failed run's walk %+v: want one closed in error, with base spans", sums)
 	}
-	trace := sb.String()
-	begins := strings.Count(trace, `"ph":"B"`)
-	ends := strings.Count(trace, `"ph":"E"`)
-	if begins == 0 || begins != ends {
-		t.Fatalf("unbalanced trace after failed run: %d begins, %d ends", begins, ends)
+	aborted := 0
+	for _, sp := range snap.Spans {
+		if sp.Name != "walk" && sp.Status == "error" {
+			aborted++
+		}
+	}
+	if aborted == 0 {
+		t.Fatal("no decomposition span was closed in error by the panic")
 	}
 	// The recorder survives for the next (recovered) run.
 	faultpoint.DisarmAll()

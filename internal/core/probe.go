@@ -43,9 +43,9 @@ type Probe interface {
 	Spawned(depth int)
 	// Inlined reports n subzoids run on the goroutine that cut them out.
 	Inlined(n int)
-	// Task is called on a spawned goroutine before its subwalk and returns
-	// the probe that goroutine reports through; Release, deferred, returns
-	// it even when the subwalk panics.
+	// Task is called on the spawning goroutine, just after Spawned, and
+	// returns the probe the spawned goroutine reports through; Release,
+	// deferred on that goroutine, returns it even when the subwalk panics.
 	Task() Probe
 	Release()
 

@@ -498,15 +498,16 @@ func (w *Walker) forkLevel(hc *zoid.HyperCut, sub *zoid.Zoid, p Probe, depth int
 }
 
 // task wraps a subwalk for a fresh goroutine, which owns its copy of the
-// zoid and, under a probe, reports through its own Task probe. The release
-// is deferred so a panicking subwalk still returns it before the panic
-// reaches the region's sync point.
+// zoid and, under a probe, reports through its own Task probe, taken here on
+// the spawning goroutine while the cut that spawns it is still its open
+// span. The release is deferred so a panicking subwalk still returns it
+// before the panic reaches the region's sync point.
 func (w *Walker) task(z zoid.Zoid, p Probe, depth int) func() {
 	if p == nil {
 		return func() { w.walk(&z, nil, depth, false) }
 	}
+	tp := p.Task()
 	return func() {
-		tp := p.Task()
 		defer tp.Release()
 		w.walk(&z, tp, depth, false)
 	}

@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"pochoir/internal/faultpoint"
 	"pochoir/internal/flight"
 	"pochoir/internal/metrics"
+	"pochoir/internal/trace"
 )
 
 // testSpec is a small 1D periodic heat kernel; cheap enough to run many
@@ -347,6 +349,37 @@ func TestGatewayDrain(t *testing.T) {
 	}
 	if !beg || !end {
 		t.Fatalf("flight recorder missing drain events (begin=%v end=%v)", beg, end)
+	}
+}
+
+// TestGatewayDrainLeaksNoGoroutines: a gateway that served jobs — one of
+// them killed by a deadline it could not meet mid-walk — and was drained and
+// closed leaves no goroutine behind: not a worker, not the SLO engine, not a
+// walker task or cancellation watcher of the cancelled run.
+func TestGatewayDrainLeaksNoGoroutines(t *testing.T) {
+	start := runtime.NumGoroutine()
+	g := New(Config{Workers: 2, QueueDepth: 32, TenantBurst: 1000,
+		Metrics: metrics.NewRegistry(), Trace: trace.New(trace.Config{Seed: 3})})
+	for i := 0; i < 4; i++ {
+		if _, serr := g.Submit("t", sub(64, 128, int64(i))); serr != nil {
+			t.Fatalf("submit %d: %v", i, serr)
+		}
+	}
+	if _, serr := g.Submit("t", Submission{Spec: testSpec, Sizes: []int{1024}, Steps: 50000, DeadlineMS: 20, Seed: 99}); serr != nil {
+		t.Fatalf("submit the late job: %v", serr)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if sum := g.Drain(ctx); sum.TimedOut || sum.Completed != 4 || sum.Failed != 1 {
+		t.Fatalf("drain summary %+v, want 4 completed and the late job failed", sum)
+	}
+	g.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > start; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after drain and close, %d before:\n%s",
+				runtime.NumGoroutine(), start, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

@@ -176,6 +176,11 @@ func TestTraceSmoke(t *testing.T) {
 	if compile := findSpan(tr, "compile"); compile.Attr("tokens") == "" {
 		t.Error("compile span carries no tokens attr")
 	}
+	// Each successful attempt holds its walk, whose base spans cover the
+	// segment's steps × 128 points; together they cover the job's steps.
+	if steps := checkAttemptWalks(t, tr, 128); steps != int64(job.Steps) {
+		t.Errorf("the successful attempts' walks cover %d steps, want %d", steps, job.Steps)
+	}
 
 	// The ASCII waterfall renders, and an unknown ID is a 404 — never an
 	// empty 200.

@@ -1,12 +1,103 @@
 package gateway
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"pochoir"
 	"pochoir/internal/metrics"
 	"pochoir/internal/trace"
 )
+
+// heat2dSpec is the paper's Fig. 6 program, the kernel a serve-compute job
+// runs.
+const heat2dSpec = `stencil heat2d { dims: 2; param CX = 0.125; param CY = 0.125;
+array u; boundary u: periodic;
+kernel { u(t+1, x, y) = u(t, x, y) + CX * (u(t, x+1, y) - 2*u(t, x, y) + u(t, x-1, y))
+                      + CY * (u(t, x, y+1) - 2*u(t, x, y) + u(t, x, y-1)); } }`
+
+// checkAttemptWalks requires, under every attempt span of tr that ended ok,
+// exactly one walk span whose base-span volumes sum to the walk's steps ×
+// points, and returns the steps those walks cover: what a job's successful
+// segments advanced.
+func checkAttemptWalks(t *testing.T, tr *trace.Trace, points int64) (steps int64) {
+	t.Helper()
+	byID := make(map[trace.SpanID]*trace.Span, len(tr.Spans))
+	for i := range tr.Spans {
+		byID[tr.Spans[i].ID] = &tr.Spans[i]
+	}
+	walks := map[trace.SpanID][]*trace.Span{} // by attempt
+	bases := map[trace.SpanID]int64{}         // volume by walk
+	for i := range tr.Spans {
+		s := &tr.Spans[i]
+		switch s.Name {
+		case "walk":
+			walks[s.Parent] = append(walks[s.Parent], s)
+		case "base":
+			w := byID[s.Parent]
+			for w != nil && w.Name != "walk" {
+				w = byID[w.Parent]
+			}
+			if w == nil {
+				t.Fatalf("base span %s hangs under no walk", s.ID)
+			}
+			v, _ := strconv.ParseInt(s.Attr("volume"), 10, 64)
+			bases[w.ID] += v
+		}
+	}
+	attempts := 0
+	for i := range tr.Spans {
+		a := &tr.Spans[i]
+		if !strings.HasPrefix(a.Name, "attempt-") || a.Status != trace.StatusOK {
+			continue
+		}
+		attempts++
+		if len(walks[a.ID]) != 1 {
+			t.Fatalf("%s holds %d walk spans, want 1", a.Name, len(walks[a.ID]))
+		}
+		w := walks[a.ID][0]
+		n, _ := strconv.ParseInt(w.Attr("steps"), 10, 64)
+		if w.Attr("dropped_spans") != "0" || bases[w.ID] != n*points {
+			t.Errorf("%s's walk: base volumes %d (dropped %q), want %d steps × %d points",
+				a.Name, bases[w.ID], w.Attr("dropped_spans"), n, points)
+		}
+		steps += n
+	}
+	if attempts == 0 {
+		t.Fatal("the trace has no successful attempt span")
+	}
+	return steps
+}
+
+// TestServedJobTraceHoldsWalks serves a heat2d 192²×32 job, the
+// serve-compute workload's, in four supervised segments, and reads its kept
+// trace: under each attempt span a walk span, whose base spans cover that
+// segment's steps × 192² points.
+func TestServedJobTraceHoldsWalks(t *testing.T) {
+	tracer := trace.New(trace.Config{Seed: 5, SampleProb: 1.01}) // keep every trace
+	g := New(Config{Workers: 1, Trace: tracer, Supervise: pochoir.SupervisePolicy{SegmentSteps: 8}})
+	defer g.Close()
+	st, serr := g.Submit("t", Submission{Spec: heat2dSpec, Sizes: []int{192, 192}, Steps: 32, Seed: 7})
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	if fin := waitDone(t, g, st.ID); fin.State != StateDone {
+		t.Fatalf("job failed: %+v", fin)
+	}
+	id, err := trace.ParseTraceID(st.TraceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := tracer.Get(id)
+	if tr == nil {
+		t.Fatal("the job's trace was not kept")
+	}
+	if steps := checkAttemptWalks(t, tr, 192*192); steps != 32 {
+		t.Fatalf("the attempts' walks cover %d steps, want 32", steps)
+	}
+}
 
 // TestCoalescedJobLinkSpans pins the cross-trace causality contract of
 // coalescing: the joiner's trace must end "coalesced" carrying a link-span

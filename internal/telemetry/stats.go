@@ -49,9 +49,6 @@ type Stats struct {
 	// WorkerBusy[i] is the time worker shard i spent inside base cases
 	// (kernel work, excluding decomposition and blocking).
 	WorkerBusy []time.Duration
-
-	// Events is the total number of recorded begin/end events.
-	Events int64
 }
 
 // Zoids returns the total number of decomposition nodes visited: every
@@ -196,14 +193,12 @@ func (st Stats) Delta(prev Stats) Stats {
 			out.WorkerBusy[i] -= prev.WorkerBusy[i]
 		}
 	}
-	out.Events -= prev.Events
 	return out
 }
 
 // WriteReport renders the human-readable stats report.
 func (st Stats) WriteReport(w io.Writer) {
-	fmt.Fprintf(w, "telemetry: wall %.3fs, %d worker track(s), %d events\n",
-		st.Wall.Seconds(), st.Workers, st.Events)
+	fmt.Fprintf(w, "telemetry: wall %.3fs, %d worker(s)\n", st.Wall.Seconds(), st.Workers)
 	fmt.Fprintf(w, "decomposition: %d zoids — %d hyperspace cuts, %d time cuts, %d trisections, %d circle cuts, %d base cases\n",
 		st.Zoids(), st.HyperCuts, st.TimeCuts, st.SpaceCuts, st.CircleCuts, st.Bases)
 	if st.HyperCuts > 0 {

@@ -29,9 +29,11 @@ func TestBaseVolumePercentile(t *testing.T) {
 	s := r.Acquire()
 	// 9 bases of volume 64 (bucket 6) and 1 of volume 1024 (bucket 10).
 	for i := 0; i < 9; i++ {
-		s.End(s.Base(64, true, 1))
+		s.Base(64, true)
+		s.End()
 	}
-	s.End(s.Base(1024, true, 1))
+	s.Base(1024, true)
+	s.End()
 	r.Release(s)
 	st := r.Snapshot()
 

@@ -1,10 +1,9 @@
-// Package telemetry is the execution-observability substrate for the TRAP
-// engine: a low-overhead event recorder that captures every decomposition
-// decision the walker makes — time cuts, hyperspace cuts with their 3^k
-// fanout and k+1 dependency levels, STRAP trisections and circle cuts,
-// base-case invocations with zoid volume and clone kind, and the
-// scheduler's spawn-vs-inline choices — without perturbing the run it
-// observes.
+// Package telemetry counts the TRAP engine's decomposition: time cuts,
+// hyperspace cuts with their 3^k fanout and k+1 dependency levels, STRAP
+// trisections and circle cuts, base cases with their volume histogram and
+// clone kind, the scheduler's spawn-vs-inline choices, and per-worker busy
+// time. It keeps counters only; the spans of a walk go to the run's trace
+// (internal/trace), the one span model.
 //
 // The design has two halves:
 //
@@ -13,18 +12,16 @@
 //     default, and every recording point is guarded by a single pointer
 //     check.
 //
-//   - Shard is a per-worker-goroutine event buffer plus counters. A
-//     goroutine acquires a shard when it starts working and releases it
-//     when it finishes; all recording then happens on goroutine-private
-//     state, so the hot path is an append and a few integer adds with no
-//     atomics and no lock contention. Shards are recycled through a free
-//     list, so the shard count tracks the number of concurrently live
-//     workers — which is exactly the "one track per worker" grouping the
-//     Chrome-trace exporter wants.
+//   - Shard is one worker goroutine's counters. A goroutine acquires a shard
+//     when it starts working and releases it when it finishes; all
+//     recording then happens on goroutine-private state, so the hot path is
+//     a few integer adds with no atomics and no lock contention. Shards are
+//     recycled through a free list, so the shard count tracks the number of
+//     concurrently live workers.
 //
-// Aggregation (Snapshot) and export (WriteChromeTrace) must only run while
-// the instrumented computation is quiescent — after Walker.Run returns,
-// whose fork-join sync publishes every shard's writes.
+// Aggregation (Snapshot) must only run while the instrumented computation
+// is quiescent — after Walker.Run returns, whose fork-join sync publishes
+// every shard's writes.
 package telemetry
 
 import (
@@ -32,57 +29,6 @@ import (
 	"sync"
 	"time"
 )
-
-// SpanKind identifies what a recorded span covers.
-type SpanKind uint8
-
-const (
-	// SpanHyperCut is a TRAP hyperspace cut: k dimensions cut at once,
-	// 3^k-ish subzoids processed in k+1 dependency levels (§3, Lemma 1).
-	SpanHyperCut SpanKind = iota
-	// SpanSpaceCut is a STRAP trisection along a single dimension.
-	SpanSpaceCut
-	// SpanCircleCut is a STRAP circle cut of a full periodic dimension.
-	SpanCircleCut
-	// SpanTimeCut is a cut at the midpoint of the time dimension.
-	SpanTimeCut
-	// SpanBase is a base-case invocation (interior or boundary clone).
-	SpanBase
-)
-
-func (k SpanKind) String() string {
-	switch k {
-	case SpanHyperCut:
-		return "hyperspace-cut"
-	case SpanSpaceCut:
-		return "space-cut"
-	case SpanCircleCut:
-		return "circle-cut"
-	case SpanTimeCut:
-		return "time-cut"
-	case SpanBase:
-		return "base"
-	}
-	return "unknown"
-}
-
-// Event is one begin or end marker of a span. Begin events carry the
-// span's kind-specific arguments:
-//
-//	SpanHyperCut:  A0 = dims cut (k), A1 = subzoid fanout, A2 = levels
-//	SpanSpaceCut:  A0 = dimension
-//	SpanCircleCut: A0 = dimension
-//	SpanTimeCut:   A0 = zoid height
-//	SpanBase:      A0 = zoid volume (points), A1 = 1 if interior clone,
-//	               A2 = zoid height
-type Event struct {
-	TS    int64 // nanoseconds since the recorder's epoch
-	Kind  SpanKind
-	Begin bool
-	A0    int64
-	A1    int64
-	A2    int64
-}
 
 // MaxCutDims bounds the per-k hyperspace-cut counter array; it matches
 // zoid.MaxDims without importing it (telemetry stays dependency-free).
@@ -95,13 +41,12 @@ const volumeBuckets = 64
 // Shard is the goroutine-private recording surface. A shard must only be
 // used by the goroutine that acquired it, between Acquire and Release.
 type Shard struct {
-	id     int
-	rec    *Recorder
-	events []Event
-	// open is the stack of begin-event indices with no matching End yet.
-	// A panic unwinding through the walker skips End calls; Release closes
-	// whatever remains so aborted runs still export balanced span trees.
-	open []int
+	rec *Recorder
+	// baseStart is the clock at the open base case's start. Base cases
+	// never nest on one goroutine, so one slot is all the busy-time
+	// accounting needs.
+	baseStart int64
+	inBase    bool
 
 	timeCuts   int64
 	hyperCuts  int64
@@ -121,87 +66,49 @@ type Shard struct {
 	busyNS  int64
 }
 
-// ID returns the shard's worker-track number.
-func (s *Shard) ID() int { return s.id }
-
-func (s *Shard) begin(kind SpanKind, a0, a1, a2 int64) int {
-	idx := len(s.events)
-	s.events = append(s.events, Event{TS: s.rec.now(), Kind: kind, Begin: true, A0: a0, A1: a1, A2: a2})
-	s.open = append(s.open, idx)
-	return idx
-}
-
-// End closes the span opened by the begin call that returned idx. For base
-// spans it also accumulates the shard's busy time.
-func (s *Shard) End(idx int) {
-	// Pop the open stack down through idx; on the non-failing path the top
-	// is exactly idx and this is a single pop.
-	for n := len(s.open); n > 0 && s.open[n-1] >= idx; n-- {
-		s.open = s.open[:n-1]
-	}
-	ev := s.events[idx]
-	now := s.rec.now()
-	s.events = append(s.events, Event{TS: now, Kind: ev.Kind})
-	if ev.Kind == SpanBase {
-		s.busyNS += now - ev.TS
+// End closes the open base case, charging its time to the shard's busy
+// time; with none open it does nothing.
+func (s *Shard) End() {
+	if s.inBase {
+		s.inBase = false
+		s.busyNS += s.rec.now() - s.baseStart
 	}
 }
 
-// closeOpenSpans emits End events for every span a panic left open,
-// innermost first, charging any aborted base span's partial busy time.
-func (s *Shard) closeOpenSpans() {
-	for n := len(s.open); n > 0; n-- {
-		ev := s.events[s.open[n-1]]
-		now := s.rec.now()
-		s.events = append(s.events, Event{TS: now, Kind: ev.Kind})
-		if ev.Kind == SpanBase {
-			s.busyNS += now - ev.TS
-		}
-	}
-	s.open = s.open[:0]
-}
-
-// HyperCut records the start of a hyperspace cut over k dimensions that
-// produced fanout subzoids in levels dependency levels.
-func (s *Shard) HyperCut(k, fanout, levels int) int {
+// HyperCut counts a hyperspace cut over k dimensions that produced fanout
+// subzoids in levels dependency levels.
+func (s *Shard) HyperCut(k, fanout, levels int) {
 	s.hyperCuts++
 	if k >= 0 && k <= MaxCutDims {
 		s.hyperByK[k]++
 	}
 	s.fanout += int64(fanout)
 	s.levels += int64(levels)
-	return s.begin(SpanHyperCut, int64(k), int64(fanout), int64(levels))
 }
 
-// SpaceCut records the start of a STRAP cut along dim; circle selects the
-// periodic full-extent variant.
-func (s *Shard) SpaceCut(dim int, circle bool) int {
+// SpaceCut counts a STRAP cut; circle selects the periodic full-extent
+// variant.
+func (s *Shard) SpaceCut(circle bool) {
 	if circle {
 		s.circleCuts++
-		return s.begin(SpanCircleCut, int64(dim), 0, 0)
+	} else {
+		s.spaceCuts++
 	}
-	s.spaceCuts++
-	return s.begin(SpanSpaceCut, int64(dim), 0, 0)
 }
 
-// TimeCut records the start of a time cut of a height-h zoid.
-func (s *Shard) TimeCut(h int) int {
-	s.timeCuts++
-	return s.begin(SpanTimeCut, int64(h), 0, 0)
-}
+// TimeCut counts a time cut.
+func (s *Shard) TimeCut() { s.timeCuts++ }
 
-// Base records the start of a base-case invocation over volume space-time
-// points of a height-h zoid, dispatched to the interior or boundary clone.
-func (s *Shard) Base(volume int64, interior bool, h int) int {
+// Base opens a base-case invocation over volume space-time points,
+// dispatched to the interior or boundary clone; End closes it.
+func (s *Shard) Base(volume int64, interior bool) {
 	s.bases++
 	s.basePoints += volume
 	s.baseHist[log2Bucket(volume)]++
-	in := int64(0)
 	if interior {
 		s.interiorBases++
-		in = 1
 	}
-	return s.begin(SpanBase, volume, in, int64(h))
+	s.inBase, s.baseStart = true, s.rec.now()
 }
 
 // Spawned and Inlined count the walker's decisions to run subzoids on fresh
@@ -343,8 +250,8 @@ func New() *Recorder {
 
 func (r *Recorder) now() int64 { return time.Since(r.epoch).Nanoseconds() }
 
-// Acquire hands out a worker shard, recycling released ones so shard ids
-// track concurrently live workers. It is called at goroutine spawn
+// Acquire hands out a worker shard, recycling released ones so the shard
+// count tracks concurrently live workers. It is called at goroutine spawn
 // boundaries only, never per event.
 func (r *Recorder) Acquire() *Shard {
 	r.mu.Lock()
@@ -354,17 +261,15 @@ func (r *Recorder) Acquire() *Shard {
 		r.free = r.free[:n-1]
 		return s
 	}
-	s := &Shard{id: len(r.shards), rec: r}
+	s := &Shard{rec: r}
 	r.shards = append(r.shards, s)
 	return s
 }
 
-// Release returns a shard to the pool when its goroutine finishes. Spans
-// the goroutine left open — only possible when a panic unwound through the
-// instrumented recursion — are closed first, so every released shard holds
-// a balanced event sequence (a no-op on the ordinary path).
+// Release returns a shard to the pool when its goroutine finishes. A base
+// case a panic left open is charged its partial busy time first.
 func (r *Recorder) Release(s *Shard) {
-	s.closeOpenSpans()
+	s.End()
 	r.mu.Lock()
 	r.free = append(r.free, s)
 	r.mu.Unlock()
@@ -390,13 +295,6 @@ func (r *Recorder) RunFinished() {
 		r.wallNS += time.Since(r.runStart).Nanoseconds()
 	}
 	r.mu.Unlock()
-}
-
-// Workers returns the number of distinct worker shards created so far.
-func (r *Recorder) Workers() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.shards)
 }
 
 // Snapshot aggregates all shards into cumulative Stats. It must only be
@@ -428,7 +326,6 @@ func (r *Recorder) Snapshot() Stats {
 		st.Spawns += s.spawns
 		st.Inlines += s.inlines
 		st.WorkerBusy[i] = time.Duration(s.busyNS)
-		st.Events += int64(len(s.events))
 	}
 	return st
 }

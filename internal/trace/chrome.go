@@ -1,56 +1,66 @@
 package trace
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
-
-	"pochoir/internal/telemetry"
 )
 
-// WriteChrome converts the trace into the Chrome trace-event format via the
-// shared telemetry writer (telemetry.WriteChromeSpans): timed spans become
-// complete events nested by containment on a single "job" track, and
+// WriteChrome writes the trace in the Chrome trace-event format (the "JSON
+// Array with metadata" flavor chrome://tracing and Perfetto load); it is the
+// module's one such writer, behind /tracez/<id>.json?format=chrome, the
+// telemetry example's -trace file and cmd/blackbox's trace export. Each lane
+// is a thread track, "job" for lane 0 and "worker-N" for lane N; timed spans
+// become complete events, which the viewer nests by containment, and
 // zero-duration markers (checkpoints, spills, degrades...) become instant
-// events, so /tracez/<id>.json?format=chrome loads directly into
-// chrome://tracing or Perfetto.
+// events. Timestamps are microseconds from the trace's start.
 func WriteChrome(w io.Writer, tr *Trace) error {
-	spans := make([]telemetry.ChromeSpan, 0, len(tr.Spans))
-	instants := make([]telemetry.ChromeInstant, 0, 8)
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, `{"displayTimeUnit":"ns","traceEvents":[{"name":"process_name","ph":"M","pid":1,"args":{"name":%s}}`,
+		strconv.Quote("pochoir trace "+tr.ID.String()))
+	named := map[int]bool{}
 	for i := range tr.Spans {
 		s := &tr.Spans[i]
+		if !named[s.Lane] {
+			named[s.Lane] = true
+			track := "job"
+			if s.Lane != 0 {
+				track = "worker-" + strconv.Itoa(s.Lane)
+			}
+			fmt.Fprintf(bw, `,{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%q}}`, s.Lane, track)
+		}
+		ts := float64(s.StartNS-tr.StartNS) / 1e3
+		if s.EndNS == s.StartNS {
+			fmt.Fprintf(bw, `,{"name":%s,"cat":"trace","ph":"i","s":"t","pid":1,"tid":%d,"ts":%.3f,"args":{%s}}`,
+				strconv.Quote(s.Name), s.Lane, ts, spanArgs(s))
+			continue
+		}
 		endNS := s.EndNS
 		if endNS == 0 {
 			endNS = tr.EndNS
 		}
-		ts := s.StartNS - tr.StartNS
-		if s.EndNS == s.StartNS {
-			instants = append(instants, telemetry.ChromeInstant{
-				Name: s.Name, TID: 0, TS: ts, Args: spanArgs(s),
-			})
-			continue
-		}
-		spans = append(spans, telemetry.ChromeSpan{
-			Name: s.Name, TID: 0, TS: ts, DurNS: endNS - s.StartNS, Args: spanArgs(s),
-		})
+		fmt.Fprintf(bw, `,{"name":%s,"cat":"trace","ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f,"args":{%s}}`,
+			strconv.Quote(s.Name), s.Lane, ts, float64(endNS-s.StartNS)/1e3, spanArgs(s))
 	}
-	return telemetry.WriteChromeSpans(w, "pochoir trace "+tr.ID.String(),
-		map[int]string{0: "job"}, spans, instants)
+	bw.WriteString("]}\n")
+	return bw.Flush()
 }
 
-// spanArgs renders a span's status, attrs, and link as a Chrome args body.
+// spanArgs renders a span's ID, status, attrs, and link as a Chrome args
+// body.
 func spanArgs(s *Span) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, `"span_id":%s`, strconv.Quote(s.ID.String()))
+	sb.WriteString(`"span_id":` + strconv.Quote(s.ID.String()))
 	if s.Status != "" {
-		fmt.Fprintf(&sb, `,"status":%s`, strconv.Quote(s.Status))
+		sb.WriteString(`,"status":` + strconv.Quote(s.Status))
 	}
 	for _, a := range s.Attrs {
-		fmt.Fprintf(&sb, `,%s:%s`, strconv.Quote(a.Key), strconv.Quote(a.Value))
+		sb.WriteString("," + strconv.Quote(a.Key) + ":" + strconv.Quote(a.Value))
 	}
 	if !s.Link.IsZero() {
-		fmt.Fprintf(&sb, `,"link":%s`, strconv.Quote(s.Link.String()))
+		sb.WriteString(`,"link":` + strconv.Quote(s.Link.String()))
 	}
 	return sb.String()
 }

@@ -28,18 +28,20 @@ import (
 //
 // The first attempt's span opens at segment start, so it also covers the
 // segment's checkpoint + spill preamble; attempt k>1 opens at the restore
-// that precedes it.
-func SupervisorSpans(a *Active, parent SpanID) func(telemetry.SupEvent) {
+// that precedes it. The attempt's walk records under it (see
+// StartWalkSpan): *attempt holds the open attempt span, zero between
+// attempts.
+func SupervisorSpans(a *Active, parent SpanID, attempt *SpanID) func(telemetry.SupEvent) {
 	if a == nil {
 		return func(telemetry.SupEvent) {}
 	}
-	var segSpan, attemptSpan SpanID
+	var segSpan SpanID
 	return func(ev telemetry.SupEvent) {
 		switch ev.Kind {
 		case telemetry.SupSegmentStart:
 			segSpan = a.StartSpan(fmt.Sprintf("segment-%d", ev.Segment), parent,
 				Attr{Key: "engine", Value: ev.Engine})
-			attemptSpan = a.StartSpan("attempt-1", segSpan)
+			*attempt = a.StartSpan("attempt-1", segSpan)
 
 		case telemetry.SupCheckpoint:
 			a.Mark("checkpoint", segSpan, StatusOK)
@@ -52,42 +54,42 @@ func SupervisorSpans(a *Active, parent SpanID) func(telemetry.SupEvent) {
 			}
 
 		case telemetry.SupVerifyOK:
-			a.Mark("shadow-verify", attemptSpan, StatusOK)
+			a.Mark("shadow-verify", *attempt, StatusOK)
 
 		case telemetry.SupVerifyMismatch:
-			a.Mark("shadow-verify", attemptSpan, StatusError,
+			a.Mark("shadow-verify", *attempt, StatusError,
 				Attr{Key: "cause", Value: ev.Err})
 
 		case telemetry.SupSegmentFail:
-			a.EndSpan(attemptSpan, StatusError,
+			a.EndSpan(*attempt, StatusError,
 				Attr{Key: "cause", Value: ev.Err},
 				Attr{Key: "engine", Value: ev.Engine})
-			attemptSpan = SpanID{}
+			*attempt = SpanID{}
 
 		case telemetry.SupRestore:
 			a.Mark("restore", segSpan, StatusOK)
-			attemptSpan = a.StartSpan(fmt.Sprintf("attempt-%d", ev.Attempt+1), segSpan)
+			*attempt = a.StartSpan(fmt.Sprintf("attempt-%d", ev.Attempt+1), segSpan)
 
 		case telemetry.SupDegrade:
-			a.Mark("degrade", attemptSpan, StatusOK,
+			a.Mark("degrade", *attempt, StatusOK,
 				Attr{Key: "engine", Value: ev.Engine})
 
 		case telemetry.SupBackoff:
-			a.Mark("retry-backoff", attemptSpan, StatusOK,
+			a.Mark("retry-backoff", *attempt, StatusOK,
 				Attr{Key: "delay", Value: ev.Delay.String()})
 
 		case telemetry.SupSegmentDone:
-			a.EndSpan(attemptSpan, StatusOK)
+			a.EndSpan(*attempt, StatusOK)
 			a.EndSpan(segSpan, StatusOK,
 				Attr{Key: "attempts", Value: fmt.Sprintf("%d", ev.Attempt)})
-			segSpan, attemptSpan = SpanID{}, SpanID{}
+			segSpan, *attempt = SpanID{}, SpanID{}
 
 		case telemetry.SupGiveUp:
-			a.EndSpan(attemptSpan, StatusError)
+			a.EndSpan(*attempt, StatusError)
 			a.EndSpan(segSpan, StatusError,
 				Attr{Key: "cause", Value: ev.Err},
 				Attr{Key: "attempts", Value: fmt.Sprintf("%d", ev.Attempt)})
-			segSpan, attemptSpan = SpanID{}, SpanID{}
+			segSpan, *attempt = SpanID{}, SpanID{}
 
 		case telemetry.SupResume:
 			if ev.Err != "" {

@@ -59,11 +59,14 @@ type Attr struct {
 
 // Span is one timed operation in a trace. StartNS/EndNS are nanoseconds
 // since the tracer's epoch; EndNS == 0 means the span is still open (only
-// visible in live snapshots, e.g. a post-mortem of a mid-flight run).
+// visible in live snapshots, e.g. a post-mortem of a mid-flight run). Lane
+// is the goroutine track the span ran on: 0 for the job's own, N > 0 for a
+// walk's spawned tasks (see StartWalkSpan).
 type Span struct {
 	ID      SpanID  `json:"span_id"`
 	Parent  SpanID  `json:"parent_id,omitempty"`
 	Name    string  `json:"name"`
+	Lane    int     `json:"lane,omitempty"`
 	StartNS int64   `json:"start_ns"`
 	EndNS   int64   `json:"end_ns"`
 	Status  string  `json:"status,omitempty"`
@@ -280,8 +283,15 @@ type Active struct {
 	mu    sync.Mutex
 	spans []Span
 	links int
+	walk  int // decomposition spans stored, at most MaxWalkSpans
 	ended bool
 }
+
+// MaxWalkSpans caps the decomposition spans — a walk's cuts and base cases —
+// one trace stores, so a trace's memory stays bounded however finely a run
+// decomposes. An 8192²×16 heat2d run records 1,919 of them and a served
+// 192²×32 job 61; past the cap StartWalkSpan stores nothing.
+const MaxWalkSpans = 4096
 
 // StartTrace opens a trace with a root span of the given name. When parent
 // carries a trace ID (a caller-supplied traceparent), the trace adopts it
@@ -344,36 +354,68 @@ func (a *Active) Context() Context {
 // StartSpan opens a child span under parent (zero parent attaches to the
 // root span) and returns its ID.
 func (a *Active) StartSpan(name string, parent SpanID, attrs ...Attr) SpanID {
+	return a.add(false, Span{Name: name, Parent: parent, Attrs: attrs})
+}
+
+// StartWalkSpan opens one span of a walk's decomposition on lane, as
+// StartSpan does, while the trace holds fewer than MaxWalkSpans of them.
+// Past the cap it stores nothing and returns the zero ID.
+func (a *Active) StartWalkSpan(lane int, name string, parent SpanID, attrs ...Attr) SpanID {
+	return a.add(true, Span{Name: name, Parent: parent, Lane: lane, Attrs: attrs})
+}
+
+// Mark records a zero-duration marker span (checkpoint, degrade, spill...).
+func (a *Active) Mark(name string, parent SpanID, status string, attrs ...Attr) SpanID {
+	return a.add(false, Span{Name: name, Parent: parent, Status: status, Attrs: attrs, EndNS: -1})
+}
+
+// LinkSpan records a zero-duration span that references another trace —
+// the coalesce-join edge. Traces holding links are always retained.
+func (a *Active) LinkSpan(name string, parent SpanID, other TraceID, attrs ...Attr) SpanID {
+	return a.add(false, Span{Name: name, Parent: parent, Status: StatusOK, Attrs: attrs, Link: other, EndNS: -1})
+}
+
+// add stores s, stamped with a fresh ID and the current time, under its
+// parent (zero: the root); EndNS -1 asks for a zero-duration marker. A walk
+// span counts against MaxWalkSpans. It returns the zero ID on a nil or
+// ended trace, or for a walk span past the cap.
+func (a *Active) add(walk bool, s Span) SpanID {
 	if a == nil {
 		return SpanID{}
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.ended {
+	if a.ended || walk && a.walk >= MaxWalkSpans {
 		return SpanID{}
 	}
-	if parent.IsZero() {
-		parent = a.root
+	if walk {
+		a.walk++
 	}
-	id := a.t.newSpanID()
-	a.spans = append(a.spans, Span{
-		ID:      id,
-		Parent:  parent,
-		Name:    name,
-		StartNS: a.t.clock(),
-		Attrs:   attrs,
-	})
-	return id
+	if !s.Link.IsZero() {
+		a.links++
+	}
+	if s.Parent.IsZero() {
+		s.Parent = a.root
+	}
+	s.ID = a.t.newSpanID()
+	s.StartNS = a.t.clock()
+	if s.EndNS < 0 {
+		s.EndNS = s.StartNS
+	}
+	a.spans = append(a.spans, s)
+	return s.ID
 }
 
 // EndSpan closes the span with a status, appending any final attributes.
+// The search runs from the newest span, where a closing span almost always
+// is, so closing n nested spans costs O(n), not O(n²).
 func (a *Active) EndSpan(id SpanID, status string, attrs ...Attr) {
 	if a == nil || id.IsZero() {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for i := range a.spans {
+	for i := len(a.spans) - 1; i >= 0; i-- {
 		if a.spans[i].ID == id && a.spans[i].EndNS == 0 {
 			a.spans[i].EndNS = a.t.clock()
 			a.spans[i].Status = status
@@ -381,63 +423,6 @@ func (a *Active) EndSpan(id SpanID, status string, attrs ...Attr) {
 			return
 		}
 	}
-}
-
-// Mark records a zero-duration marker span (checkpoint, degrade, spill...).
-func (a *Active) Mark(name string, parent SpanID, status string, attrs ...Attr) SpanID {
-	if a == nil {
-		return SpanID{}
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.ended {
-		return SpanID{}
-	}
-	if parent.IsZero() {
-		parent = a.root
-	}
-	now := a.t.clock()
-	id := a.t.newSpanID()
-	a.spans = append(a.spans, Span{
-		ID:      id,
-		Parent:  parent,
-		Name:    name,
-		StartNS: now,
-		EndNS:   now,
-		Status:  status,
-		Attrs:   attrs,
-	})
-	return id
-}
-
-// LinkSpan records a zero-duration span that references another trace —
-// the coalesce-join edge. Traces holding links are always retained.
-func (a *Active) LinkSpan(name string, parent SpanID, other TraceID, attrs ...Attr) SpanID {
-	if a == nil {
-		return SpanID{}
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.ended {
-		return SpanID{}
-	}
-	if parent.IsZero() {
-		parent = a.root
-	}
-	now := a.t.clock()
-	id := a.t.newSpanID()
-	a.spans = append(a.spans, Span{
-		ID:      id,
-		Parent:  parent,
-		Name:    name,
-		StartNS: now,
-		EndNS:   now,
-		Status:  StatusOK,
-		Attrs:   attrs,
-		Link:    other,
-	})
-	a.links++
-	return id
 }
 
 // Snapshot returns a live view of the trace so far (open spans keep

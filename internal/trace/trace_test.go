@@ -276,7 +276,7 @@ func TestExportRoundTripAndWaterfall(t *testing.T) {
 	clk.advance(2_000_000)
 	a.EndSpan(q, StatusOK)
 	run := a.StartSpan("supervised-run", SpanID{})
-	emit := SupervisorSpans(a, run)
+	emit := SupervisorSpans(a, run, new(SpanID))
 	emit(telemetry.SupEvent{Kind: telemetry.SupSegmentStart, Segment: 0, Engine: "TRAP"})
 	emit(telemetry.SupEvent{Kind: telemetry.SupCheckpoint, Segment: 0})
 	clk.advance(1_000_000)
@@ -411,5 +411,47 @@ func TestLiveSnapshot(t *testing.T) {
 	a.End(StatusError)
 	if tr.Get(a.TraceID()).KeepReason != "status" {
 		t.Fatal("finalized trace should replace live view")
+	}
+}
+
+// TestWalkSpansCapAndLanes: a trace stores MaxWalkSpans decomposition spans
+// and no more, whatever their lane, while ordinary spans are not capped;
+// EndSpan closes the newest open spans; the Chrome export names one track
+// per lane.
+func TestWalkSpansCapAndLanes(t *testing.T) {
+	tr, clk := newTestTracer(t, Config{})
+	a := tr.StartTrace("job", Context{})
+	walk := a.StartSpan("walk", SpanID{})
+	var last SpanID
+	for i := 0; i < MaxWalkSpans; i++ {
+		clk.advance(1)
+		if last = a.StartWalkSpan(i%2+1, "base", walk); last.IsZero() {
+			t.Fatalf("walk span %d refused below the cap", i)
+		}
+		a.EndSpan(last, StatusOK)
+	}
+	if id := a.StartWalkSpan(1, "base", walk); !id.IsZero() {
+		t.Fatal("a walk span past MaxWalkSpans was stored")
+	}
+	if id := a.StartSpan("after", SpanID{}); id.IsZero() {
+		t.Fatal("the walk-span cap refused an ordinary span")
+	}
+	clk.advance(1)
+	a.EndSpan(walk, StatusOK)
+	snap := a.Snapshot()
+	if got := len(snap.Spans); got != MaxWalkSpans+3 {
+		t.Fatalf("%d spans stored, want the root, the walk, %d walk spans and one more", got, MaxWalkSpans)
+	}
+	if s := snap.Find(last); s.EndNS == 0 || s.Lane != 2 {
+		t.Fatalf("newest walk span %+v: want it ended, on lane 2", s)
+	}
+	var chrome bytes.Buffer
+	if err := WriteChrome(&chrome, snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"args":{"name":"job"}`, `"args":{"name":"worker-1"}`, `"args":{"name":"worker-2"}`} {
+		if strings.Count(chrome.String(), want) != 1 {
+			t.Errorf("chrome export names track %s %d times, want once", want, strings.Count(chrome.String(), want))
+		}
 	}
 }

@@ -51,6 +51,7 @@ import (
 	"pochoir/internal/sched"
 	"pochoir/internal/shape"
 	"pochoir/internal/telemetry"
+	"pochoir/internal/trace"
 	"pochoir/internal/zoid"
 )
 
@@ -97,12 +98,12 @@ type Array[T any] = grid.Array[T]
 type Boundary[T any] = grid.Boundary[T]
 
 // Recorder is the execution-telemetry recorder: pass one via
-// Options.Telemetry to capture every decomposition decision of a run —
-// cut kinds, hyperspace-cut fanout and dependency levels, base-case
-// volumes and clone dispatch, spawn decisions, and per-worker busy time.
-// Export with Recorder.WriteChromeTrace (a chrome://tracing / Perfetto
-// loadable span tree, one track per worker) or aggregate with
-// Recorder.Snapshot; Stencil.LastRunStats summarizes the most recent Run.
+// Options.Telemetry to count every decomposition decision of a run — cut
+// kinds, hyperspace-cut fanout and dependency levels, base-case volumes and
+// clone dispatch, spawn decisions, and per-worker busy time. It keeps
+// counters, not spans: aggregate with Recorder.Snapshot, and
+// Stencil.LastRunStats summarizes the most recent Run. The walk's spans go
+// to Options.Trace (see WriteChromeTrace).
 type Recorder = telemetry.Recorder
 
 // RunStats is the aggregate telemetry of a run; see Recorder.
@@ -151,6 +152,10 @@ type Stencil[T any] struct {
 	metReg     *MetricsRegistry
 	metSet     *metrics.RunMetrics
 	activeProg *metrics.Progress
+	// walkParent is the span a run's walk records under in Options.Trace:
+	// the open segment attempt inside RunSupervised, zero (the trace's
+	// root) otherwise.
+	walkParent trace.SpanID
 	// inSupervise suppresses per-attempt post-mortem bundles inside
 	// RunSupervised, which bundles once on the terminal error instead.
 	inSupervise bool
@@ -183,8 +188,8 @@ type Options struct {
 	// Grain is the minimum approximate subzoid volume processed on a
 	// fresh goroutine; zero selects core.DefaultGrain.
 	Grain int64
-	// Telemetry, when non-nil, records the run's decomposition decisions
-	// into the recorder (see Recorder).
+	// Telemetry, when non-nil, counts the run's decomposition decisions in
+	// the recorder (see Recorder).
 	Telemetry *Recorder
 	// Metrics, when non-nil, arms the live metrics registry: zoid, cut,
 	// and base-case counters, point throughput, worker activity, and a
@@ -203,13 +208,16 @@ type Options struct {
 	// it), and any terminal failure freezes the rings and writes a
 	// pochoir-postmortem/v1 bundle (see PostmortemBundle).
 	NoFlightRecorder bool
-	// Trace, when non-nil, is the causal trace this stencil's supervised
-	// runs record into: RunSupervised opens a "supervised-run" span under
-	// the trace's root and grows a child span per segment attempt (with
-	// retry, degradation, spill, and verify causes) as the supervisor
-	// decides. The serving gateway threads each job's ActiveTrace through
-	// here; library users may pass their own (see NewTracer). Nil — the
-	// default — keeps runs untraced at the cost of one pointer check.
+	// Trace, when non-nil, is the causal trace this stencil's runs record
+	// into. Every run records its walk: a "walk" span and under it a span
+	// per cut and base case (at most trace.MaxWalkSpans per trace; the walk
+	// span counts the rest). RunSupervised also opens a "supervised-run"
+	// span under the trace's root and grows a child span per segment
+	// attempt (with retry, degradation, spill, and verify causes) as the
+	// supervisor decides; each attempt's walk hangs under it, a plain run's
+	// under the root. The serving gateway threads each job's ActiveTrace
+	// through here; library users may pass their own (see NewTracer). Nil —
+	// the default — keeps runs untraced at the cost of one pointer check.
 	Trace *ActiveTrace
 }
 
@@ -528,7 +536,11 @@ func (s *Stencil[T]) runWalker(ctx context.Context, w *core.Walker, steps int) e
 	if ownProg {
 		prog = s.opts.Metrics.StartProgress(s.progressLabel("run"), int64(steps)*s.gridVolume())
 	}
-	w.Probe = &runProbe{tel: s.opts.Telemetry, met: met, prog: prog, fr: s.flightRecorder()}
+	probe := &runProbe{tel: s.opts.Telemetry, met: met, prog: prog, fr: s.flightRecorder()}
+	if tr := s.opts.Trace; tr != nil {
+		probe.walk, probe.open = &walkTrace{tr: tr}, []trace.SpanID{s.walkParent}
+	}
+	w.Probe = probe
 
 	var pre RunStats
 	if s.opts.Telemetry != nil {

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"runtime/pprof"
+	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"pochoir/internal/core"
 	"pochoir/internal/faultpoint"
@@ -12,6 +15,7 @@ import (
 	"pochoir/internal/profile"
 	"pochoir/internal/sched"
 	"pochoir/internal/telemetry"
+	"pochoir/internal/trace"
 	"pochoir/internal/zoid"
 )
 
@@ -30,19 +34,100 @@ func init() {
 }
 
 // runProbe is the core.Probe of one run: it hands each walker event to the
-// sinks the stencil's Options arm — telemetry shards, the live metrics and
-// progress estimator, the flight recorder, any of them nil — and keeps the
-// run's pprof labels. A spawned task gets a copy with its own shard.
+// sinks the stencil's Options arm — telemetry counters, the live metrics and
+// progress estimator, the flight recorder, the trace, any of them nil — and
+// keeps the run's pprof labels. The trace is the one sink that keeps spans: a
+// "walk" span, and under it every cut and base case. A spawned task gets a
+// copy with its own shard, lane and span stack.
 type runProbe struct {
 	tel  *telemetry.Recorder
 	met  *metrics.RunMetrics
 	prog *metrics.Progress
 	fr   *flight.Recorder
+	walk *walkTrace // nil when the run has no trace
 
 	sh        *telemetry.Shard // this goroutine's, while tel is set
 	eng       *metrics.Counter // met.EnginePoints of the run's engine
 	ctx, lctx context.Context  // the caller's, and it plus phase=walk
+
+	lane int // this goroutine's track in the trace
+	// open is this goroutine's span stack: at the bottom the span its walk
+	// hangs under (the walk span, or the cut that spawned the task), above
+	// it the decomposition spans it has open.
+	open []trace.SpanID
 }
+
+// walkTrace is what the probes of one run share of its trace: the walk
+// span, the spans past trace.MaxWalkSpans it counted rather than stored, and
+// the lanes of tasks in flight — a lane freed by a finished task is reused,
+// so lanes number the concurrently live workers.
+type walkTrace struct {
+	tr      *trace.Active
+	span    trace.SpanID
+	dropped atomic.Int64
+	full    atomic.Bool // the trace stopped storing: count, do not format
+
+	mu    sync.Mutex
+	free  []int
+	lanes int
+}
+
+func (w *walkTrace) acquireLane() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if n := len(w.free); n > 0 {
+		l := w.free[n-1]
+		w.free = w.free[:n-1]
+		return l
+	}
+	w.lanes++
+	return w.lanes
+}
+
+func (w *walkTrace) releaseLane(l int) {
+	w.mu.Lock()
+	w.free = append(w.free, l)
+	w.mu.Unlock()
+}
+
+// recording reports whether the run's trace still stores decomposition
+// spans; once it does not, it counts the span the caller would have opened.
+func (p *runProbe) recording() bool {
+	w := p.walk
+	if w == nil {
+		return false
+	}
+	if w.full.Load() {
+		w.dropped.Add(1)
+		return false
+	}
+	return true
+}
+
+// start opens a decomposition span on top of this goroutine's stack and
+// returns its token: its depth in the stack shifted left once, or -1 when
+// the trace stores no more.
+func (p *runProbe) start(name string, attrs ...trace.Attr) int {
+	id := p.walk.tr.StartWalkSpan(p.lane, name, p.open[len(p.open)-1], attrs...)
+	if id.IsZero() {
+		p.walk.full.Store(true)
+		p.walk.dropped.Add(1)
+		return -1
+	}
+	p.open = append(p.open, id)
+	return (len(p.open) - 1) << 1
+}
+
+// finish closes this goroutine's open spans from depth d up, newest first:
+// one span on the ordinary path, every span a panic left open otherwise.
+func (p *runProbe) finish(d int, status string) {
+	for n := len(p.open) - 1; n >= d; n-- {
+		p.walk.tr.EndSpan(p.open[n], status)
+		p.open = p.open[:n]
+	}
+}
+
+func attr(k string, v int64) trace.Attr { return trace.Attr{Key: k, Value: strconv.FormatInt(v, 10)} }
 
 func b2i(b bool) int64 {
 	if b {
@@ -70,12 +155,25 @@ func (p *runProbe) RunStart(ctx context.Context, alg core.Algorithm, t0, t1 int)
 		p.tel.RunStarted()
 		p.sh = p.tel.Acquire()
 	}
+	if w := p.walk; w != nil {
+		w.span = w.tr.StartSpan("walk", p.open[0],
+			trace.Attr{Key: "engine", Value: alg.String()}, attr("steps", int64(t1-t0)))
+		p.open[0] = w.span
+	}
 }
 
 func (p *runProbe) RunEnd(err error) {
 	if p.tel != nil {
-		p.tel.Release(p.sh) // closes what a panic left open
+		p.tel.Release(p.sh) // charges a base case a panic left open
 		p.tel.RunFinished()
+	}
+	if w := p.walk; w != nil {
+		status := trace.StatusOK
+		if err != nil {
+			status = trace.StatusError
+		}
+		p.finish(1, status) // what a panic left open on the run's goroutine
+		w.tr.EndSpan(w.span, status, attr("dropped_spans", w.dropped.Load()))
 	}
 	pprof.SetGoroutineLabels(p.ctx)
 	if m := p.met; m != nil {
@@ -88,24 +186,39 @@ func (p *runProbe) RunEnd(err error) {
 	p.fr.Record(flight.EvRunEnd, outcome, 0, 0)
 }
 
-// A span token is the telemetry span index shifted left by one, its low bit
-// set when Base relabeled the goroutine and End must restore the run's
-// labels; with neither to undo it is -1, and End is not called.
+// A span token is the depth of the trace span the call opened on this
+// goroutine's stack (0: none stored) shifted left by one, its low bit set
+// when Base relabeled the goroutine and End must restore the run's labels;
+// with nothing to undo — no span, no labels, no telemetry base case — it is
+// -1, and End is not called.
 func (p *runProbe) Cut(kind core.CutKind, arg, fanout int) int {
 	p.fr.Record(flight.EvCut, int64(kind), int64(arg), int64(fanout))
 	if m := p.met; m != nil {
 		m.Zoids.Inc()
 		m.Cuts[kind].Inc()
 	}
-	switch {
-	case p.sh == nil:
-		return -1
-	case kind == core.CutHyper:
-		return p.sh.HyperCut(arg, fanout, arg+1) << 1
-	case kind == core.CutTime:
-		return p.sh.TimeCut(arg) << 1
+	if sh := p.sh; sh != nil {
+		switch kind {
+		case core.CutHyper:
+			sh.HyperCut(arg, fanout, arg+1)
+		case core.CutTime:
+			sh.TimeCut()
+		default:
+			sh.SpaceCut(kind == core.CutCircle)
+		}
 	}
-	return p.sh.SpaceCut(arg, kind == core.CutCircle) << 1
+	if !p.recording() {
+		return -1
+	}
+	switch kind {
+	case core.CutHyper:
+		return p.start("hyperspace-cut", attr("dims_cut", int64(arg)), attr("fanout", int64(fanout)), attr("levels", int64(arg+1)))
+	case core.CutTime:
+		return p.start("time-cut", attr("height", int64(arg)))
+	case core.CutSpace:
+		return p.start("space-cut", attr("dim", int64(arg)))
+	}
+	return p.start("circle-cut", attr("dim", int64(arg)))
 }
 
 func (p *runProbe) Base(t0, t1, lo0, hi0 int, interior bool, vol int64) int {
@@ -139,17 +252,30 @@ func (p *runProbe) Base(t0, t1, lo0, hi0 int, interior bool, vol int64) int {
 		span = 1
 	}
 	if p.sh != nil {
-		span = p.sh.Base(vol, interior, t1-t0)<<1 | max(span, 0)
+		p.sh.Base(vol, interior)
+		span = max(span, 0)
+	}
+	if p.recording() {
+		clone := "boundary"
+		if interior {
+			clone = "interior"
+		}
+		if t := p.start("base", attr("volume", vol), trace.Attr{Key: "clone", Value: clone}, attr("height", int64(t1-t0))); t > 0 {
+			span = t | max(span, 0)
+		}
 	}
 	return span
 }
 
 func (p *runProbe) End(span int) {
 	if p.sh != nil {
-		p.sh.End(span >> 1)
+		p.sh.End()
 	}
 	if span&1 != 0 {
 		pprof.SetGoroutineLabels(p.lctx)
+	}
+	if d := span >> 1; d > 0 {
+		p.finish(d, trace.StatusOK)
 	}
 }
 
@@ -173,22 +299,33 @@ func (p *runProbe) Inlined(n int) {
 }
 
 // Task gives a spawned goroutine its own telemetry shard, so recording stays
-// contention-free and the trace gets one track per worker.
+// contention-free, and its own trace lane and span stack, rooted at the cut
+// that spawns it: Task runs on the spawning goroutine, where that cut is the
+// open span on top.
 func (p *runProbe) Task() core.Probe {
 	if m := p.met; m != nil {
 		m.ActiveWorkers.Inc()
 	}
-	if p.tel == nil {
+	if p.tel == nil && p.walk == nil {
 		return p
 	}
 	q := *p
-	q.sh = p.tel.Acquire()
+	if p.tel != nil {
+		q.sh = p.tel.Acquire()
+	}
+	if w := p.walk; w != nil {
+		q.lane, q.open = w.acquireLane(), []trace.SpanID{p.open[len(p.open)-1]}
+	}
 	return &q
 }
 
 func (p *runProbe) Release() {
 	if p.sh != nil {
 		p.tel.Release(p.sh)
+	}
+	if w := p.walk; w != nil {
+		p.finish(1, trace.StatusError) // what a panic left open on this task
+		w.releaseLane(p.lane)
 	}
 	if m := p.met; m != nil {
 		m.ActiveWorkers.Dec()

@@ -2,11 +2,11 @@ package pochoir_test
 
 // Cross-signal agreement: one run with every walker sink armed, and the sinks
 // must tell the same story. Telemetry, the live metrics, the progress
-// estimator and the flight record each count the run's base-case points on
-// their own; all four must equal steps × grid volume, which the decomposition
-// partitions exactly. Telemetry's zoid, per-clone base, spawn and inline
-// counts must equal the metrics counters, and the per-clone counts the
-// flight record's.
+// estimator, the flight record and the trace each count the run's base-case
+// points on their own; all five must equal steps × grid volume, which the
+// decomposition partitions exactly. Telemetry's zoid, per-clone base, spawn
+// and inline counts must equal the metrics counters, the per-clone counts
+// the flight record's, and its base count the trace's base spans.
 
 import (
 	"fmt"
@@ -74,9 +74,10 @@ func TestSignalsAgree(t *testing.T) {
 					tel := pochoir.NewRecorder()
 					reg := pochoir.NewMetrics()
 					met := metrics.NewRunMetrics(reg)
+					tr := newTrace()
 					st, kern := heatND(t, pochoir.Options{
 						Algorithm: alg, Serial: serial, Grain: 1, TimeCutoff: 2,
-						SpaceCutoff: c.spaceCutoff, Telemetry: tel, Metrics: reg,
+						SpaceCutoff: c.spaceCutoff, Telemetry: tel, Metrics: reg, Trace: tr,
 					}, c.sizes)
 					// Every base case reads the progress estimator after its
 					// points were added, so the largest reading is what the
@@ -115,6 +116,13 @@ func TestSignalsAgree(t *testing.T) {
 						}
 					}
 					ts := st.LastRunStats()
+					walks := walkSums(t, tr.Snapshot())
+					if len(walks) != 1 || walks[0].walk.Attr("dropped_spans") != "0" {
+						t.Fatalf("trace holds %d walks, want 1 with every span stored", len(walks))
+					}
+					if walks[0].bases != ts.Bases {
+						t.Errorf("trace base spans = %d, telemetry Bases = %d", walks[0].bases, ts.Bases)
+					}
 					for _, got := range []struct {
 						signal string
 						points int64
@@ -123,6 +131,7 @@ func TestSignalsAgree(t *testing.T) {
 						{"pochoir_base_points_total", met.BasePoints.Value()},
 						{"progress done", progDone},
 						{"flight EvBase volumes", flightPoints},
+						{"trace base-span volumes", walks[0].points},
 					} {
 						if got.points != want {
 							t.Errorf("%s = %d, want steps × volume = %d", got.signal, got.points, want)

@@ -85,14 +85,15 @@ func (s *Stencil[T]) RunSupervised(ctx context.Context, steps int, kern Kernel, 
 
 // supervisorSink composes the observers of a supervised run's decisions
 // from the stencil's Options: the flight record, the live metrics, the
-// trace's segment and attempt spans under runSpan, then the caller's hook.
+// trace's segment and attempt spans under runSpan — keeping s.walkParent at
+// the open attempt, for the segment's walk — then the caller's hook.
 func (s *Stencil[T]) supervisorSink(runSpan trace.SpanID, onEvent func(SupervisorEvent)) func(SupervisorEvent) {
 	fr := s.flightRecorder()
 	var sm *metrics.SupervisorMetrics
 	if reg := s.opts.Metrics; reg != nil {
 		sm = metrics.NewSupervisorMetrics(reg)
 	}
-	spans := trace.SupervisorSpans(s.opts.Trace, runSpan)
+	spans := trace.SupervisorSpans(s.opts.Trace, runSpan, &s.walkParent)
 	return func(ev SupervisorEvent) {
 		fr.Record(flight.EvSup, int64(ev.Kind), int64(ev.Segment), int64(ev.Attempt))
 		sm.Observe(ev)
@@ -218,7 +219,7 @@ func (s *Stencil[T]) runSupervised(ctx context.Context, steps int, kern Kernel, 
 	// cancellation, a failed checkpoint/restore — freezes the black box and
 	// writes the post-mortem bundle, supervisor decision log included.
 	s.inSupervise = true
-	defer func() { s.inSupervise = false }()
+	defer func() { s.inSupervise, s.walkParent = false, trace.SpanID{} }()
 	if resume != nil {
 		p.OnEvent(*resume)
 	}

@@ -2,14 +2,12 @@ package pochoir_test
 
 // Telemetry invariant tests against the public API: whatever decomposition
 // the engine picks (TRAP's hyperspace cuts, STRAP's one-dimension-at-a-time
-// trisections, serial or parallel execution), the base cases it records
+// trisections, serial or parallel execution), the base cases it counts
 // must partition space-time exactly — total point updates == steps x grid
-// volume — and the exported Chrome trace must be valid JSON with balanced,
-// properly nested B/E span events on every worker track.
+// volume — and so must the base spans the run's trace records.
 
 import (
-	"bytes"
-	"encoding/json"
+	"strconv"
 	"testing"
 
 	"pochoir"
@@ -42,9 +40,9 @@ func TestTelemetryCoversSpaceTime(t *testing.T) {
 	for _, w := range workloads {
 		for _, cfg := range telemetryConfigs {
 			t.Run(w.factory.Name+"/"+cfg.name, func(t *testing.T) {
-				rec := pochoir.NewRecorder()
+				rec, tr := pochoir.NewRecorder(), newTrace()
 				opts := cfg.opts
-				opts.Telemetry = rec
+				opts.Telemetry, opts.Trace = rec, tr
 				// Small cutoffs force deep recursion so every cut kind
 				// actually fires on this grid size.
 				opts.TimeCutoff, opts.SpaceCutoff, opts.Grain = 2, []int{16, 16}, 1
@@ -61,69 +59,21 @@ func TestTelemetryCoversSpaceTime(t *testing.T) {
 				if cfg.opts.Serial && st.Spawns != 0 {
 					t.Errorf("serial run spawned %d goroutines", st.Spawns)
 				}
-				if st.Events%2 != 0 {
-					t.Errorf("odd event count %d: some span missing its End", st.Events)
+				// The trace partitions space-time too, unless its cap cut
+				// the walk short: then it counts what it did not store.
+				snap := tr.Snapshot()
+				sums := walkSums(t, snap)
+				if len(sums) != 1 {
+					t.Fatalf("%d walk spans, want 1", len(sums))
+				}
+				if dropped := sums[0].walk.Attr("dropped_spans"); dropped != "0" {
+					if n, _ := strconv.ParseInt(dropped, 10, 64); int64(len(snap.Spans))-2+n != st.Zoids() {
+						t.Errorf("%d spans stored + %d dropped, want %d zoids", len(snap.Spans)-2, n, st.Zoids())
+					}
+				} else if sums[0].points != want || sums[0].bases != st.Bases {
+					t.Errorf("walk spans %+v, want %d bases over %d points", sums[0], st.Bases, want)
 				}
 			})
-		}
-	}
-}
-
-// traceEvent is the subset of the Chrome trace-event schema the tests
-// inspect.
-type traceEvent struct {
-	Ph   string  `json:"ph"`
-	Name string  `json:"name"`
-	TS   float64 `json:"ts"`
-	TID  int     `json:"tid"`
-}
-
-// TestTelemetryChromeTraceBalanced exports a real run and checks that the
-// trace parses as JSON and every track's B/E events balance and nest.
-func TestTelemetryChromeTraceBalanced(t *testing.T) {
-	rec := pochoir.NewRecorder()
-	f := stencils.NewHeat2DFactory(true)
-	f.New([]int{96, 96}, 24).Pochoir(pochoir.Options{
-		Telemetry: rec, TimeCutoff: 2, SpaceCutoff: []int{16, 16}, Grain: 1,
-	}).Run()
-
-	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-
-	stacks := map[int][]string{}
-	var begins, ends int
-	for _, ev := range doc.TraceEvents {
-		switch ev.Ph {
-		case "B":
-			begins++
-			stacks[ev.TID] = append(stacks[ev.TID], ev.Name)
-		case "E":
-			ends++
-			st := stacks[ev.TID]
-			if len(st) == 0 {
-				t.Fatalf("tid %d: E with empty stack", ev.TID)
-			}
-			stacks[ev.TID] = st[:len(st)-1]
-		case "M":
-			// metadata (process/thread names)
-		default:
-			t.Fatalf("unexpected phase %q", ev.Ph)
-		}
-	}
-	if begins == 0 || begins != ends {
-		t.Fatalf("unbalanced trace: %d B vs %d E events", begins, ends)
-	}
-	for tid, st := range stacks {
-		if len(st) != 0 {
-			t.Errorf("tid %d: %d spans never ended: %v", tid, len(st), st)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package pochoir
 
 import (
+	"io"
+
 	"pochoir/internal/trace"
 )
 
@@ -32,3 +34,10 @@ func NewTracer(cfg TracerConfig) *Tracer { return trace.New(cfg) }
 // ParseTraceparent decodes a W3C traceparent header value; the empty
 // string decodes to the zero context (no trace).
 func ParseTraceparent(s string) (TraceContext, error) { return trace.ParseTraceparent(s) }
+
+// WriteChromeTrace writes what a has recorded so far — open spans end now —
+// in the Chrome trace-event format, loadable at chrome://tracing and
+// ui.perfetto.dev: each run's walk under its segment attempt or the root,
+// one track per lane — the job's own goroutine on "job", each spawned
+// worker on a "worker-N" of its own. a must be non-nil.
+func WriteChromeTrace(w io.Writer, a *ActiveTrace) error { return trace.WriteChrome(w, a.Snapshot()) }
