@@ -32,7 +32,7 @@ test:
 # run's progress never falling and ending at 100%.
 race:
 	$(GO) test -race ./internal/core ./internal/sched ./internal/telemetry ./internal/loops ./internal/faultpoint ./internal/resilience ./internal/metrics ./internal/flight ./internal/wire ./internal/compiler ./internal/gateway ./internal/trace ./internal/profile
-	$(GO) test -race -run 'Panic|Cancel|Poison|Checkpoint|Restore|Fault|RegisterArray|Supervised|LoopsEngine|Monitor|Progress|Bundle|Recorder|Incident|Resume|Durable' .
+	$(GO) test -race -run 'Panic|Cancel|Poison|Checkpoint|Restore|Fault|RegisterArray|Supervised|Monitor|Progress|Bundle|Recorder|Incident|Resume|Durable' .
 
 # soak runs the supervised-run soak with probabilistic faults armed at the
 # walker's base and cut sites: every visit rolls the dice, and the
@@ -47,9 +47,14 @@ soak:
 # feeds arbitrary bytes to the durable-checkpoint decoder, which must error —
 # never panic, and never allocate beyond the input's actual size.
 # FuzzProfileDecode does the same for the hand-rolled gzip+protobuf pprof
-# decoder behind /profilez. FuzzRowExec holds the row-program clones every
-# served job runs against RunChecked over the per-point kernel, bit for bit,
-# on whatever source text compiles. FuzzSumRows holds opSum's AVX2 kernel
+# decoder behind /profilez. FuzzRowExec is the one end-to-end harness: on
+# whatever source text compiles, it holds every run path to a serial sweep of
+# the point kernel, bit for bit — RunChecked; the generic executor and the
+# row-program clones (sumK and the Go loops) under TRAP/STRAP/LOOPS, serial
+# and parallel; the interior clone beside the generic boundary executor; a
+# resumed run; an observed run; a supervised run through a one-shot walker
+# panic with shadow verification; and a spilled run cancelled and resumed
+# from its journal. FuzzSumRows holds opSum's AVX2 kernel
 # (sumK) against the Go loops bit for bit over raw float64 bit patterns; it
 # skips on a CPU without AVX2. FuzzWalkerCover draws walker
 # configurations (1-4 dimensions, degenerate extents, slopes 0-2, mixed

@@ -156,7 +156,7 @@ func profileWarnings(old, new *ProfileSignal) []string {
 		}
 	}
 	var out []string
-	for _, f := range (profile.Sentinel{}).Compare(toReport(old), toReport(new)) {
+	for _, f := range profile.Compare(toReport(old), toReport(new)) {
 		out = append(out, f.Message)
 	}
 	return out

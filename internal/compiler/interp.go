@@ -23,6 +23,12 @@ import (
 // The instance owns its arrays' boundaries: the clones resolve off-domain
 // accesses from the declared kinds, so a boundary function re-registered on
 // one of Arrays changes the point kernel's answers and is ignored by Run.
+//
+// An array the kernel never writes is an input, not run state: Stencil does
+// not register it, so checkpoints, restores and spill journals leave every
+// one of its time slots as the caller filled them. A checkpoint holds only
+// the slots a run reads next, which for a written array is all the state
+// there is; an unwritten array's reads cycle through every slot.
 type Instance struct {
 	Checked *Checked
 	Stencil *pochoir.Stencil[float64]
@@ -49,6 +55,10 @@ func (c *Checked) NewInstance(sizes ...int) (*Instance, error) {
 		Stencil: pochoir.New[float64](c.Shape),
 		Arrays:  make(map[string]*pochoir.Array[float64]),
 	}
+	written := make(map[string]bool, len(c.Prog.Kernel))
+	for _, st := range c.Prog.Kernel {
+		written[st.LHS.Array] = true
+	}
 	for _, decl := range c.Prog.Arrays {
 		a, err := pochoir.NewArray[float64](c.Depth, sizes...)
 		if err != nil {
@@ -64,8 +74,10 @@ func (c *Checked) NewInstance(sizes ...int) (*Instance, error) {
 		default:
 			a.RegisterBoundary(pochoir.ZeroBoundary[float64]())
 		}
-		if err := inst.Stencil.RegisterArray(a); err != nil {
-			return nil, err
+		if written[decl.Name] {
+			if err := inst.Stencil.RegisterArray(a); err != nil {
+				return nil, err
+			}
 		}
 		inst.Arrays[decl.Name] = a
 	}

@@ -1,11 +1,9 @@
 package compiler
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime/debug"
 	"slices"
 	"strings"
@@ -13,401 +11,8 @@ import (
 	"time"
 
 	"pochoir"
-	"pochoir/internal/core"
 	"pochoir/internal/faultpoint"
 )
-
-// The differential harness: whatever the row-program clones compute must
-// equal RunChecked over the per-point kernel bit for bit — on every engine,
-// serial and parallel, and through a supervised run that loses a segment to
-// an injected base-case panic and re-runs it from the checkpoint, with opSum
-// on sumK and on the Go loops.
-
-// seedArrays fills every initial time slot of every array with a field that
-// is a pure function of (seed, array order, slot, flat index).
-func seedArrays(tb testing.TB, inst *Instance, seed uint64) {
-	tb.Helper()
-	for ai, decl := range inst.Checked.Prog.Arrays {
-		arr := inst.Arrays[decl.Name]
-		buf := make([]float64, arr.PointsPerSlot())
-		for t := 0; t < inst.Checked.Depth; t++ {
-			h := seed*0x9e3779b97f4a7c15 + uint64(ai)<<32 + uint64(t)
-			for i := range buf {
-				h ^= uint64(i) + 0x9e3779b97f4a7c15 + h<<6 + h>>2
-				h *= 0xbf58476d1ce4e5b9
-				buf[i] = float64(h>>11)/float64(1<<53) - 0.25
-			}
-			if err := arr.CopyIn(t, buf); err != nil {
-				tb.Fatal(err)
-			}
-		}
-	}
-}
-
-// finalState is every array's last Depth time slots after steps steps, in
-// declaration order.
-func finalState(tb testing.TB, inst *Instance, steps int) []float64 {
-	tb.Helper()
-	var out []float64
-	for _, decl := range inst.Checked.Prog.Arrays {
-		arr := inst.Arrays[decl.Name]
-		buf := make([]float64, arr.PointsPerSlot())
-		for t := steps; t < steps+inst.Checked.Depth; t++ {
-			if err := arr.CopyOut(t, buf); err != nil {
-				tb.Fatal(err)
-			}
-			out = append(out, buf...)
-		}
-	}
-	return out
-}
-
-// sameBits reports the first index where got and want differ in their bit
-// patterns, or -1. Two NaNs count as equal whatever their payloads: Go does
-// not pin the operand order of a commutative float operation, and with two
-// NaN operands that order picks the payload.
-func sameBits(got, want []float64) int {
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) &&
-			!(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-			return i
-		}
-	}
-	return -1
-}
-
-// diffBounds keeps one differential check cheap enough to run thousands of
-// times under the fuzzer.
-const (
-	diffMaxTokens = 512
-	diffMaxDepth  = 3
-	diffMaxReach  = 6
-	diffMaxArrays = 4
-	diffMaxPoints = 2000
-)
-
-// checkRowsMatchPoints compiles src, picks a box, cutoffs and a fault
-// position from seed, and holds the clones against the RunChecked oracle.
-// It returns how many segment retries the supervised run absorbed; a source
-// that does not compile, or is too costly to check, returns -1.
-func checkRowsMatchPoints(t *testing.T, src string, seed uint64) int {
-	t.Helper()
-	c, err := CompileSource(src)
-	if err != nil || c.Prog.Tokens > diffMaxTokens || c.Depth > diffMaxDepth || len(c.Prog.Arrays) > diffMaxArrays {
-		return -1
-	}
-	d := c.Prog.Dims
-	for i := 0; i < d; i++ {
-		if c.Shape.Reach(i) > diffMaxReach {
-			return -1
-		}
-	}
-	rng := rand.New(rand.NewSource(int64(seed)))
-	// Extents are non-square and include 1 and values below twice the reach,
-	// where the fast span is empty and every point takes the checked path.
-	extents := []int{1, 2, 3, 4, 5, 7, 9, 12, 17, 23}
-	sizes := make([]int, d)
-	points := 1
-	for i := range sizes {
-		sizes[i] = extents[rng.Intn(len(extents))]
-		for points*sizes[i] > diffMaxPoints {
-			sizes[i] = (sizes[i] + 1) / 2
-		}
-		points *= sizes[i]
-	}
-	steps := []int{0, 1, 7}[rng.Intn(3)]
-	// Half the time the paper's default coarsening (one base case spans the
-	// box), half the time cutoffs small enough to force real cuts. Only the
-	// fine half drives the interior clone (exec with wrap=false): under
-	// default options no zoid here is interior in any dimensionality, since
-	// the clones declare WholeRows and every row reaches the domain edge.
-	var fine pochoir.Options
-	if rng.Intn(2) == 0 {
-		fine.TimeCutoff = 1 + rng.Intn(3)
-		fine.SpaceCutoff = make([]int, d)
-		for i := range fine.SpaceCutoff {
-			fine.SpaceCutoff[i] = 2 + rng.Intn(5)
-		}
-	}
-	faultAfter := rng.Intn(6)
-	segment := 1 + rng.Intn(3)
-
-	fresh := func() *Instance {
-		inst, err := c.NewInstance(sizes...)
-		if err != nil {
-			t.Fatalf("NewInstance(%v): %v\n%s", sizes, err, src)
-		}
-		seedArrays(t, inst, seed)
-		return inst
-	}
-	oracle := fresh()
-	if err := oracle.RunChecked(steps); err != nil {
-		t.Fatalf("RunChecked: %v\n%s", err, src)
-	}
-	want := finalState(t, oracle, steps)
-	check := func(what string, inst *Instance) {
-		t.Helper()
-		if i := sameBits(finalState(t, inst, steps), want); i >= 0 {
-			got := finalState(t, inst, steps)
-			t.Fatalf("%s: row clones diverge from RunChecked at flat index %d: %v (%#x) vs %v (%#x)\nsizes %v steps %d options %+v seed %d\n%s",
-				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), sizes, steps, fine, seed, src)
-		}
-	}
-
-	// Every run once on each sumRows path the CPU has.
-	defer func() { useVector = haveVector }()
-	retries := 0
-	for _, vector := range vectorPaths() {
-		useVector = vector
-		for _, alg := range []core.Algorithm{core.TRAP, core.STRAP, core.LOOPS} {
-			for _, serial := range []bool{true, false} {
-				opts := fine
-				opts.Algorithm, opts.Serial = alg, serial
-				if !serial {
-					opts.Grain = 1
-				}
-				inst := fresh()
-				if err := inst.Run(steps, opts); err != nil {
-					t.Fatalf("Run %v serial=%v: %v\n%s", alg, serial, err, src)
-				}
-				check(fmt.Sprintf("Run %v serial=%v vector=%v", alg, serial, vector), inst)
-			}
-		}
-
-		// Supervised, with one base-case panic somewhere in the run: the
-		// failed segment is restored from its checkpoint and re-run on the
-		// clones.
-		inst := fresh()
-		opts := fine
-		opts.Grain = 1
-		opts.NoFlightRecorder = true
-		inst.Stencil.SetOptions(opts)
-		faultpoint.Arm(faultpoint.SiteBase,
-			faultpoint.Spec{Kind: faultpoint.KindPanic, Depth: faultpoint.AnyDepth, After: faultAfter, Times: 1})
-		rep, err := inst.Stencil.RunSupervised(context.Background(), steps, inst.Kernel(),
-			pochoir.SupervisePolicy{SegmentSteps: segment, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond})
-		faultpoint.DisarmAll()
-		if err != nil {
-			t.Fatalf("RunSupervised: %v\n%s", err, src)
-		}
-		check(fmt.Sprintf("RunSupervised with a walker/base fault, vector=%v", vector), inst)
-		retries += rep.Retries
-	}
-	return retries
-}
-
-// genSpec writes a random legal specification: dims 1–4, one or two arrays
-// with boundary kinds mixed per array, depth 1 or 2, and one statement per
-// written array over + - * /, unary minus, max/min, params and literals. It
-// leans toward what the row program treats specially: left-deep chains of +
-// and - (see chain), and unit-stride offsets of 2 and 3, which exceed half
-// of the harness's smaller extents.
-func genSpec(rng *rand.Rand) string {
-	d := 1 + rng.Intn(4)
-	narr := 1 + rng.Intn(2)
-	depth := 1 + rng.Intn(2)
-	var b strings.Builder
-	fmt.Fprintf(&b, "stencil g { dims: %d;\n  param P = %g; param Q = %g;\n", d, rng.Float64()-0.5, 2*rng.Float64())
-	arrays := []string{"a", "b"}[:narr]
-	for _, a := range arrays {
-		fmt.Fprintf(&b, "  array %s;", a)
-	}
-	b.WriteString("\n")
-	for _, a := range arrays {
-		switch rng.Intn(4) {
-		case 0:
-			fmt.Fprintf(&b, "  boundary %s: periodic;", a)
-		case 1:
-			fmt.Fprintf(&b, "  boundary %s: clamp;", a)
-		case 2:
-			fmt.Fprintf(&b, "  boundary %s: constant %g;", a, rng.Float64())
-		default:
-			fmt.Fprintf(&b, "  boundary %s: zero;", a)
-		}
-	}
-	index := func(offsets bool) string {
-		var s strings.Builder
-		for i := 0; i < d; i++ {
-			s.WriteString(", " + indexNames[i])
-			if !offsets {
-				continue
-			}
-			// Mostly nearest neighbours; a reach of 2 or 3 sometimes, and
-			// more often in the unit-stride dimension.
-			dx := rng.Intn(3) - 1
-			if rng.Intn(6) == 0 || (i == d-1 && rng.Intn(3) == 0) {
-				dx = rng.Intn(7) - 3
-			}
-			if dx != 0 {
-				fmt.Fprintf(&s, "%+d", dx)
-			}
-		}
-		return s.String()
-	}
-	access := func() string {
-		dt := ""
-		if back := rng.Intn(depth); back > 0 {
-			dt = fmt.Sprintf("-%d", back)
-		}
-		return fmt.Sprintf("%s(t%s%s)", arrays[rng.Intn(narr)], dt, index(true))
-	}
-	constant := func() string {
-		if rng.Intn(2) == 0 {
-			return []string{"P", "Q"}[rng.Intn(2)]
-		}
-		return fmt.Sprintf("%g", float64(1+rng.Intn(40))/8) // never 0: a literal zero divisor is rejected
-	}
-	var expr func(level int) string
-	// chain is a left-deep run of 2 to 12 terms, each what an opSum term
-	// can be — an access, a constant times one on either side, a constant
-	// times a subexpression, any of them negated — or what it cannot: a
-	// bare constant, first or in the middle, and a bare subexpression.
-	chain := func(level int) string {
-		term := func() string {
-			coef := constant()
-			switch rng.Intn(100) {
-			case 0, 1, 2:
-				coef = "-0"
-			case 3:
-				coef = "(1e308*10)" // folds to +Inf, and poisons the run: rare
-			}
-			switch rng.Intn(10) {
-			case 0, 1:
-				return access()
-			case 2, 3:
-				return coef + "*" + access()
-			case 4:
-				return access() + "*" + coef
-			case 5:
-				return coef + "*(" + expr(level-1) + ")"
-			case 6:
-				return "-" + access()
-			case 7:
-				return "-(" + access() + "*" + coef + ")"
-			case 8:
-				return constant()
-			default:
-				return "(" + expr(level-1) + ")"
-			}
-		}
-		s := term()
-		for k := 2 + rng.Intn(11); k > 1; k-- {
-			s += []string{" + ", " - "}[rng.Intn(2)] + term()
-		}
-		return s
-	}
-	expr = func(level int) string {
-		if level <= 0 || rng.Intn(5) == 0 {
-			if rng.Intn(3) == 0 {
-				return constant()
-			}
-			return access()
-		}
-		if rng.Intn(4) == 0 {
-			return chain(min(level, 2))
-		}
-		l, r := expr(level-1), expr(level-1)
-		switch rng.Intn(12) {
-		case 0:
-			return "-" + "(" + l + ")"
-		case 1:
-			return "max(" + l + ", " + r + ")"
-		case 2:
-			return "min(" + l + ", " + r + ")"
-		case 3:
-			return "(" + l + ") / (" + r + ")"
-		case 4, 5, 6:
-			return "(" + l + ") * (" + r + ")"
-		case 7, 8:
-			return "(" + l + ") - (" + r + ")"
-		case 9:
-			// Unparenthesised: the parser's own left-deep association.
-			return l + " + " + r + " - " + expr(level-1)
-		default:
-			return "(" + l + ") + (" + r + ")"
-		}
-	}
-	b.WriteString("\n  kernel {\n")
-	for i, a := range arrays {
-		if i > 0 && rng.Intn(4) == 0 {
-			continue // a read-only array
-		}
-		rhs := expr(1 + rng.Intn(4))
-		if rng.Intn(2) == 0 {
-			rhs = chain(1 + rng.Intn(2))
-		}
-		fmt.Fprintf(&b, "    %s(t+1%s) = %s;\n", a, index(false), rhs)
-	}
-	b.WriteString("  }\n}\n")
-	return b.String()
-}
-
-// TestRowExecDifferential runs the differential harness over generated
-// specifications.
-func TestRowExecDifferential(t *testing.T) {
-	defer faultpoint.DisarmAll()
-	n := 300
-	if testing.Short() {
-		n = 60
-	}
-	rng := rand.New(rand.NewSource(12))
-	checked, retries := 0, 0
-	for i := 0; i < n; i++ {
-		src := genSpec(rng)
-		if _, err := CompileSource(src); err != nil {
-			t.Fatalf("generator produced an illegal spec: %v\n%s", err, src)
-		}
-		if r := checkRowsMatchPoints(t, src, rng.Uint64()); r >= 0 {
-			checked++
-			retries += r
-		}
-	}
-	if checked < n*9/10 {
-		t.Fatalf("only %d of %d generated specs were within the harness's bounds", checked, n)
-	}
-	if retries == 0 {
-		t.Fatal("no supervised run retried a segment: the injected fault never landed")
-	}
-}
-
-// FuzzRowExec is the differential harness over fuzzed source text, seeded
-// from FuzzDSL's corpus; the second argument picks the box, the cutoffs and
-// the fault position.
-func FuzzRowExec(f *testing.F) {
-	for i, s := range fuzzSeeds() {
-		f.Add(s, uint64(i))
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 8; i++ {
-		f.Add(genSpec(rng), rng.Uint64())
-	}
-	// One spec per path of the row program: chains of 2, 9 and 12 terms (the
-	// last continues in a second op), edge rows under each boundary kind that
-	// is not the torus, and unit-stride ends with a reach of 2.
-	chain := func(k int) string {
-		s := "stencil s { dims: 1; array u; boundary u: clamp; kernel { u(t+1,x) = u(t,x)"
-		for i := 1; i < k; i++ {
-			s += fmt.Sprintf(" %c 0.%d*u(t,x%+d)", "+-"[i%2], i, i%5-2)
-		}
-		return s + "; } }"
-	}
-	for i, s := range []string{
-		chain(2), chain(9), chain(12),
-		strings.Replace(heatSrc, "periodic", "clamp", 1),
-		strings.Replace(heatSrc, "periodic", "constant 0.75", 1),
-		strings.Replace(heatSrc, "periodic", "zero", 1),
-		boundarySrc("periodic"), boundarySrc("clamp"), boundarySrc("constant -1.5"),
-	} {
-		f.Add(s, uint64(100+i))
-	}
-	f.Fuzz(func(t *testing.T, src string, seed uint64) {
-		defer faultpoint.DisarmAll()
-		if len(src) > MaxSourceBytes {
-			t.Skip()
-		}
-		checkRowsMatchPoints(t, src, seed)
-	})
-}
 
 // heat1dSrc is the three-point average the daemon's small jobs run.
 const heat1dSrc = `stencil heat1d { dims: 1; array u; boundary u: periodic;

@@ -271,9 +271,12 @@ func (e Event) Describe() string {
 }
 
 // slot is one ring entry: a per-slot seqlock of atomic words. seq is 0 while
-// a writer is mid-store and cursor+1 once the slot is published, so a reader
-// that sees the same nonzero seq before and after copying the fields has a
-// consistent event.
+// the slot is empty, held while a writer owns it, and cursor+1 once the slot
+// is published, so a reader that sees the same published seq before and
+// after copying the fields has a consistent event. A writer takes the slot
+// by CompareAndSwap from the seq it loaded to held, so two writers whose
+// cursors map to one slot (one lapped the ring while the other was mid-store)
+// never store into it at once: the one that finds it held drops its event.
 type slot struct {
 	seq  atomic.Uint64
 	ts   atomic.Int64
@@ -289,6 +292,9 @@ type shard struct {
 	_      [120]byte // keep hot cursors on distinct cache lines
 	ring   []slot
 }
+
+// held is the seq of a slot a writer owns; no cursor+1 reaches it.
+const held = ^uint64(0)
 
 // clockEvery is how many appends per shard share one coarse clock reading.
 const clockEvery = 16
@@ -343,7 +349,8 @@ func laneIndex() uint32 {
 // Record appends one event. It is safe from any goroutine, never blocks,
 // never allocates, and is a no-op on a nil or frozen recorder — the
 // always-on cost when recording is a handful of atomic stores per event,
-// and events fire per zoid, never per grid point.
+// and events fire per zoid, never per grid point. An event whose slot
+// another writer still holds is dropped.
 func (r *Recorder) Record(kind Kind, a0, a1, a2 int64) {
 	if r == nil || r.frozen.Load() {
 		return
@@ -357,7 +364,9 @@ func (r *Recorder) Record(kind Kind, a0, a1, a2 int64) {
 		ts = r.coarse.Load()
 	}
 	s := &sh.ring[idx&uint64(len(sh.ring)-1)]
-	s.seq.Store(0) // mark mid-write; concurrent readers drop the slot
+	if seq := s.seq.Load(); seq == held || !s.seq.CompareAndSwap(seq, held) {
+		return // another writer owns the slot
+	}
 	s.ts.Store(ts)
 	s.a0.Store(a0)
 	s.a1.Store(a1)
@@ -428,7 +437,7 @@ func (r *Recorder) Snapshot() []Event {
 		for i := range sh.ring {
 			s := &sh.ring[i]
 			seq := s.seq.Load()
-			if seq == 0 {
+			if seq == 0 || seq == held {
 				continue
 			}
 			ev := Event{

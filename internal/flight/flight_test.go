@@ -150,6 +150,32 @@ func TestConcurrentRecordWhileDump(t *testing.T) {
 	}
 }
 
+// TestRecordSkipsHeldSlot: a writer that finds its slot held by another
+// writer — one whose cursor maps to the same slot and is still mid-store —
+// drops its event and stores nothing, so no published slot mixes two
+// events' fields.
+func TestRecordSkipsHeldSlot(t *testing.T) {
+	r := New(4)
+	for i := range r.shards {
+		for j := range r.shards[i].ring {
+			r.shards[i].ring[j].seq.Store(held)
+		}
+	}
+	r.Record(EvBase, 1, 2, 3)
+	for i := range r.shards {
+		for j := range r.shards[i].ring {
+			s := &r.shards[i].ring[j]
+			if s.seq.Load() != held || s.ts.Load() != 0 || s.a0.Load() != 0 || s.a1.Load() != 0 || s.a2.Load() != 0 || s.kind.Load() != 0 {
+				t.Fatalf("Record stored into held slot %d of lane %d: seq %#x a0 %d a1 %d a2 %d kind %d",
+					j, i, s.seq.Load(), s.a0.Load(), s.a1.Load(), s.a2.Load(), s.kind.Load())
+			}
+		}
+	}
+	if evs := r.Snapshot(); len(evs) != 0 {
+		t.Fatalf("Snapshot surfaced %d events from held slots", len(evs))
+	}
+}
+
 func TestSnapshotOrdering(t *testing.T) {
 	r := New(256)
 	for i := 0; i < 500; i++ {

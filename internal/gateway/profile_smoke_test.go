@@ -219,16 +219,15 @@ func TestProfileSmoke(t *testing.T) {
 
 	// The sentinel: silent across two clean views of the same workload,
 	// loud on an injected kernel-share collapse.
-	var sen profile.Sentinel
 	clean := *rep
 	clean.KernelShare += 0.02 // sampling wobble well inside the noise floor
-	if fs := sen.Compare(rep, &clean); len(fs) != 0 {
+	if fs := profile.Compare(rep, &clean); len(fs) != 0 {
 		t.Fatalf("sentinel flagged a clean run: %v", fs)
 	}
 	regressed := *rep
 	regressed.KernelShare = rep.KernelShare - 0.25
 	regressed.WalkerShare = rep.WalkerShare + 0.25
-	findings := sen.Compare(rep, &regressed)
+	findings := profile.Compare(rep, &regressed)
 	metricsFlagged := map[string]bool{}
 	for _, f := range findings {
 		metricsFlagged[f.Metric] = true

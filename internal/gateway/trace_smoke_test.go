@@ -31,6 +31,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,7 +84,20 @@ func TestTraceSmoke(t *testing.T) {
 	// SampleProb -1 disables probabilistic keeps: the faulted job's trace
 	// must survive through the tail sampler's slow-outlier rule, not luck.
 	// MinTailSamples is lowered so a short warm-up burst arms that rule.
-	tracer := trace.New(trace.Config{Seed: 99, SampleProb: -1, MinTailSamples: 4, TailWindow: 64})
+	// The clock is real time plus an offset that grows once, by bump, on
+	// the first reading after bump is set: the faulted job's root start
+	// (see below), which makes its trace outlast every warm-up by
+	// construction, however fast or slow the box runs either.
+	var offset, bump atomic.Int64
+	epoch := time.Now()
+	clock := func() int64 {
+		now := int64(time.Since(epoch)) + offset.Load()
+		if b := bump.Swap(0); b > 0 {
+			offset.Add(b)
+		}
+		return now
+	}
+	tracer := trace.New(trace.Config{Seed: 99, SampleProb: -1, MinTailSamples: 4, TailWindow: 64, Clock: clock})
 	reg := metrics.NewRegistry()
 	g := New(Config{
 		Workers:             1,
@@ -111,12 +125,23 @@ func TestTraceSmoke(t *testing.T) {
 
 	// Warm-up: fast successes feed the sampler's duration ring, so the
 	// slow faulted job below registers as a p99 tail outlier.
-	for i := 0; i < 8; i++ {
+	const warmups = 8
+	for i := 0; i < warmups; i++ {
 		st, _, _ := postJobTraced(t, base, "smoke", "", sub(8, 16, int64(100+i)))
 		if fin := waitJob(t, base, st.ID); fin.State != StateDone {
 			t.Fatalf("warm-up job failed: %+v", fin)
 		}
 	}
+	// A job is done before its trace ends; once every warm-up's has, no
+	// trace is open, the tail threshold is the slowest warm-up, and the
+	// next clock reading is the faulted job's root start.
+	for deadline := time.Now().Add(10 * time.Second); tracer.Stats().Dropped+tracer.Stats().Kept < warmups; {
+		if time.Now().After(deadline) {
+			t.Fatalf("warm-up traces never ended: %+v", tracer.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	bump.Store(tracer.Stats().TailNS + 1)
 
 	// Phase 1 — the faulted, retried, deadline-bounded job. The caller
 	// supplies a W3C traceparent; the injected one-shot worker panic forces

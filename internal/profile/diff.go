@@ -28,25 +28,12 @@ type Finding struct {
 
 func (f Finding) String() string { return f.Message }
 
-// Sentinel compares reports against a noise threshold.
-type Sentinel struct {
-	// Noise is the absolute share delta that must be exceeded before a
-	// shift is flagged. Zero means DefaultNoise.
-	Noise float64
-}
-
-func (s Sentinel) noise() float64 {
-	if s.Noise <= 0 {
-		return DefaultNoise
-	}
-	return s.Noise
-}
-
-// Compare flags regressions in cur relative to base: kernel share falling
-// or walker overhead rising beyond the noise threshold. Either report
-// being nil, or either side holding too little CPU to be meaningful,
-// yields no findings — absence of data is not a regression.
-func (s Sentinel) Compare(base, cur *Report) []Finding {
+// Compare is the profile sentinel: it flags regressions in cur relative to
+// base — kernel share falling, or walker overhead or the checkpoint phase
+// rising, by more than DefaultNoise. Either report being nil, or either
+// side holding too little CPU to be meaningful, yields no findings —
+// absence of data is not a regression.
+func Compare(base, cur *Report) []Finding {
 	if base == nil || cur == nil {
 		return nil
 	}
@@ -55,7 +42,7 @@ func (s Sentinel) Compare(base, cur *Report) []Finding {
 	if base.CPUSeconds < 0.05 || cur.CPUSeconds < 0.05 {
 		return nil
 	}
-	n := s.noise()
+	n := DefaultNoise
 	var out []Finding
 	if d := cur.KernelShare - base.KernelShare; d < -n {
 		out = append(out, Finding{

@@ -270,11 +270,10 @@ func TestSentinel(t *testing.T) {
 	regressed := &Report{CPUSeconds: 2, KernelShare: 0.55, WalkerShare: 0.33,
 		PhaseShares: map[string]float64{"base": 0.55, "walk": 0.33, "checkpoint": 0.02}}
 
-	s := Sentinel{}
-	if f := s.Compare(base, clean); len(f) != 0 {
+	if f := Compare(base, clean); len(f) != 0 {
 		t.Fatalf("sentinel flagged noise-level wobble: %v", f)
 	}
-	f := s.Compare(base, regressed)
+	f := Compare(base, regressed)
 	if len(f) < 2 {
 		t.Fatalf("sentinel missed the regression: %v", f)
 	}
@@ -286,10 +285,10 @@ func TestSentinel(t *testing.T) {
 		t.Fatalf("wrong findings: %v", f)
 	}
 	tiny := &Report{CPUSeconds: 0.01, KernelShare: 0}
-	if f := s.Compare(base, tiny); len(f) != 0 {
+	if f := Compare(base, tiny); len(f) != 0 {
 		t.Fatalf("sentinel judged a report with no CPU: %v", f)
 	}
-	if f := s.Compare(nil, regressed); len(f) != 0 {
+	if f := Compare(nil, regressed); len(f) != 0 {
 		t.Fatal("sentinel judged nil baseline")
 	}
 }

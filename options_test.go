@@ -35,80 +35,6 @@ func refHeat1D(init []float64, n, steps int, periodic bool) []float64 {
 	return cur
 }
 
-func run1D(t *testing.T, n, steps int, periodic bool, opts pochoir.Options, specialized bool) []float64 {
-	t.Helper()
-	sh := pochoir.MustShape(1, [][]int{{1, 0}, {0, 0}, {0, 1}, {0, -1}})
-	st := pochoir.NewWithOptions[float64](sh, opts)
-	u := pochoir.MustArray[float64](sh.Depth(), n)
-	if periodic {
-		u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
-	} else {
-		u.RegisterBoundary(pochoir.ZeroBoundary[float64]())
-	}
-	st.MustRegisterArray(u)
-	init := randomGrid(n, 77)
-	if err := u.CopyIn(0, init); err != nil {
-		t.Fatal(err)
-	}
-	kern := pochoir.K1(func(tt, i int) {
-		u.Set(tt+1, 0.25*(u.Get(tt, i-1)+2*u.Get(tt, i)+u.Get(tt, i+1)), i)
-	})
-	if specialized {
-		// Hand interior clone in split-pointer style.
-		interior := func(z pochoir.Zoid) {
-			lo, hi := z.Lo[0], z.Hi[0]
-			for tt := z.T0; tt < z.T1; tt++ {
-				w, r := u.Slot(tt), u.Slot(tt-1)
-				dst := w[lo:hi]
-				cm, c, cp := r[lo-1:], r[lo:], r[lo+1:]
-				for i := range dst {
-					dst[i] = 0.25 * (cm[i] + 2*c[i] + cp[i])
-				}
-				lo += z.DLo[0]
-				hi += z.DHi[0]
-			}
-		}
-		if err := st.RunSpecialized(steps, pochoir.BaseKernels{
-			Interior: interior,
-			Boundary: st.GenericBase(kern),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	} else if err := st.Run(steps, kern); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]float64, n)
-	if err := u.CopyOut(steps, out); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestOptionMatrix1D sweeps the full option space on a 1D stencil against
-// the independent reference.
-func TestOptionMatrix1D(t *testing.T) {
-	n, steps := 301, 170
-	for _, periodic := range []bool{false, true} {
-		want := refHeat1D(randomGrid(n, 77), n, steps, periodic)
-		for _, specialized := range []bool{false, true} {
-			for _, opts := range []pochoir.Options{
-				{},
-				{Serial: true},
-				{Algorithm: 1},
-				{Algorithm: 1, Serial: true},
-				{TimeCutoff: 1, SpaceCutoff: []int{1}},
-				{TimeCutoff: 7, SpaceCutoff: []int{13}, Grain: 1},
-			} {
-				got := run1D(t, n, steps, periodic, opts, specialized)
-				if d := maxAbsDiff(got, want); d > 1e-12 {
-					t.Fatalf("periodic=%v specialized=%v opts=%+v: diff %g",
-						periodic, specialized, opts, d)
-				}
-			}
-		}
-	}
-}
-
 // TestOptionsValidation: newWalker must reject malformed execution options
 // instead of silently misbehaving (a short SpaceCutoff used to leave the
 // trailing cutoffs at 0, changing coarsening for those dimensions).

@@ -415,11 +415,6 @@ func (s *Stencil[T]) RunContext(ctx context.Context, steps int, kern Kernel) err
 // violation is returned as a *grid.ShapeError. This is the Phase-1
 // compliance check; it is substantially slower and intended for debugging.
 func (s *Stencil[T]) RunChecked(steps int, kern Kernel) error {
-	return s.RunCheckedContext(context.Background(), steps, kern)
-}
-
-// RunCheckedContext is RunChecked under a context; see RunContext.
-func (s *Stencil[T]) RunCheckedContext(ctx context.Context, steps int, kern Kernel) error {
 	for _, a := range s.arrays {
 		a.EnableShapeCheck(s.shape)
 	}
@@ -438,7 +433,7 @@ func (s *Stencil[T]) RunCheckedContext(ctx context.Context, steps int, kern Kern
 	exec := s.checkedPointExecutor(kern)
 	w.Boundary = exec
 	w.Interior = exec
-	if err := s.runWalker(ctx, w, steps); err != nil {
+	if err := s.runWalker(context.Background(), w, steps); err != nil {
 		return err
 	}
 	for _, a := range s.arrays {
@@ -486,11 +481,6 @@ func (s *Stencil[T]) AttachBaseKernels(b BaseKernels) { s.compiled = b }
 // RunSpecialized executes the stencil for steps time steps using compiled
 // base-case kernels — the Phase-2 path.
 func (s *Stencil[T]) RunSpecialized(steps int, b BaseKernels) error {
-	return s.RunSpecializedContext(context.Background(), steps, b)
-}
-
-// RunSpecializedContext is RunSpecialized under a context; see RunContext.
-func (s *Stencil[T]) RunSpecializedContext(ctx context.Context, steps int, b BaseKernels) error {
 	if b.Boundary == nil {
 		return fmt.Errorf("pochoir: RunSpecialized requires a boundary clone")
 	}
@@ -500,7 +490,7 @@ func (s *Stencil[T]) RunSpecializedContext(ctx context.Context, steps int, b Bas
 	}
 	w.Interior = b.Interior
 	w.Boundary = b.Boundary
-	return s.runWalker(ctx, w, steps)
+	return s.runWalker(context.Background(), w, steps)
 }
 
 // cursor tracks how many steps have been run so resumed Runs continue

@@ -64,107 +64,6 @@ func maxAbsDiff(a, b []float64) float64 {
 	return m
 }
 
-func runHeat2D(t *testing.T, X, Y, steps int, periodic bool, opts pochoir.Options) []float64 {
-	t.Helper()
-	sh := heat2DShape()
-	st := pochoir.NewWithOptions[float64](sh, opts)
-	u := pochoir.MustArray[float64](sh.Depth(), X, Y)
-	if periodic {
-		u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
-	} else {
-		u.RegisterBoundary(pochoir.ConstBoundary(0.5))
-	}
-	st.MustRegisterArray(u)
-	init := randomGrid(X*Y, 42)
-	if err := u.CopyIn(0, init); err != nil {
-		t.Fatal(err)
-	}
-	kern := pochoir.K2(func(tt, x, y int) {
-		c := u.Get(tt, x, y)
-		u.Set(tt+1, c+
-			cx*(u.Get(tt, x+1, y)-2*c+u.Get(tt, x-1, y))+
-			cy*(u.Get(tt, x, y+1)-2*c+u.Get(tt, x, y-1)), x, y)
-	})
-	if err := st.Run(steps, kern); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]float64, X*Y)
-	if err := u.CopyOut(steps, out); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-func TestHeat2DMatchesReferencePeriodic(t *testing.T) {
-	X, Y, steps := 37, 29, 40
-	want := refHeat2D(randomGrid(X*Y, 42), X, Y, steps, true, 0)
-	for _, opts := range []pochoir.Options{
-		{},             // TRAP parallel, default coarsening
-		{Serial: true}, // TRAP serial
-		{Algorithm: 1}, // STRAP parallel
-		{TimeCutoff: 1, SpaceCutoff: []int{1, 1}}, // uncoarsened
-		{TimeCutoff: 3, SpaceCutoff: []int{7, 9}, Grain: 1},
-	} {
-		got := runHeat2D(t, X, Y, steps, true, opts)
-		if d := maxAbsDiff(got, want); d > 1e-12 {
-			t.Fatalf("opts %+v: max diff %g vs reference", opts, d)
-		}
-	}
-}
-
-func TestHeat2DMatchesReferenceDirichlet(t *testing.T) {
-	X, Y, steps := 31, 33, 35
-	want := refHeat2D(randomGrid(X*Y, 42), X, Y, steps, false, 0.5)
-	for _, opts := range []pochoir.Options{
-		{},
-		{Serial: true},
-		{Algorithm: 1, Grain: 1},
-	} {
-		got := runHeat2D(t, X, Y, steps, false, opts)
-		if d := maxAbsDiff(got, want); d > 1e-12 {
-			t.Fatalf("opts %+v: max diff %g vs reference", opts, d)
-		}
-	}
-}
-
-func TestRunResume(t *testing.T) {
-	X, Y := 24, 24
-	want := refHeat2D(randomGrid(X*Y, 42), X, Y, 30, true, 0)
-
-	sh := heat2DShape()
-	st := pochoir.New[float64](sh)
-	u := pochoir.MustArray[float64](sh.Depth(), X, Y)
-	u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
-	st.MustRegisterArray(u)
-	if err := u.CopyIn(0, randomGrid(X*Y, 42)); err != nil {
-		t.Fatal(err)
-	}
-	kern := pochoir.K2(func(tt, x, y int) {
-		c := u.Get(tt, x, y)
-		u.Set(tt+1, c+
-			cx*(u.Get(tt, x+1, y)-2*c+u.Get(tt, x-1, y))+
-			cy*(u.Get(tt, x, y+1)-2*c+u.Get(tt, x, y-1)), x, y)
-	})
-	// Run 10 + 20 steps; results must be indistinguishable from one run
-	// of 30 (§2: name.Run may be called repeatedly to resume).
-	if err := st.Run(10, kern); err != nil {
-		t.Fatal(err)
-	}
-	if st.StepsRun() != 10 {
-		t.Fatalf("StepsRun = %d", st.StepsRun())
-	}
-	if err := st.Run(20, kern); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, X*Y)
-	if err := u.CopyOut(30, got); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(got, want); d > 1e-12 {
-		t.Fatalf("resumed run differs from single run by %g", d)
-	}
-}
-
 func TestRunCheckedAcceptsCompliantKernel(t *testing.T) {
 	X, Y, steps := 16, 16, 8
 	sh := heat2DShape()
@@ -249,57 +148,5 @@ func TestNegativeSteps(t *testing.T) {
 	st.MustRegisterArray(a)
 	if err := st.Run(-1, func(t int, x []int) {}); err == nil {
 		t.Fatal("negative steps should error")
-	}
-}
-
-// TestHeat1DDepth2 exercises a depth-2 stencil (wave-like) end to end: the
-// temporal circular buffer must hold three slots and the engine must honor
-// the deeper dependency.
-func TestHeat1DDepth2(t *testing.T) {
-	N, steps := 50, 30
-	sh := pochoir.MustShape(1, [][]int{{1, 0}, {0, 0}, {0, 1}, {0, -1}, {-1, 0}})
-	if sh.Depth() != 2 {
-		t.Fatalf("depth = %d", sh.Depth())
-	}
-	st := pochoir.New[float64](sh)
-	u := pochoir.MustArray[float64](sh.Depth(), N)
-	u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
-	st.MustRegisterArray(u)
-	init0 := randomGrid(N, 5)
-	init1 := randomGrid(N, 6)
-	if err := u.CopyIn(0, init0); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.CopyIn(1, init1); err != nil {
-		t.Fatal(err)
-	}
-	const c2 = 0.3
-	kern := pochoir.K1(func(tt, x int) {
-		u.Set(tt+1, 2*u.Get(tt, x)-u.Get(tt-1, x)+
-			c2*(u.Get(tt, x+1)-2*u.Get(tt, x)+u.Get(tt, x-1)), x)
-	})
-	if err := st.Run(steps, kern); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: straightforward three-buffer loop.
-	prev := append([]float64(nil), init0...)
-	cur := append([]float64(nil), init1...)
-	next := make([]float64, N)
-	for s := 0; s < steps; s++ {
-		for x := 0; x < N; x++ {
-			xm, xp := (x-1+N)%N, (x+1)%N
-			next[x] = 2*cur[x] - prev[x] + c2*(cur[xp]-2*cur[x]+cur[xm])
-		}
-		prev, cur, next = cur, next, prev
-	}
-	got := make([]float64, N)
-	// After `steps` additional steps the newest state lives at time
-	// steps+depth-1 = steps+1.
-	if err := u.CopyOut(steps+1, got); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(got, cur); d > 1e-12 {
-		t.Fatalf("depth-2 stencil differs from reference by %g", d)
 	}
 }
