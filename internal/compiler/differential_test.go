@@ -133,7 +133,6 @@ const (
 
 // runCase is the run genRun draws for one specification.
 type runCase struct {
-	seed  uint64
 	sizes []int
 	steps int
 	// opts holds the cutoffs and grain of every path but (a) and (d): the
@@ -144,7 +143,7 @@ type runCase struct {
 	site       faultpoint.Site // (g)'s one-shot panic fires at site
 	after      int             // after this many visits
 	segment    int             // SegmentSteps of (g)
-	spillEvery int             // SegmentSteps of (h): one to three segments
+	spillEvery int             // SegmentSteps of (h): one or two segments
 	spills     int             // (h) is cancelled after this many spills
 }
 
@@ -152,7 +151,7 @@ type runCase struct {
 // the fault, the resume and the cancellation from seed.
 func genRun(c *Checked, seed uint64) runCase {
 	rng := rand.New(rand.NewSource(int64(seed)))
-	rc := runCase{seed: seed, steps: rng.Intn(13)}
+	rc := runCase{steps: rng.Intn(13)}
 	d := c.Prog.Dims
 	// Extents are non-square and include 1 and values below twice the reach,
 	// where the fast span is empty and every point takes the checked path;
