@@ -64,6 +64,88 @@ func maxAbsDiff(a, b []float64) float64 {
 	return m
 }
 
+func runHeat2D(t *testing.T, X, Y, steps int, opts pochoir.Options) []float64 {
+	t.Helper()
+	sh := heat2DShape()
+	st := pochoir.NewWithOptions[float64](sh, opts)
+	u := pochoir.MustArray[float64](sh.Depth(), X, Y)
+	u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
+	st.MustRegisterArray(u)
+	init := randomGrid(X*Y, 42)
+	if err := u.CopyIn(0, init); err != nil {
+		t.Fatal(err)
+	}
+	kern := pochoir.K2(func(tt, x, y int) {
+		c := u.Get(tt, x, y)
+		u.Set(tt+1, c+
+			cx*(u.Get(tt, x+1, y)-2*c+u.Get(tt, x-1, y))+
+			cy*(u.Get(tt, x, y+1)-2*c+u.Get(tt, x, y-1)), x, y)
+	})
+	if err := st.Run(steps, kern); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, X*Y)
+	if err := u.CopyOut(steps, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestHeat2DMatchesReferencePeriodic(t *testing.T) {
+	X, Y, steps := 37, 29, 40
+	want := refHeat2D(randomGrid(X*Y, 42), X, Y, steps, true, 0)
+	for _, opts := range []pochoir.Options{
+		{},             // TRAP parallel, default coarsening
+		{Serial: true}, // TRAP serial
+		{Algorithm: 1}, // STRAP parallel
+		{TimeCutoff: 1, SpaceCutoff: []int{1, 1}}, // uncoarsened
+		{TimeCutoff: 3, SpaceCutoff: []int{7, 9}, Grain: 1},
+	} {
+		got := runHeat2D(t, X, Y, steps, opts)
+		if d := maxAbsDiff(got, want); d > 1e-12 {
+			t.Fatalf("opts %+v: max diff %g vs reference", opts, d)
+		}
+	}
+}
+
+func TestRunResume(t *testing.T) {
+	X, Y := 24, 24
+	want := refHeat2D(randomGrid(X*Y, 42), X, Y, 30, true, 0)
+
+	sh := heat2DShape()
+	st := pochoir.New[float64](sh)
+	u := pochoir.MustArray[float64](sh.Depth(), X, Y)
+	u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
+	st.MustRegisterArray(u)
+	if err := u.CopyIn(0, randomGrid(X*Y, 42)); err != nil {
+		t.Fatal(err)
+	}
+	kern := pochoir.K2(func(tt, x, y int) {
+		c := u.Get(tt, x, y)
+		u.Set(tt+1, c+
+			cx*(u.Get(tt, x+1, y)-2*c+u.Get(tt, x-1, y))+
+			cy*(u.Get(tt, x, y+1)-2*c+u.Get(tt, x, y-1)), x, y)
+	})
+	// Run 10 + 20 steps; results must be indistinguishable from one run
+	// of 30 (§2: name.Run may be called repeatedly to resume).
+	if err := st.Run(10, kern); err != nil {
+		t.Fatal(err)
+	}
+	if st.StepsRun() != 10 {
+		t.Fatalf("StepsRun = %d", st.StepsRun())
+	}
+	if err := st.Run(20, kern); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, X*Y)
+	if err := u.CopyOut(30, got); err != nil {
+		t.Fatal(err)
+	}
+	if d := maxAbsDiff(got, want); d > 1e-12 {
+		t.Fatalf("resumed run differs from single run by %g", d)
+	}
+}
+
 func TestRunCheckedAcceptsCompliantKernel(t *testing.T) {
 	X, Y, steps := 16, 16, 8
 	sh := heat2DShape()

@@ -1,9 +1,9 @@
 package pochoir_test
 
 // Supervised-resilience suite: the RunSupervised supervisor against the
-// fault-injection harness — watchdog deadlines, late-run faults, the engine
-// degradation ladder, and shadow verification. (One-shot panics at both
-// walker sites are the differential harness's, in internal/compiler.) Every recovered run must be bit-identical to an unfaulted
+// fault-injection harness — panics at both walker sites, watchdog
+// deadlines, late-run faults, the engine degradation ladder, and shadow
+// verification. Every recovered run must be bit-identical to an unfaulted
 // one: each point update is a pure function of older time slots, so TRAP,
 // STRAP, and LOOPS produce bitwise-equal floating-point results and a
 // retried segment recomputes exactly what the faulted attempt would have.
@@ -50,40 +50,81 @@ func mustMatch(t *testing.T, u *pochoir.Array[float64], steps int, want []float6
 }
 
 // TestRunSupervisedFaultMatrix drives supervised runs through the injected
-// failure modes the differential harness (internal/compiler) does not draw,
-// and requires every one to complete bit-identically to an unfaulted run.
-// One-shot panics at the cut and base sites are the harness's path (g).
+// failure modes of the hardened-execution harness and requires every one to
+// complete bit-identically to an unfaulted run.
 func TestRunSupervisedFaultMatrix(t *testing.T) {
 	const X, Y, steps, seed = 48, 48, 12, 17
-	// Stalled base cases blow the per-segment watchdog; the stall budget (3
-	// fires) is consumed on the first attempt, so the retry runs at full
-	// speed.
-	t.Run("segment-timeout", func(t *testing.T) {
-		defer faultpoint.DisarmAll()
-		opts := pochoir.Options{Serial: true, TimeCutoff: 1, SpaceCutoff: []int{16, 16}}
-		want := unfaultedHeat2D(t, opts, X, Y, steps, seed)
-		st, u, kern := heatStencil(t, opts, X, Y, seed)
-		faultpoint.Arm(faultpoint.SiteBase,
-			faultpoint.Spec{Kind: faultpoint.KindSleep, Depth: faultpoint.AnyDepth,
-				Sleep: 20 * time.Millisecond, Times: 3})
-		rep, err := st.RunSupervised(context.Background(), steps, kern, pochoir.SupervisePolicy{
-			SegmentSteps:   4,
-			SegmentTimeout: 50 * time.Millisecond,
-			BaseDelay:      time.Microsecond,
-			MaxAttempts:    5,
+	scenarios := []struct {
+		name string
+		opts pochoir.Options
+		pol  pochoir.SupervisePolicy
+		arm  func()
+	}{
+		{
+			// An engine panic in the decomposition: one cut-site fire, so
+			// the first retry of the failed segment succeeds. The cutoffs
+			// force real cuts inside each 4-step segment — under the
+			// defaults a 48x48x4 segment is a single base case and the
+			// cut site is never reached.
+			name: "panic-at-cut-site",
+			opts: pochoir.Options{Grain: 1, TimeCutoff: 2, SpaceCutoff: []int{16, 16}},
+			pol:  pochoir.SupervisePolicy{SegmentSteps: 4, BaseDelay: time.Microsecond},
+			arm: func() {
+				faultpoint.Arm(faultpoint.SiteCut,
+					faultpoint.Spec{Kind: faultpoint.KindPanic, Depth: faultpoint.AnyDepth, After: 2, Times: 1})
+			},
+		},
+		{
+			// A kernel-adjacent panic at a base case, mid-run. The small
+			// cutoffs yield many base cases per segment so After:5 lands
+			// inside a segment.
+			name: "panic-at-base-site",
+			opts: pochoir.Options{Grain: 1, TimeCutoff: 2, SpaceCutoff: []int{16, 16}},
+			pol:  pochoir.SupervisePolicy{SegmentSteps: 4, BaseDelay: time.Microsecond},
+			arm: func() {
+				faultpoint.Arm(faultpoint.SiteBase,
+					faultpoint.Spec{Kind: faultpoint.KindPanic, Depth: faultpoint.AnyDepth, After: 5, Times: 1})
+			},
+		},
+		{
+			// Stalled base cases blow the per-segment watchdog; the stall
+			// budget (3 fires) is consumed on the first attempt, so the
+			// retry runs at full speed.
+			name: "segment-timeout",
+			opts: pochoir.Options{Serial: true, TimeCutoff: 1, SpaceCutoff: []int{16, 16}},
+			pol: pochoir.SupervisePolicy{
+				SegmentSteps:   4,
+				SegmentTimeout: 50 * time.Millisecond,
+				BaseDelay:      time.Microsecond,
+				MaxAttempts:    5,
+			},
+			arm: func() {
+				faultpoint.Arm(faultpoint.SiteBase,
+					faultpoint.Spec{Kind: faultpoint.KindSleep, Depth: faultpoint.AnyDepth,
+						Sleep: 20 * time.Millisecond, Times: 3})
+			},
+		},
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			defer faultpoint.DisarmAll()
+			want := unfaultedHeat2D(t, sc.opts, X, Y, steps, seed)
+			st, u, kern := heatStencil(t, sc.opts, X, Y, seed)
+			sc.arm()
+			rep, err := st.RunSupervised(context.Background(), steps, kern, sc.pol)
+			faultpoint.DisarmAll()
+			if err != nil {
+				t.Fatalf("supervised run failed: %v (report %+v)", err, rep)
+			}
+			if rep.Retries < 1 {
+				t.Fatalf("fault did not trigger a retry: %+v", rep)
+			}
+			if rep.StepsDone != steps || st.StepsRun() != steps {
+				t.Fatalf("StepsDone = %d, want %d", rep.StepsDone, steps)
+			}
+			mustMatch(t, u, steps, want)
 		})
-		faultpoint.DisarmAll()
-		if err != nil {
-			t.Fatalf("supervised run failed: %v (report %+v)", err, rep)
-		}
-		if rep.Retries < 1 {
-			t.Fatalf("fault did not trigger a retry: %+v", rep)
-		}
-		if rep.StepsDone != steps || st.StepsRun() != steps {
-			t.Fatalf("StepsDone = %d, want %d", rep.StepsDone, steps)
-		}
-		mustMatch(t, u, steps, want)
-	})
+	}
 }
 
 // TestRunSupervisedFaultAtEndOfRun is the acceptance scenario: a kernel
@@ -172,6 +213,18 @@ func TestRunSupervisedDegradesToLoops(t *testing.T) {
 	if st.Poisoned() {
 		t.Fatal("stencil left poisoned after a recovered run")
 	}
+}
+
+// TestLoopsEngineMatchesRecursive: the LOOPS rung is selectable as a plain
+// Options.Algorithm and produces bit-identical results.
+func TestLoopsEngineMatchesRecursive(t *testing.T) {
+	const X, Y, steps, seed = 37, 29, 15, 5
+	want := unfaultedHeat2D(t, pochoir.Options{}, X, Y, steps, seed)
+	st, u, kern := heatStencil(t, pochoir.Options{Algorithm: 2, Serial: true}, X, Y, seed)
+	if err := st.Run(steps, kern); err != nil {
+		t.Fatal(err)
+	}
+	mustMatch(t, u, steps, want)
 }
 
 // TestRunSupervisedShadowVerifyCatchesCorruption: a kernel that silently
