@@ -29,7 +29,9 @@ type Apop1d struct {
 }
 
 // NewApop1d allocates the stencil's arrays with the given spatial sizes
-// and registers the declared boundary conditions.
+// and registers the declared boundary conditions. Only the arrays the
+// kernel writes join the stencil: a read-only array is input, and the
+// stencil's checkpoints and restores leave it as the caller filled it.
 func NewApop1d(sizes ...int) (*Apop1d, error) {
 	sh := Apop1dShape()
 	s := &Apop1d{Stencil: pochoir.New[float64](sh)}

@@ -29,7 +29,9 @@ type Heat2d struct {
 }
 
 // NewHeat2d allocates the stencil's arrays with the given spatial sizes
-// and registers the declared boundary conditions.
+// and registers the declared boundary conditions. Only the arrays the
+// kernel writes join the stencil: a read-only array is input, and the
+// stencil's checkpoints and restores leave it as the caller filled it.
 func NewHeat2d(sizes ...int) (*Heat2d, error) {
 	sh := Heat2dShape()
 	s := &Heat2d{Stencil: pochoir.New[float64](sh)}

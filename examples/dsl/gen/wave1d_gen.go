@@ -27,7 +27,9 @@ type Wave1d struct {
 }
 
 // NewWave1d allocates the stencil's arrays with the given spatial sizes
-// and registers the declared boundary conditions.
+// and registers the declared boundary conditions. Only the arrays the
+// kernel writes join the stencil: a read-only array is input, and the
+// stencil's checkpoints and restores leave it as the caller filled it.
 func NewWave1d(sizes ...int) (*Wave1d, error) {
 	sh := Wave1dShape()
 	s := &Wave1d{Stencil: pochoir.New[float64](sh)}

@@ -113,11 +113,20 @@ func (g *gen) emit(pkg string) {
 	g.pf("}\n\n")
 
 	g.pf("// New%s allocates the stencil's arrays with the given spatial sizes\n", tn)
-	g.pf("// and registers the declared boundary conditions.\n")
+	g.pf("// and registers the declared boundary conditions. Only the arrays the\n")
+	g.pf("// kernel writes join the stencil: a read-only array is input, and the\n")
+	g.pf("// stencil's checkpoints and restores leave it as the caller filled it.\n")
 	g.pf("func New%s(sizes ...int) (*%s, error) {\n", tn, tn)
 	g.pf("\tsh := %sShape()\n", tn)
 	g.pf("\ts := &%s{Stencil: pochoir.New[float64](sh)}\n", tn)
 	g.pf("\tvar err error\n")
+	// As in Instance, only the arrays the kernel writes are run state: a
+	// read-only array is an input whose every slot a checkpoint must leave
+	// alone, so it is not registered.
+	written := make(map[string]bool, len(prog.Kernel))
+	for _, st := range prog.Kernel {
+		written[st.LHS.Array] = true
+	}
 	for _, a := range prog.Arrays {
 		fn := fieldName(a.Name)
 		g.pf("\tif s.%s, err = pochoir.NewArray[float64](sh.Depth(), sizes...); err != nil {\n\t\treturn nil, err\n\t}\n", fn)
@@ -131,7 +140,9 @@ func (g *gen) emit(pkg string) {
 		default:
 			g.pf("\ts.%s.RegisterBoundary(pochoir.ZeroBoundary[float64]())\n", fn)
 		}
-		g.pf("\tif err = s.Stencil.RegisterArray(s.%s); err != nil {\n\t\treturn nil, err\n\t}\n", fn)
+		if written[a.Name] {
+			g.pf("\tif err = s.Stencil.RegisterArray(s.%s); err != nil {\n\t\treturn nil, err\n\t}\n", fn)
+		}
 	}
 	g.pf("\treturn s, nil\n}\n\n")
 

@@ -142,3 +142,30 @@ func TestCodegenPreservesNumberSpelling(t *testing.T) {
 		t.Error("numeric literals should keep their source spelling")
 	}
 }
+
+// TestCodegenRegistersWrittenArraysOnly: a read-only coefficient array is
+// declared, allocated and given its boundary, but not registered with the
+// stencil, whose live-slot checkpoints would otherwise drop a slot of it
+// that the next step reads.
+func TestCodegenRegistersWrittenArraysOnly(t *testing.T) {
+	c, err := CompileSource(`stencil coef { dims: 1; array u; array k; boundary u: periodic; boundary k: clamp;
+kernel { u(t+1,x) = u(t,x) + k(t,x)*(u(t,x-1) - 2*u(t,x) + u(t,x+1)); } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, style := range []Style{SplitPointer, SplitMacroShadow} {
+		code, err := Codegen(c, "gen", style)
+		if err != nil {
+			t.Fatalf("%v: %v", style, err)
+		}
+		s := string(code)
+		for _, frag := range []string{"RegisterArray(s.U)", "s.K, err = pochoir.NewArray", "s.K.RegisterBoundary("} {
+			if !strings.Contains(s, frag) {
+				t.Errorf("%v: generated code missing %q", style, frag)
+			}
+		}
+		if strings.Contains(s, "RegisterArray(s.K)") {
+			t.Errorf("%v: the read-only array k is registered with the stencil", style)
+		}
+	}
+}

@@ -303,6 +303,7 @@ type Gateway struct {
 	queue   *jobQueue
 	tenants *tenantSet
 	slo     *metrics.SLOEngine
+	plans   planCache
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -341,7 +342,7 @@ func New(cfg Config) *Gateway {
 	}
 	g.slo = metrics.NewSLO(cfg.Metrics, cfg.SLO)
 	g.slo.Add(metrics.LatencyObjective("job-latency-500ms", g.met.latencyMS, 500, 0.99))
-	okC, errC, dlC := g.met.completed("ok"), g.met.completed("error"), g.met.completed("deadline")
+	okC, errC, dlC := g.met.completed.get("ok"), g.met.completed.get("error"), g.met.completed.get("deadline")
 	g.slo.Add(metrics.RatioObjective("job-success", 0.999,
 		func() int64 { return okC.Value() },
 		func() int64 { return okC.Value() + errC.Value() + dlC.Value() }))
@@ -389,7 +390,7 @@ func (g *Gateway) onProfileReport(rep *profile.Report) {
 		if ls.Value == "" || ls.CPUSeconds <= 0 {
 			continue
 		}
-		g.met.tenantCPU(ls.Value).Add(ls.CPUSeconds)
+		g.met.tenantCPU.get(ls.Value).Add(ls.CPUSeconds)
 	}
 }
 
@@ -429,7 +430,7 @@ func (g *Gateway) Submit(tenant string, sub Submission) (*JobStatus, *SubmitErro
 	if tenant == "" {
 		tenant = "anonymous"
 	}
-	g.met.submitted(tenant).Inc()
+	g.met.submitted.get(tenant).Inc()
 	g.cfg.Flight.Record(flight.EvJob, flight.JobSubmit, 0, int64(g.queue.depth()))
 
 	prio, _ := ParsePriority(sub.Priority)
@@ -487,10 +488,7 @@ func (g *Gateway) Submit(tenant string, sub Submission) (*JobStatus, *SubmitErro
 		g.tenants.release(tenant)
 		return nil, g.refuse(tr, admitSpan, &SubmitError{Code: 400, Reason: "bad_spec", Err: err})
 	}
-	if err := initArrays(inst, sub.Seed); err != nil {
-		g.tenants.release(tenant)
-		return nil, g.refuse(tr, admitSpan, &SubmitError{Code: 400, Reason: "bad_spec", Err: err})
-	}
+	initArrays(inst, sub.Seed)
 
 	deadline := time.Duration(sub.DeadlineMS) * time.Millisecond
 	if deadline <= 0 {
@@ -602,18 +600,25 @@ func (g *Gateway) validate(sub Submission, tr *trace.Active, admitSpan trace.Spa
 			Err: fmt.Errorf("spec of %d bytes exceeds the %d byte cap", len(sub.Spec), g.cfg.MaxBodyBytes)}
 	}
 	cspan := tr.StartSpan("compile", admitSpan)
-	checked, cst, err := compiler.CompileSourceStats(sub.Spec)
-	if err != nil {
-		tr.EndSpan(cspan, trace.StatusError, trace.Attr{Key: "cause", Value: err.Error()})
-		var le *compiler.LimitError
-		if errors.As(err, &le) {
-			return nil, &SubmitError{Code: 413, Reason: "spec_limit", Err: err}
+	p, hit := g.plans.get(sub.Spec), "hit"
+	if p == nil {
+		checked, cst, err := compiler.CompileSourceStats(sub.Spec)
+		if err != nil {
+			tr.EndSpan(cspan, trace.StatusError, trace.Attr{Key: "cause", Value: err.Error()})
+			var le *compiler.LimitError
+			if errors.As(err, &le) {
+				return nil, &SubmitError{Code: 413, Reason: "spec_limit", Err: err}
+			}
+			return nil, &SubmitError{Code: 400, Reason: "bad_spec", Err: err}
 		}
-		return nil, &SubmitError{Code: 400, Reason: "bad_spec", Err: err}
+		p, hit = &plan{src: sub.Spec, checked: checked, stats: cst}, "miss"
+		g.plans.put(p)
 	}
 	tr.EndSpan(cspan, trace.StatusOK,
-		trace.Attr{Key: "source_bytes", Value: strconv.Itoa(cst.SourceBytes)},
-		trace.Attr{Key: "tokens", Value: strconv.Itoa(cst.Tokens)})
+		trace.Attr{Key: "source_bytes", Value: strconv.Itoa(p.stats.SourceBytes)},
+		trace.Attr{Key: "tokens", Value: strconv.Itoa(p.stats.Tokens)},
+		trace.Attr{Key: "plan_cache", Value: hit})
+	checked := p.checked
 	if sub.Steps <= 0 || sub.Steps > g.cfg.MaxSteps {
 		return nil, &SubmitError{Code: 400, Reason: "bad_steps",
 			Err: fmt.Errorf("steps %d outside (0, %d]", sub.Steps, g.cfg.MaxSteps)}
@@ -639,7 +644,7 @@ func (g *Gateway) validate(sub Submission, tr *trace.Active, admitSpan trace.Spa
 
 // shed counts one shed submission under its reason.
 func (g *Gateway) shed(reason string) {
-	g.met.shed(reason).Inc()
+	g.met.shed.get(reason).Inc()
 	g.cfg.Flight.Record(flight.EvJob, flight.JobShed, 0, int64(g.queue.depth()))
 }
 
@@ -835,7 +840,7 @@ func (g *Gateway) runJob(j *job) {
 	g.cfg.Flight.Record(flight.EvJob, flight.JobStart, j.num, int64(g.queue.depth()))
 	j.trace.EndSpan(j.queueSpan, trace.StatusOK)
 	g.recordQueueWait(wait)
-	g.met.queueWait(j.Priority.String()).ObserveExemplar(
+	g.met.queueWait.get(j.Priority.String()).ObserveExemplar(
 		wait.Milliseconds(), traceIDOf(j.trace), now.UnixNano())
 
 	var (
@@ -875,7 +880,7 @@ func (g *Gateway) runJob(j *job) {
 
 	var sum string
 	if err == nil {
-		sum, err = resultChecksum(j.inst, j.steps)
+		sum = resultChecksum(j.inst, j.steps)
 	}
 
 	now = g.cfg.now()
@@ -912,7 +917,7 @@ func (g *Gateway) runJob(j *job) {
 			outcome = "deadline"
 		}
 	}
-	g.met.completed(outcome).Inc()
+	g.met.completed.get(outcome).Inc()
 	g.met.latencyMS.ObserveExemplar(latency.Milliseconds(), traceIDOf(j.trace), now.UnixNano())
 	if j.trace != nil {
 		status := trace.StatusOK
@@ -1014,45 +1019,40 @@ func (g *Gateway) MaxRunning() int {
 // hash-based field: a pure function of (seed, array order, slot, flat
 // index), so identical submissions are identical computations — the
 // foundation coalescing and the fault-absorption bit-identity check stand
-// on.
-func initArrays(inst *compiler.Instance, seed int64) error {
-	depth := inst.Checked.Depth
+// on. It writes the slots in place.
+func initArrays(inst *compiler.Instance, seed int64) {
 	for ai, decl := range inst.Checked.Prog.Arrays {
 		arr := inst.Arrays[decl.Name]
-		buf := make([]float64, arr.PointsPerSlot())
-		for t := 0; t < depth; t++ {
+		for t := 0; t < inst.Checked.Depth; t++ {
 			h := uint64(seed)*0x9e3779b97f4a7c15 + uint64(ai)<<32 + uint64(t)
-			for i := range buf {
+			slot := arr.Slot(t)
+			for i := range slot {
 				h ^= uint64(i) + 0x9e3779b97f4a7c15 + h<<6 + h>>2
 				h *= 0xbf58476d1ce4e5b9
-				buf[i] = float64(h>>11) / float64(1<<53)
-			}
-			if err := arr.CopyIn(t, buf); err != nil {
-				return err
+				slot[i] = float64(h>>11) / float64(1<<53)
 			}
 		}
 	}
-	return nil
 }
 
 // resultChecksum hashes the final states (times steps..steps+depth-1) of
-// every array in declaration order — the job's bit-identity fingerprint.
-func resultChecksum(inst *compiler.Instance, steps int) (string, error) {
-	h := fnv.New64a()
-	depth := inst.Checked.Depth
-	var b [8]byte
+// every array in declaration order — the job's bit-identity fingerprint:
+// FNV-1a over each value's little-endian IEEE bits, read from the slots in
+// place.
+func resultChecksum(inst *compiler.Instance, steps int) string {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
 	for _, decl := range inst.Checked.Prog.Arrays {
 		arr := inst.Arrays[decl.Name]
-		buf := make([]float64, arr.PointsPerSlot())
-		for t := steps; t < steps+depth; t++ {
-			if err := arr.CopyOut(t, buf); err != nil {
-				return "", err
-			}
-			for _, v := range buf {
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-				_, _ = h.Write(b[:])
+		for t := steps; t < steps+inst.Checked.Depth; t++ {
+			for _, v := range arr.Slot(t) {
+				b := math.Float64bits(v)
+				for k := 0; k < 8; k++ {
+					h = (h ^ b&0xff) * prime
+					b >>= 8
+				}
 			}
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	return fmt.Sprintf("%016x", h)
 }

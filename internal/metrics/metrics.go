@@ -342,6 +342,13 @@ type Registry struct {
 	epoch    time.Time
 
 	prog progressSet
+
+	// The engine's instrument sets, each resolved on its first request (see
+	// NewRunMetrics), so a registry no run uses registers none of them.
+	runOnce sync.Once
+	run     *RunMetrics
+	supOnce sync.Once
+	sup     *SupervisorMetrics
 }
 
 // NewRegistry creates an empty registry.

@@ -2,10 +2,11 @@ package metrics
 
 // This file defines the pre-resolved instrument sets the engine layers hold.
 // Resolving a metric means a map lookup under the registry lock, so the
-// walker, scheduler, and supervisor each resolve their whole set once (at
-// arm time / run start) and then touch only the cached pointers on hot
-// paths. A nil set pointer disarms every instrumentation point with a
-// single comparison, mirroring the telemetry recorder's discipline.
+// walker/scheduler and supervisor sets are resolved once per registry, on
+// their first request, and every run after that — of any stencil — touches
+// only the cached pointers. A nil set pointer disarms every instrumentation
+// point with a single comparison, mirroring the telemetry recorder's
+// discipline.
 
 import (
 	"pochoir/internal/core"
@@ -49,10 +50,16 @@ type RunMetrics struct {
 	LastWorkers     *Gauge
 }
 
-// NewRunMetrics resolves the walker/scheduler instrument set against r.
-// Idempotent: the registry dedupes by name+labels, so every caller gets
-// pointers to the same instruments.
+// NewRunMetrics returns r's walker/scheduler instrument set, resolving it
+// on the first call; every later call, from any stencil, returns the same
+// set. A served job builds a fresh stencil, so a cache per stencil would
+// re-resolve the set's two dozen series for every job.
 func NewRunMetrics(r *Registry) *RunMetrics {
+	r.runOnce.Do(func() { r.run = resolveRunMetrics(r) })
+	return r.run
+}
+
+func resolveRunMetrics(r *Registry) *RunMetrics {
 	m := &RunMetrics{
 		RunsStarted: r.Counter("pochoir_runs_started_total", "Run/RunSupervised segment executions started."),
 		RunsActive:  r.Gauge("pochoir_runs_active", "Walker runs currently executing."),
@@ -114,8 +121,14 @@ type SupervisorMetrics struct {
 	ResumeCorrupt  *Counter
 }
 
-// NewSupervisorMetrics resolves the supervisor instrument set against r.
+// NewSupervisorMetrics returns r's supervisor instrument set, resolved on
+// the first call and shared by every supervised run on r after it.
 func NewSupervisorMetrics(r *Registry) *SupervisorMetrics {
+	r.supOnce.Do(func() { r.sup = resolveSupervisorMetrics(r) })
+	return r.sup
+}
+
+func resolveSupervisorMetrics(r *Registry) *SupervisorMetrics {
 	return &SupervisorMetrics{
 		SegmentsDone:   r.Counter("pochoir_sup_segments_total", "Supervised segments by outcome.", Label{"outcome", "ok"}),
 		SegmentsFailed: r.Counter("pochoir_sup_segments_total", "Supervised segments by outcome.", Label{"outcome", "failed"}),

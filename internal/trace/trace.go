@@ -35,6 +35,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -208,7 +209,8 @@ type Tracer struct {
 	durs     []int64   // ring of recent root durations
 	durIdx   int
 	durN     int
-	rngState uint64 // sampler RNG, guarded by mu
+	sorted   []int64 // durs[:durN] in ascending order, the tail quantile's index
+	rngState uint64  // sampler RNG, guarded by mu
 
 	started atomic.Uint64
 	kept    atomic.Uint64
@@ -223,6 +225,7 @@ func New(cfg Config) *Tracer {
 		epoch:    time.Now(),
 		retained: make(map[TraceID]*Trace),
 		durs:     make([]int64, cfg.TailWindow),
+		sorted:   make([]int64, 0, cfg.TailWindow),
 		rngState: uint64(cfg.Seed) ^ 0x9e3779b97f4a7c15,
 	}
 	t.idSeq.Store(uint64(cfg.Seed))
@@ -534,11 +537,16 @@ func (t *Tracer) decide(status string, durNS int64, hasLink bool) (bool, string)
 	// Feed the ring before deciding is tempting but wrong: a burst of
 	// identical slow traces would raise the bar against itself and drop
 	// all but the first. Decide against the prior window, then record.
-	t.durs[t.durIdx] = durNS
-	t.durIdx = (t.durIdx + 1) % len(t.durs)
-	if t.durN < len(t.durs) {
+	if t.durN == len(t.durs) {
+		i, _ := slices.BinarySearch(t.sorted, t.durs[t.durIdx])
+		t.sorted = slices.Delete(t.sorted, i, i+1)
+	} else {
 		t.durN++
 	}
+	i, _ := slices.BinarySearch(t.sorted, durNS)
+	t.sorted = slices.Insert(t.sorted, i, durNS)
+	t.durs[t.durIdx] = durNS
+	t.durIdx = (t.durIdx + 1) % len(t.durs)
 
 	if status != StatusOK {
 		return true, "status"
@@ -558,20 +566,18 @@ func (t *Tracer) decide(status string, durNS int64, hasLink bool) (bool, string)
 	return false, ""
 }
 
-// tailThresholdLocked computes the current tail-quantile duration, or 0
-// while the window is still warming up.
+// tailThresholdLocked returns the current tail-quantile duration, or 0
+// while the window is still warming up: one index into the sorted shadow
+// of the ring.
 func (t *Tracer) tailThresholdLocked() int64 {
 	if t.durN < t.cfg.MinTailSamples {
 		return 0
 	}
-	tmp := make([]int64, t.durN)
-	copy(tmp, t.durs[:t.durN])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
 	idx := int(float64(t.durN) * t.cfg.TailQuantile)
 	if idx >= t.durN {
 		idx = t.durN - 1
 	}
-	return tmp[idx]
+	return t.sorted[idx]
 }
 
 // Get returns the retained trace with the given ID, or nil. It also

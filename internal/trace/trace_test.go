@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -184,6 +186,81 @@ func TestTailSamplerKeepRules(t *testing.T) {
 	}
 	if tr.Get(slow.TraceID()).KeepReason != "tail" {
 		t.Fatalf("tail keep reason = %q", tr.Get(slow.TraceID()).KeepReason)
+	}
+}
+
+// sortedTail is the tail threshold computed the way the sampler did before
+// it kept a sorted shadow: copy the ring's live durations and sort them.
+func sortedTail(durs []int64, durN int, cfg Config) int64 {
+	if durN < cfg.MinTailSamples {
+		return 0
+	}
+	tmp := append([]int64(nil), durs[:durN]...)
+	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	idx := int(float64(durN) * cfg.TailQuantile)
+	if idx >= durN {
+		idx = durN - 1
+	}
+	return tmp[idx]
+}
+
+// TestTailThresholdMatchesSort drives decide with random duration sequences
+// — few distinct values, so duplicates abound, and long enough to wrap the
+// ring several times — and holds every keep/drop decision, its reason and
+// Stats().TailNS to a model that judges each job against the copied and
+// sorted window before recording it.
+func TestTailThresholdMatchesSort(t *testing.T) {
+	statuses := []string{StatusOK, StatusOK, StatusOK, StatusOK, StatusError}
+	for _, window := range []int{1, 64, 512} {
+		for _, minSamples := range []int{1, window / 2, window, window + 1} {
+			if minSamples < 1 {
+				continue
+			}
+			for _, distinct := range []int64{3, 1000} {
+				cfg := Config{TailWindow: window, MinTailSamples: minSamples, SampleProb: 0.05, Seed: int64(window + minSamples)}
+				tr := New(cfg)
+				cfg = tr.cfg
+				rng := rand.New(rand.NewSource(int64(window)*7919 + int64(minSamples)*31 + distinct))
+				ring := make([]int64, window)
+				idx, n := 0, 0
+				refRNG := uint64(cfg.Seed) ^ 0x9e3779b97f4a7c15
+				for i := 0; i < 4*window+200; i++ {
+					dur := rng.Int63n(distinct) * 1000
+					status := statuses[rng.Intn(len(statuses))]
+					link := rng.Intn(50) == 0
+
+					tail := sortedTail(ring, n, cfg)
+					if got := tr.Stats().TailNS; got != tail {
+						t.Fatalf("window %d min %d step %d: TailNS %d, sorted window says %d", window, minSamples, i, got, tail)
+					}
+					ring[idx] = dur
+					idx = (idx + 1) % window
+					n = min(n+1, window)
+					wantKeep, wantReason := false, ""
+					switch {
+					case status != StatusOK:
+						wantKeep, wantReason = true, "status"
+					case link:
+						wantKeep, wantReason = true, "link"
+					case tail > 0 && dur >= tail:
+						wantKeep, wantReason = true, "tail"
+					default:
+						refRNG = splitmix64(refRNG)
+						if float64(refRNG>>11)/float64(1<<53) < cfg.SampleProb {
+							wantKeep, wantReason = true, "sampled"
+						}
+					}
+					keep, reason := tr.decide(status, dur, link)
+					if keep != wantKeep || reason != wantReason {
+						t.Fatalf("window %d min %d step %d (dur %d, tail %d): decide = %v %q, want %v %q",
+							window, minSamples, i, dur, tail, keep, reason, wantKeep, wantReason)
+					}
+				}
+				if got, want := tr.Stats().TailNS, sortedTail(ring, n, cfg); got != want {
+					t.Fatalf("window %d min %d: final TailNS %d, want %d", window, minSamples, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -53,20 +53,14 @@ func CheckMetricsExposition(data []byte) error {
 	return metrics.CheckExposition(data)
 }
 
-// runMetrics resolves (and caches) the walker instrument set for the
-// configured registry; nil when Options.Metrics is unset. The cache makes
-// re-arming free: resolving is a handful of map lookups under the registry
-// lock, paid once per stencil per registry rather than once per run.
+// runMetrics returns the walker instrument set of the configured registry,
+// which resolves it once for every stencil; nil when Options.Metrics is
+// unset.
 func (s *Stencil[T]) runMetrics() *metrics.RunMetrics {
-	reg := s.opts.Metrics
-	if reg == nil {
+	if s.opts.Metrics == nil {
 		return nil
 	}
-	if s.metReg != reg {
-		s.metSet = metrics.NewRunMetrics(reg)
-		s.metReg = reg
-	}
-	return s.metSet
+	return metrics.NewRunMetrics(s.opts.Metrics)
 }
 
 // progressLabel resolves the label for this stencil's progress entries:

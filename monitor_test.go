@@ -19,6 +19,7 @@ import (
 
 	"pochoir"
 	"pochoir/internal/faultpoint"
+	"pochoir/internal/metrics"
 )
 
 // scrape GETs a monitor URL and returns the body.
@@ -260,5 +261,27 @@ func TestSupervisedProgressMonotone(t *testing.T) {
 	}
 	if v := metricValue(t, expo, "pochoir_progress_percent"); v != 100 {
 		t.Fatalf("pochoir_progress_percent = %v after recovery, want 100", v)
+	}
+}
+
+// TestStencilsShareRunMetrics: the walker instrument set is resolved once
+// per registry, not once per stencil. Every served job builds a fresh
+// stencil, so a per-stencil cache re-resolved the whole set for each job.
+func TestStencilsShareRunMetrics(t *testing.T) {
+	reg := pochoir.NewMetrics()
+	opts := pochoir.Options{Metrics: reg}
+	var sets [2]*metrics.RunMetrics
+	for i := range sets {
+		st, _, kern := heatStencil(t, opts, 16, 16, int64(i))
+		if err := st.Run(4, kern); err != nil {
+			t.Fatal(err)
+		}
+		sets[i] = pochoir.RunMetricsOf(st)
+	}
+	if sets[0] == nil || sets[0] != sets[1] || sets[0] != metrics.NewRunMetrics(reg) {
+		t.Fatalf("stencils on one registry hold distinct instrument sets: %p, %p", sets[0], sets[1])
+	}
+	if got := sets[0].RunsStarted.Value(); got != 2 {
+		t.Fatalf("runs started = %d, want 2", got)
 	}
 }

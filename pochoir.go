@@ -144,13 +144,9 @@ type Stencil[T any] struct {
 	// compiled holds the base-case clones attached with AttachBaseKernels;
 	// the zero value means none.
 	compiled BaseKernels
-	// metSet is the walker instrument set resolved against metReg; both
-	// are managed by runMetrics (see monitor.go). activeProg, when
-	// non-nil, is a run-spanning progress estimator (set by RunSupervised
-	// around its segments) that per-segment runs feed instead of starting
-	// their own.
-	metReg     *MetricsRegistry
-	metSet     *metrics.RunMetrics
+	// activeProg, when non-nil, is a run-spanning progress estimator (set
+	// by RunSupervised around its segments) that per-segment runs feed
+	// instead of starting their own.
 	activeProg *metrics.Progress
 	// walkParent is the span a run's walk records under in Options.Trace:
 	// the open segment attempt inside RunSupervised, zero (the trace's

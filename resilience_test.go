@@ -10,6 +10,7 @@ package pochoir_test
 
 import (
 	"context"
+	"math"
 	"os"
 	"sync/atomic"
 	"testing"
@@ -320,6 +321,60 @@ func TestRunSupervisedRunsAttachedClones(t *testing.T) {
 		t.Fatalf("report = %+v, want the corrupt clone caught once and retried", rep)
 	}
 	mustMatch(t, u, steps, want)
+}
+
+// TestShadowVerifyCatchesNonFinite: a clone that leaves NaN, or an infinity,
+// where the point kernel computes a finite value fails shadow verification
+// — NaN at zero tolerance, the infinity under a relative tolerance that the
+// infinity itself would satisfy — while a point kernel whose own answer is
+// NaN verifies against a clone that agrees with it.
+func TestShadowVerifyCatchesNonFinite(t *testing.T) {
+	const X, Y, steps, seed = 32, 32, 8, 13
+	for _, c := range []struct {
+		name      string
+		bad       float64
+		tol       float64
+		nanKernel bool
+		mismatch  int
+	}{
+		{"nan-in-clone", math.NaN(), 0, false, 1},
+		{"inf-in-clone", math.Inf(1), 1e-9, false, 1},
+		{"nan-on-both-sides", 0, 0, true, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st, u, kern := heatStencil(t, pochoir.Options{Serial: true}, X, Y, seed)
+			if c.nanKernel {
+				kern = pochoir.K2(func(tt, x, y int) { u.Set(tt+1, math.NaN(), x, y) })
+			}
+			generic := st.GenericBase(kern)
+			var corrupted atomic.Bool
+			clone := func(z pochoir.Zoid) {
+				generic(z)
+				if !c.nanKernel && corrupted.CompareAndSwap(false, true) {
+					for x := 0; x < X; x++ {
+						for y := 0; y < Y; y++ {
+							u.Set(z.T1-1, c.bad, x, y)
+						}
+					}
+				}
+			}
+			st.AttachBaseKernels(pochoir.BaseKernels{Interior: clone, Boundary: clone})
+			rep, err := st.RunSupervised(context.Background(), steps, kern, pochoir.SupervisePolicy{
+				SegmentSteps: 4,
+				BaseDelay:    time.Microsecond,
+				Verify:       pochoir.VerifyPolicy{Enabled: true, BoxSide: 8, Tolerance: c.tol},
+			})
+			if err != nil {
+				t.Fatalf("supervised run failed: %v (report %+v)", err, rep)
+			}
+			if rep.VerifyMismatches != c.mismatch || rep.Retries != c.mismatch || rep.Verified == 0 {
+				t.Fatalf("report = %+v, want %d mismatch(es) and retries", rep, c.mismatch)
+			}
+			if !c.nanKernel {
+				mustMatch(t, u, steps, unfaultedHeat2D(t, pochoir.Options{Serial: true}, X, Y, steps, seed))
+			}
+		})
+	}
 }
 
 // TestRunSupervisedHappyPathIsPlainRun: with checkpointing disabled and no

@@ -373,14 +373,19 @@ func (s *Stencil[T]) shadowVerify(ctx context.Context, exec BaseFunc, vp VerifyP
 }
 
 // valueDiff returns the absolute difference of two element values when they
-// are a known numeric type. For non-numeric element types it falls back to
+// are a known numeric type. A NaN on both sides is a match and a NaN on one
+// side a mismatch (ok=false), whatever the tolerance: NaN compares false
+// against every threshold. For non-numeric element types it falls back to
 // deep equality, reporting 0 for equal and ok=false for different.
 func valueDiff[T any](got, want T) (diff float64, ok bool) {
 	g, gok := toFloat(got)
 	w, wok := toFloat(want)
 	if gok && wok {
-		if g == w {
+		if g == w || math.IsNaN(g) && math.IsNaN(w) {
 			return 0, true
+		}
+		if math.IsNaN(g) || math.IsNaN(w) {
+			return math.NaN(), false
 		}
 		return math.Abs(g - w), true
 	}
@@ -422,9 +427,11 @@ func toFloat(v any) (float64, bool) {
 
 // withinTolerance applies the verify tolerance both absolutely and relative
 // to the larger magnitude; zero tolerance demands exact equality (already
-// handled by the diff==0 fast path).
+// handled by the diff==0 fast path). An infinite difference — an infinity
+// against a finite value — is outside every tolerance, though relative to
+// the infinity it would pass.
 func withinTolerance[T any](diff float64, got, want T, tol float64) bool {
-	if tol <= 0 {
+	if tol <= 0 || math.IsInf(diff, 0) {
 		return false
 	}
 	if diff <= tol {
