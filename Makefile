@@ -29,9 +29,12 @@ test:
 # (segment retries, degradation ladder, shadow verification) under the
 # detector, as well as the live monitor: every scrape of /metrics a valid
 # exposition, the zoid counter rising across runs, and a recovered supervised
-# run's progress never falling and ending at 100%.
+# run's progress never falling and ending at 100%. The grid free list's
+# tests run there too: storage handed between goroutines by Release and
+# NewArray must never be shared.
 race:
 	$(GO) test -race ./internal/core ./internal/sched ./internal/telemetry ./internal/loops ./internal/faultpoint ./internal/resilience ./internal/metrics ./internal/flight ./internal/wire ./internal/compiler ./internal/gateway ./internal/trace ./internal/profile
+	$(GO) test -race -run 'FreeList|Released' ./internal/grid
 	$(GO) test -race -run 'Panic|Cancel|Poison|Checkpoint|Restore|Fault|RegisterArray|Supervised|LoopsEngine|Monitor|Progress|Bundle|Recorder|Incident|Resume|Durable|ShareRunMetrics|ShadowVerify' .
 
 # soak runs the supervised-run soak with probabilistic faults armed at the

@@ -62,12 +62,20 @@ func TestSupervisedCheckpointStorageAllocatedOnce(t *testing.T) {
 	}
 }
 
+// servedJobRuns gives each run of TestServedJobCheckpointIsOneSlot a grid
+// size no earlier run has released to the grid free list. The size is odd,
+// so no two-slot array of the other tests has a checkpoint's length.
+var servedJobRuns int
+
 // TestServedJobCheckpointIsOneSlot: a served-style job — a DSL heat
 // instance under RunSupervised with the default policy, as pochoird runs it
-// — allocates one checkpoint of its one live slot, 8 MiB at 1024², where a
-// copy of both slots took 16.
+// — allocates one checkpoint of its one live slot, about 8 MiB at 1025²,
+// where a copy of both slots took 16. The grid grows on every run, so the
+// checkpoint's storage cannot come from the grid free list.
 func TestServedJobCheckpointIsOneSlot(t *testing.T) {
-	const N, steps = 1024, 2
+	const steps = 2
+	N := 1025 + 2*servedJobRuns
+	servedJobRuns++
 	src, err := os.ReadFile("examples/dsl/specs/heat2d.pch")
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +96,7 @@ func TestServedJobCheckpointIsOneSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const slot = N * N * 8
+	slot := uint64(N * N * 8)
 	t.Logf("the job allocated %d bytes; one slot is %d", got, slot)
 	if rep.Checkpoints != 1 || got < slot || got > slot+slot/4 {
 		t.Fatalf("%d checkpoints allocating %d bytes in all, want 1 of one %d-byte slot (plus < 2 MiB of other allocation)",

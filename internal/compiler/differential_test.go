@@ -199,11 +199,15 @@ func (rc runCase) with(alg core.Algorithm, serial bool) pochoir.Options {
 }
 
 // pathStats is what one check saw of what only some draws reach: the
-// interior base cases (f) dispatched, the retries (g) absorbed, and the
-// journal step (h) resumed from.
+// interior base cases (f) dispatched, the retries (g) absorbed, the journal
+// step (h) resumed from, the rows the boundary clone flattened (see flat in
+// rowexec.go), and whether the unit stride is too short for any point to be
+// out of reach of both ends of its row, so whole rows run row by row.
 type pathStats struct {
 	interior             int64
 	retries, resumedFrom int
+	flatRows             int64
+	narrow               bool
 }
 
 // pathSet selects the paths a check runs. The serial ones change what every
@@ -256,6 +260,16 @@ func checkEveryPath(t *testing.T, src string, seed uint64, set pathSet) (pathSta
 	}
 	oracle(inst, steps)
 	want := finalState(t, inst, steps)
+	if p, last := inst.lowered(), c.Prog.Dims-1; steps > 0 && last > 0 {
+		w := p.reachLo[last] + p.reachHi[last]
+		ps.narrow = w > 0 && p.sizes[last] <= w
+	}
+	// Every path but (h)'s resume runs inst, whose row program counts the
+	// rows it flattens.
+	seen := func() pathStats {
+		ps.flatRows = inst.lowered().flatRows.Load()
+		return ps
+	}
 	check := func(path string, inst *Instance, err error) {
 		t.Helper()
 		if err != nil {
@@ -367,7 +381,7 @@ func checkEveryPath(t *testing.T, src string, seed uint64, set pathSet) (pathSta
 		ps.resumedFrom = rep.Events[0].Attempt
 	}
 	if set&serialPaths == 0 {
-		return ps, true
+		return seen(), true
 	}
 
 	defer func() { useVector = haveVector }()
@@ -388,7 +402,7 @@ func checkEveryPath(t *testing.T, src string, seed uint64, set pathSet) (pathSta
 	faultpoint.DisarmAll()
 	check(fmt.Sprintf("(g) RunSupervised, a %s panic after %d visits, verified", rc.site, rc.after), inst, err)
 	ps.retries = rep.Retries
-	return ps, true
+	return seen(), true
 }
 
 // genSpec writes a random legal specification: dims 1–4, one to three
@@ -559,7 +573,8 @@ func TestRowExecDifferential(t *testing.T) {
 			t.Fatalf("generator produced an illegal spec: %v\n%s", err, specs[i].src)
 		}
 	}
-	var checked, interior, lateResumes atomic.Int64
+	// TestRowExecFlatEnds covers every boundary kind and reach of flat rows.
+	var checked, interior, lateResumes, flat, narrow atomic.Int64
 	t.Run("parallel", func(t *testing.T) {
 		for i, sp := range specs {
 			t.Run(strconv.Itoa(i), func(t *testing.T) {
@@ -568,6 +583,15 @@ func TestRowExecDifferential(t *testing.T) {
 					checked.Add(1)
 					if ps.interior > 0 {
 						interior.Add(1)
+					}
+					if ps.flatRows > 0 {
+						flat.Add(1)
+					}
+					if ps.narrow {
+						narrow.Add(1)
+						if ps.flatRows > 0 {
+							t.Errorf("%d rows too short to flatten were flattened\n%s", ps.flatRows, sp.src)
+						}
 					}
 					if ps.resumedFrom > 0 {
 						lateResumes.Add(1)
@@ -596,8 +620,14 @@ func TestRowExecDifferential(t *testing.T) {
 	if lateResumes.Load() == 0 {
 		t.Fatal("no spilled run resumed from past the journal's first entry")
 	}
-	t.Logf("%d specs checked; %d ran the interior clone; %d supervised retries; %d resumes from a later journal entry",
-		checked.Load(), interior.Load(), retries, lateResumes.Load())
+	if flat.Load() == 0 {
+		t.Fatal("no run flattened rows")
+	}
+	if narrow.Load() == 0 {
+		t.Fatal("no run had rows too short to flatten")
+	}
+	t.Logf("%d specs checked; %d ran the interior clone; %d supervised retries; %d resumes from a later journal entry; %d flattened rows, %d had rows too short to",
+		checked.Load(), interior.Load(), retries, lateResumes.Load(), flat.Load(), narrow.Load())
 }
 
 // FuzzRowExec is the differential harness over fuzzed source text; the

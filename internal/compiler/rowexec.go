@@ -29,11 +29,12 @@ func (p *rowProgram) exec(z pochoir.Zoid, wrap bool) {
 			hi[i] += z.DHi[i]
 		}
 	}
-	putScratch(sc)
+	p.putScratch(sc)
 }
 
 // step sweeps one time step's box [lo, hi) row by row: an odometer over the
-// outer dimensions, the unit-stride dimension handed to a row routine.
+// outer dimensions, the unit-stride dimension handed to a row routine, or a
+// run of whole rows along dimension d-2 that binds in domain handed to flat.
 func (p *rowProgram) step(sc *rowScratch, lo, hi *[MaxDSLDims]int, wrap bool) {
 	d := p.dims
 	for i := 0; i < d; i++ {
@@ -42,6 +43,8 @@ func (p *rowProgram) step(sc *rowScratch, lo, hi *[MaxDSLDims]int, wrap bool) {
 		}
 	}
 	last := d - 1
+	w := p.reachLo[last] + p.reachHi[last] // flat takes whole rows with a point out of reach of both ends
+	flat := d > 1 && hi[last]-lo[last] == p.sizes[last] && p.sizes[last] > w && w <= rowChunk
 	var vx, x [MaxDSLDims]int // virtual and true coordinates of the row
 	// rewind puts outer dimension i back at the low edge of the box.
 	rewind := func(i int) {
@@ -55,13 +58,22 @@ func (p *rowProgram) step(sc *rowScratch, lo, hi *[MaxDSLDims]int, wrap bool) {
 		rewind(i)
 	}
 	for {
-		if wrap {
+		base := 0
+		for i := 0; i < last; i++ {
+			base += x[i] * p.strides[i]
+		}
+		rows := 0
+		if flat { // up to the box's edge along d-2
+			rows = p.inDomainRows(&x, hi[last-1]-vx[last-1])
+		}
+		switch {
+		case rows > 0:
+			p.flat(sc, base, rows)
+			sc.flat += int64(rows)
+			vx[last-1], x[last-1] = vx[last-1]+rows-1, x[last-1]+rows-1
+		case wrap:
 			p.wrappedRow(sc, &x, lo[last], hi[last])
-		} else {
-			base := 0
-			for i := 0; i < last; i++ {
-				base += x[i] * p.strides[i]
-			}
+		default:
 			p.span(sc, p.offs, false, base, lo[last], hi[last]-lo[last])
 		}
 		i := last - 1
@@ -80,6 +92,18 @@ func (p *rowProgram) step(sc *rowScratch, lo, hi *[MaxDSLDims]int, wrap bool) {
 			return
 		}
 	}
+}
+
+// inDomainRows is how many rows from outer coordinates x on, at most most,
+// bind every operand in domain.
+func (p *rowProgram) inDomainRows(x *[MaxDSLDims]int, most int) int {
+	y := p.dims - 2
+	for i := 0; i <= y; i++ {
+		if x[i] < p.reachLo[i] || x[i] >= p.sizes[i]-p.reachHi[i] {
+			return 0
+		}
+	}
+	return min(most, p.sizes[y]-p.reachHi[y]-x[y])
 }
 
 func modIdx(v, n int) int {
@@ -149,7 +173,8 @@ refs:
 
 // chunk is the at most rowChunk points one pass of the ops covers: n of
 // them, view operand ref at flat offset base+at[ref] and unit-stride
-// coordinate x. halo counts the rows edgeRow made up for the current op.
+// coordinate x, or (at nil) n ends of rows x on from base (see ends). halo
+// counts the rows edgeRow or ends made up for the current op.
 type chunk struct {
 	*rowScratch
 	at      []int
@@ -159,47 +184,79 @@ type chunk struct {
 }
 
 // span runs the row program over n unit-stride points from coordinate x,
-// rowChunk at a time, base being the flat offset of coordinate 0 under the
-// binding at. Multi-statement kernels go statement by statement per chunk:
-// reads are strictly earlier than the write time, so none sees another's.
+// rowChunk at a time, base the flat offset of coordinate 0 under binding at.
 func (p *rowProgram) span(sc *rowScratch, at []int, rebound bool, base, x, n int) {
 	last := p.dims - 1
 	c := chunk{rowScratch: sc, at: at}
-	var xs [maxSumTerms][]float64
 	for ; n > 0; x, n = x+rowChunk, n-rowChunk {
 		c.base, c.x, c.n = base+x, x, min(n, rowChunk)
 		// Where the boundary may come into a view operand.
-		edge := rebound || x < p.reachLo[last] || x+c.n > p.sizes[last]-p.reachHi[last]
-		for i := range p.ops {
-			op := &p.ops[i]
-			c.halo = 0
-			args := p.args[op.t0 : op.t0+op.k]
-			for j := range args {
-				switch o := &args[j]; {
-				case o.kind == inConst:
-				case edge && o.kind == inView:
-					xs[j] = p.edgeRow(&c, o)
-				default:
-					xs[j] = c.rowOf(o)
-				}
-			}
-			dst := c.rowOf(&op.dst) // never off domain
-			switch a, b := &args[0], &args[len(args)-1]; {
-			case op.code == opSum:
-				sumRows(dst, p.coefs[op.t0:op.t0+op.k], &xs)
-			case op.code == opCopy && a.kind == inConst:
-				fill(dst, a.val)
-			case op.code == opCopy:
-				copy(dst, xs[0])
-			case op.code == opNeg:
-				negR(dst, xs[0])
-			case a.kind == inConst:
-				binaryCR(op.code, dst, a.val, xs[1])
-			case b.kind == inConst:
-				binaryRC(op.code, dst, xs[0], b.val)
+		p.run(&c, rebound || x < p.reachLo[last] || x+c.n > p.sizes[last]-p.reachHi[last])
+	}
+}
+
+// flat runs rows whole rows from flat offset base, which bind every operand
+// in domain, as one span from reachLo into the first row to reachHi short of
+// the last row's end. A point within reach of its row's end reads the next
+// row, and its provisional value is overwritten when the reach-wide ends of
+// all the rows run, gathered into chunks (DESIGN.md, "The row executor").
+func (p *rowProgram) flat(sc *rowScratch, base, rows int) {
+	last := p.dims - 1
+	c := chunk{rowScratch: sc, at: p.offs}
+	for x, end := base+p.reachLo[last], base+rows*p.sizes[last]-p.reachHi[last]; x < end; x += c.n {
+		c.base, c.n = x, min(end-x, rowChunk-x%rowChunk) // chunks aligned in the slot
+		p.run(&c, false)
+	}
+	c.at, c.base = nil, base
+	w := p.reachLo[last] + p.reachHi[last]
+	for x := 0; w > 0 && x < rows; x += rowChunk / w {
+		c.x, c.n = x, min(rows-x, rowChunk/w)*w
+		p.run(&c, false)
+	}
+}
+
+// run applies the ops to one chunk. Multi-statement kernels go statement by
+// statement: reads are strictly earlier than the write time, so none sees
+// another's.
+func (p *rowProgram) run(c *chunk, edge bool) {
+	var xs [maxSumTerms][]float64
+	for i := range p.ops {
+		op := &p.ops[i]
+		c.halo = 0
+		args := p.args[op.t0 : op.t0+op.k]
+		for j := range args {
+			switch o := &args[j]; {
+			case o.kind == inConst:
+			case c.at == nil && o.kind == inView:
+				xs[j] = p.ends(c, o, nil)
+			case edge && o.kind == inView:
+				xs[j] = p.edgeRow(c, o)
 			default:
-				binaryRR(op.code, dst, xs[0], xs[1])
+				xs[j] = c.rowOf(o)
 			}
+		}
+		dst := c.rows[(p.nrows+maxSumTerms)*rowChunk:][:c.n] // a gathered result, to scatter
+		if c.at != nil || op.dst.kind == inRow {
+			dst = c.rowOf(&op.dst) // never off domain
+		}
+		switch a, b := &args[0], &args[len(args)-1]; {
+		case op.code == opSum:
+			sumRows(dst, p.coefs[op.t0:op.t0+op.k], &xs)
+		case op.code == opCopy && a.kind == inConst:
+			fill(dst, a.val)
+		case op.code == opCopy:
+			copy(dst, xs[0])
+		case op.code == opNeg:
+			negR(dst, xs[0])
+		case a.kind == inConst:
+			binaryCR(op.code, dst, a.val, xs[1])
+		case b.kind == inConst:
+			binaryRC(op.code, dst, xs[0], b.val)
+		default:
+			binaryRR(op.code, dst, xs[0], xs[1])
+		}
+		if c.at == nil && op.dst.kind == inView {
+			p.ends(c, &op.dst, dst)
 		}
 	}
 }
@@ -250,6 +307,49 @@ func (p *rowProgram) edgeRow(c *chunk, o *operand) []float64 {
 	}
 	for j := j1; j < c.n; j++ {
 		row[j] = beyond(j)
+	}
+	return row
+}
+
+// ends is rowOf and its inverse for view operand o of a gathered chunk: the
+// reach-wide ends of rows x to x+n/w, row after row, low end first. It
+// stores vals to the ends' points, or with vals nil loads what o reads at
+// each into a scratch row, resolving the boundary as edgeRow does.
+func (p *rowProgram) ends(c *chunk, o *operand, vals []float64) (row []float64) {
+	last := p.dims - 1
+	n, lo, w := p.sizes[last], p.reachLo[last], p.reachLo[last]+p.reachHi[last]
+	v, dx, src := &p.views[o.idx], p.refs[o.ref].dx[last], c.slots[o.idx]
+	if vals == nil {
+		row = c.rows[(p.nrows+c.halo)*rowChunk:][:c.n]
+		c.halo++
+	}
+	for k := 0; k < w; k++ {
+		s := k + dx // the unit-stride coordinate end k reads
+		if k >= lo {
+			s += n - w
+		}
+		switch {
+		case s >= 0 && s < n:
+		case v.kind == BoundaryPeriodic:
+			s = modIdx(s, n)
+		case v.kind == BoundaryClamp:
+			s = min(max(s, 0), n-1)
+		default:
+			for j := k; j < c.n; j += w {
+				row[j] = v.fill[0]
+			}
+			continue
+		}
+		at := c.base + c.x*n + p.offs[o.ref] - dx + s
+		if vals != nil {
+			for j := k; j < c.n; j, at = j+w, at+n {
+				src[at] = vals[j]
+			}
+			continue
+		}
+		for j := k; j < c.n; j, at = j+w, at+n {
+			row[j] = src[at]
+		}
 	}
 	return row
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pochoir"
+	"pochoir/internal/core"
 	"pochoir/internal/faultpoint"
 )
 
@@ -159,7 +160,7 @@ func TestRowProgramScratchBound(t *testing.T) {
 
 // TestRowClonesAllocateNothing: once the scratch pool is warm a base case
 // allocates nothing, on the interior clone and on the row-splitting
-// boundary clone (edge points included).
+// boundary clone (edge points and flattened whole rows included).
 func TestRowClonesAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -179,6 +180,9 @@ func TestRowClonesAllocateNothing(t *testing.T) {
 	wrapped := pochoir.Zoid{T0: 1, T1: 4, N: 2}
 	wrapped.Lo[0], wrapped.Hi[0] = -5, 20
 	wrapped.Lo[1], wrapped.Hi[1] = 50, 70
+	flat := pochoir.Zoid{T0: 1, T1: 4, N: 2} // whole rows: flattened
+	flat.Lo[0], flat.Hi[0] = -2, 40
+	flat.Lo[1], flat.Hi[1] = 0, 64
 	for _, tc := range []struct {
 		name string
 		base pochoir.BaseFunc
@@ -186,8 +190,13 @@ func TestRowClonesAllocateNothing(t *testing.T) {
 	}{
 		{"interior", inst.clones.Interior, interior},
 		{"boundary", inst.clones.Boundary, wrapped},
+		{"flat", inst.clones.Boundary, flat},
 	} {
+		before := inst.lowered().flatRows.Load()
 		tc.base(tc.z) // warm the pool
+		if flattened := inst.lowered().flatRows.Load() > before; flattened != (tc.name == "flat") {
+			t.Fatalf("%s: flattened rows %v", tc.name, flattened)
+		}
 		if n := testing.AllocsPerRun(50, func() { tc.base(tc.z) }); n != 0 {
 			t.Errorf("%s clone: %v allocations per warm base case, want 0", tc.name, n)
 		}
@@ -365,4 +374,119 @@ func TestRunCheckedAllocatesPerRunNotPerPoint(t *testing.T) {
 		t.Fatalf("RunChecked allocates %.2f objects per point (%v per run), want none per point", perPoint, allocs)
 	}
 	t.Logf("RunChecked: %v allocations for %d point updates", allocs, 64*64*steps)
+}
+
+// flatSrc is a two-array, two-statement stencil in dims dimensions whose
+// unit-stride reach is lo below and hi above, with boundary kinds ku and kv.
+// Both statements read across the outer dimensions as well.
+func flatSrc(dims, lo, hi int, ku, kv string) string {
+	idx := func(d0, dl int) string {
+		s := ""
+		for i, n := range indexNames[:dims] {
+			switch {
+			case i == 0 && d0 != 0:
+				s += fmt.Sprintf(", %s%+d", n, d0)
+			case i == dims-1 && dl != 0:
+				s += fmt.Sprintf(", %s%+d", n, dl)
+			default:
+				s += ", " + n
+			}
+		}
+		return s
+	}
+	return fmt.Sprintf(`stencil f { dims: %d; array u; array v; boundary u: %s; boundary v: %s;
+  kernel {
+    u(t+1%s) = 0.5*u(t%s) + 0.25*u(t%s) - 0.125*v(t%s) + 0.0625*u(t%s);
+    v(t+1%s) = max(v(t%s), u(t%s)) - 0.5*v(t%s);
+  } }`, dims, ku, kv,
+		idx(0, 0), idx(0, 0), idx(0, -lo), idx(1, hi), idx(-1, 0),
+		idx(0, 0), idx(0, 0), idx(-1, hi), idx(0, -lo))
+}
+
+// TestRowExecFlatEnds holds the flattened rows to the oracle under every
+// boundary kind and unit-stride reach of 1 and 2, either side or both, at
+// every unit-stride extent from 1 — where the whole row is within reach of
+// an end, and the per-row path runs instead — to past twice the reach.
+func TestRowExecFlatEnds(t *testing.T) {
+	kinds := []string{"periodic", "clamp", "zero", "constant 0.75"}
+	for k, ku := range kinds {
+		kv := kinds[(k+1)%len(kinds)]
+		for _, r := range [][2]int{{1, 1}, {2, 0}, {0, 2}, {1, 2}, {2, 2}} {
+			for _, dims := range []int{2, 3} {
+				c, err := CompileSource(flatSrc(dims, r[0], r[1], ku, kv))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for n := 1; n <= 2*(r[0]+r[1])+2; n++ {
+					sizes := []int{6, n}
+					if dims == 3 {
+						sizes = []int{4, 5, n}
+					}
+					inst, _ := c.NewInstance(sizes...)
+					want, _ := c.NewInstance(sizes...)
+					seedArrays(t, inst, uint64(n))
+					seedArrays(t, want, uint64(n))
+					oracle(want, 4)
+					for _, alg := range []core.Algorithm{core.TRAP, core.LOOPS} {
+						inst.Stencil.Reset()
+						seedArrays(t, inst, uint64(n))
+						if err := inst.Run(4, pochoir.Options{Algorithm: alg}); err != nil {
+							t.Fatal(err)
+						}
+						if i := sameBits(finalState(t, inst, 4), finalState(t, want, 4)); i >= 0 {
+							t.Fatalf("%v, u %s, v %s, reach %v, sizes %v: diverges from the oracle at flat index %d",
+								alg, ku, kv, r, sizes, i)
+						}
+					}
+					if got := inst.lowered().flatRows.Load(); (got > 0) != (n > r[0]+r[1]) {
+						t.Fatalf("u %s, v %s, reach %v, sizes %v: %d rows flattened", ku, kv, r, sizes, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowExecFlatOverwritesProvisional: a flattened step leaves no
+// provisional value behind. The slot being written starts as NaN, the box
+// is three of six whole rows, and afterwards its rows hold the oracle's
+// values while the rows around it still hold the NaN, bit for bit.
+func TestRowExecFlatOverwritesProvisional(t *testing.T) {
+	poison := math.Float64frombits(0x7ff8_dead_beef_0001)
+	for _, kind := range []string{"periodic", "clamp", "zero", "constant 0.75"} {
+		c, err := CompileSource(flatSrc(2, 2, 2, kind, kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const X, Y = 6, 11
+		inst, _ := c.NewInstance(X, Y)
+		want, _ := c.NewInstance(X, Y)
+		seedArrays(t, inst, 9)
+		seedArrays(t, want, 9)
+		oracle(want, 1)
+		p := inst.lowered()
+		for _, a := range inst.Arrays {
+			a.Fill(1, poison)
+		}
+		z := pochoir.Zoid{T0: 1, T1: 2, N: 2}
+		z.Lo[0], z.Hi[0] = 2, 5 // rows 1 to 4 bind every operand in domain
+		z.Lo[1], z.Hi[1] = 0, Y
+		p.exec(z, true)
+		if n := p.flatRows.Load(); n != 3 {
+			t.Fatalf("%s: the step flattened %d rows, want all 3 of the box", kind, n)
+		}
+		for _, name := range []string{"u", "v"} {
+			got, ref := inst.Arrays[name].Slot(1), want.Arrays[name].Slot(1)
+			for i := range got {
+				row := i / Y
+				if row >= 2 && row < 5 {
+					if sameBits(got[i:i+1], ref[i:i+1]) >= 0 {
+						t.Fatalf("%s: %s at row %d point %d is %v, the oracle's %v", kind, name, row, i%Y, got[i], ref[i])
+					}
+				} else if math.Float64bits(got[i]) != math.Float64bits(poison) {
+					t.Fatalf("%s: %s at row %d point %d outside the box was written: %v", kind, name, row, i%Y, got[i])
+				}
+			}
+		}
+	}
 }

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"pochoir"
 )
@@ -38,6 +39,8 @@ type rowProgram struct {
 	args  []operand // the ops' operands, end to end
 	coefs []float64 // opSum multiplies args[i] by coefs[i]
 	nrows int       // scratch rows the ops need at once
+
+	flatRows atomic.Int64 // rows flat has run, summed per base case (see putScratch)
 }
 
 // rowView is one (array, time) plane the program touches: dt is relative to
@@ -111,6 +114,7 @@ type rowScratch struct {
 	rows  []float64   // the program's nrows rows of rowChunk, end to end
 	slots [][]float64 // views bound to the current time step
 	bound []int       // the boundary clone's binding of refs (see rebind)
+	flat  int64       // rows flat has run in the current base case
 }
 
 // zeroRow is the fill of every zero-boundary view.
@@ -153,13 +157,14 @@ func lowerRows(inst *Instance) *rowProgram {
 // grids reachable for two collections; one pool makes the steady state of a
 // daemon allocation-free across jobs as well as across base cases. A scratch
 // grows to the largest program that used it, which the front door bounds at
-// MaxExprDepth+2 rows, and maxSumTerms more that edgeRow may rebind to.
+// MaxExprDepth+2 rows, maxSumTerms more that edgeRow or ends may rebind
+// to, and one a gathered chunk's result waits in to be scattered.
 var scratchPool = sync.Pool{New: func() any { return new(rowScratch) }}
 
 // getScratch takes a scratch from the pool and sizes it for p.
 func (p *rowProgram) getScratch() *rowScratch {
 	sc := scratchPool.Get().(*rowScratch)
-	if need := (p.nrows + maxSumTerms) * rowChunk; len(sc.rows) < need {
+	if need := (p.nrows + maxSumTerms + 1) * rowChunk; len(sc.rows) < need {
 		sc.rows = make([]float64, need)
 	}
 	if need := len(p.views); cap(sc.slots) < need {
@@ -174,8 +179,13 @@ func (p *rowProgram) getScratch() *rowScratch {
 }
 
 // putScratch returns sc to the pool without the views it was bound to, so a
-// pooled scratch never keeps a finished job's arrays alive.
-func putScratch(sc *rowScratch) {
+// pooled scratch never keeps a finished job's arrays alive, and adds the rows
+// the base case flattened to p's count: tests read it to see that flat ran.
+func (p *rowProgram) putScratch(sc *rowScratch) {
+	if sc.flat > 0 {
+		p.flatRows.Add(sc.flat)
+		sc.flat = 0
+	}
 	clear(sc.slots)
 	sc.bound = sc.bound[:0]
 	scratchPool.Put(sc)

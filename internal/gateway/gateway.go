@@ -789,12 +789,8 @@ func (g *Gateway) status(j *job) *JobStatus {
 	// The job's live progress entry shares the registry with every other
 	// job; the per-job label (= job id) is what makes it findable here.
 	if st.State == StateRunning || st.State == StateDone || st.State == StateFailed {
-		for _, p := range g.cfg.Metrics.ProgressSnapshot() {
-			if p.Label == j.id {
-				prog := p
-				st.Progress = &prog
-				break // snapshot is newest-first
-			}
+		if p, ok := g.cfg.Metrics.ProgressOf(j.id); ok {
+			st.Progress = &p
 		}
 	}
 	return st
@@ -881,6 +877,11 @@ func (g *Gateway) runJob(j *job) {
 	var sum string
 	if err == nil {
 		sum = resultChecksum(j.inst, j.steps)
+	}
+	// The run has returned, so nothing else reads the job's arrays: their
+	// storage goes to the grid free list for the next job.
+	for _, a := range j.inst.Arrays {
+		a.Release()
 	}
 
 	now = g.cfg.now()

@@ -229,3 +229,95 @@ func BenchmarkGatewaySmallJob(b *testing.B) {
 		runOne(b, g, sub(8, 32, seed))
 	}
 }
+
+// BenchmarkGatewayComputeJob is BenchmarkGatewaySmallJob for the served
+// compute job, heat2d 192²×32: its bytes per job are what the grid free
+// list saves.
+func BenchmarkGatewayComputeJob(b *testing.B) {
+	g := New(Config{
+		Workers:    2,
+		TenantRate: 1e9,
+		Supervise:  pochoir.SupervisePolicy{SegmentSteps: 64},
+		Trace:      trace.New(trace.Config{}),
+	})
+	defer g.Close()
+	b.ReportAllocs()
+	for seed := int64(0); b.Loop(); seed++ {
+		runOne(b, g, Submission{Spec: heat2dSpec, Sizes: []int{192, 192}, Steps: 32, Seed: seed})
+	}
+}
+
+// TestConcurrentJobsKeepChecksums: jobs running side by side on storage
+// that finished jobs released give the checksums each gives alone — the
+// pinned ones included. Under -race a job that kept reading its arrays
+// after releasing them would race with the job that drew them next.
+func TestConcurrentJobsKeepChecksums(t *testing.T) {
+	subs := []Submission{sub(64, 128, 7), {Spec: waveSpec, Sizes: []int{24, 17}, Steps: 9, Seed: 3}}
+	want := []string{"eaa84ccd140ac1ed", "dc7cb1bb54b87fe1"}
+	for seed := int64(100); seed < 106; seed++ {
+		s := subs[seed%2]
+		s.Seed = seed
+		subs = append(subs, s)
+		alone := New(Config{Workers: 1})
+		want = append(want, runOne(t, alone, s).Checksum)
+		alone.Close()
+	}
+	g := New(Config{Workers: 3, TenantBurst: 1000, TenantMaxConcurrent: 100})
+	defer g.Close()
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range subs {
+					i := (i + c) % len(subs)
+					st, serr := g.Submit("t", subs[i])
+					if serr != nil {
+						t.Errorf("submit: %v", serr)
+						return
+					}
+					ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+					fin, err := g.Wait(ctx, st.ID)
+					cancel()
+					if err != nil || fin.Checksum != want[i] {
+						t.Errorf("job %d (seed %d): %v, checksum %s, want %s", i, subs[i].Seed, err, fin.Checksum, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestStatusCarriesProgress: a running job's status carries its live
+// progress entry, a finished one's the entry it finished with.
+func TestStatusCarriesProgress(t *testing.T) {
+	g := New(Config{Workers: 1})
+	defer g.Close()
+	release := holdWorkers(t, 1)
+	st, serr := g.Submit("t", blockerJob(1))
+	if serr != nil {
+		t.Fatalf("submit: %v", serr)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		run := g.Job(st.ID)
+		if run.State == StateRunning && run.Progress != nil {
+			if !run.Progress.Active || run.Progress.Label != st.ID || run.Progress.Percent >= 100 {
+				t.Fatalf("running job's progress: %+v", run.Progress)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never showed running progress: %+v", run)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	fin := waitDone(t, g, st.ID)
+	if p := fin.Progress; fin.State != StateDone || p == nil || p.Active || !p.OK || p.Percent != 100 || p.Label != st.ID {
+		t.Fatalf("finished job's progress: %+v (state %s)", p, fin.State)
+	}
+}

@@ -52,7 +52,8 @@ type Array[T any] struct {
 // NewArray allocates a Pochoir array with the given stencil depth (the
 // temporal buffer holds depth+1 slots) and spatial sizes. Sizes are listed
 // from the slowest-varying dimension to the unit-stride dimension, matching
-// the index order of Get/Set.
+// the index order of Get/Set. Every slot starts zeroed; the storage may
+// come from the free list (see Release).
 func NewArray[T any](depth int, sizes ...int) (*Array[T], error) {
 	if depth < 1 {
 		return nil, fmt.Errorf("grid: depth must be >= 1, got %d", depth)
@@ -67,7 +68,7 @@ func NewArray[T any](depth int, sizes ...int) (*Array[T], error) {
 		strides: make([]int, len(sizes)),
 		total:   total,
 		slots:   depth + 1,
-		data:    make([]T, n),
+		data:    take[T](n, true),
 	}
 	st := 1
 	for i := a.ndims - 1; i >= 0; i-- {
@@ -297,6 +298,7 @@ type ArrayCheckpoint[T any] struct {
 	slots int
 	from  int
 	data  []T
+	owned bool // data came from the free list or was allocated here (see Release)
 }
 
 // Sizes returns the spatial extents the checkpoint was taken with.
@@ -347,12 +349,14 @@ func (a *Array[T]) Checkpoint(from int) *ArrayCheckpoint[T] {
 
 // CheckpointInto is Checkpoint into cp's storage, which it reuses when cp
 // was taken from an array of this geometry and allocates afresh otherwise
-// (cp may be nil). It returns the checkpoint it filled. A run that
-// checkpoints every segment keeps one such buffer and overwrites it.
+// (cp may be nil) from the free list. It returns the checkpoint it filled.
+// A run that checkpoints every segment keeps one such buffer and
+// overwrites it.
 func (a *Array[T]) CheckpointInto(cp *ArrayCheckpoint[T], from int) *ArrayCheckpoint[T] {
 	live := (a.slots - 1) * a.total
 	if cp == nil || !a.sameGeometry(cp) || len(cp.data) != live {
-		cp = &ArrayCheckpoint[T]{sizes: append([]int(nil), a.sizes...), slots: a.slots, data: make([]T, live)}
+		// Every element is copied over below, so the storage need not be zeroed.
+		cp = &ArrayCheckpoint[T]{sizes: append([]int(nil), a.sizes...), slots: a.slots, data: take[T](live, false), owned: true}
 	}
 	cp.from = from
 	for k := 0; k < a.slots-1; k++ {
@@ -382,6 +386,9 @@ func (a *Array[T]) sameGeometry(cp *ArrayCheckpoint[T]) bool {
 func (a *Array[T]) Restore(cp *ArrayCheckpoint[T]) error {
 	if cp == nil {
 		return fmt.Errorf("grid: Restore of a nil checkpoint")
+	}
+	if cp.data == nil {
+		return fmt.Errorf("grid: Restore of a released checkpoint")
 	}
 	if cp.slots != a.slots {
 		return fmt.Errorf("grid: checkpoint has %d time slots, array has %d", cp.slots, a.slots)

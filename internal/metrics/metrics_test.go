@@ -395,6 +395,57 @@ func TestProgressETA(t *testing.T) {
 	}
 }
 
+// TestProgressOf: the lookup by label answers what ProgressSnapshot's first
+// entry with that label does, for a running run and a finished one, and a
+// reused label finds the newest run.
+func TestProgressOf(t *testing.T) {
+	r := NewRegistry()
+	if _, ok := r.ProgressOf("j-1"); ok {
+		t.Fatal("ProgressOf found a run in an empty registry")
+	}
+	same := func(label string) ProgressStat {
+		t.Helper()
+		got, ok := r.ProgressOf(label)
+		if !ok {
+			t.Fatalf("ProgressOf(%q) found nothing", label)
+		}
+		for _, want := range r.ProgressSnapshot() {
+			if want.Label == label {
+				if got.ID != want.ID || got.Active != want.Active || got.OK != want.OK ||
+					got.PointsDone != want.PointsDone || got.PointsTotal != want.PointsTotal {
+					t.Fatalf("ProgressOf(%q) = %+v, snapshot holds %+v", label, got, want)
+				}
+				return got
+			}
+		}
+		t.Fatalf("the snapshot holds no %q", label)
+		return got
+	}
+	old := r.StartProgress("j-1", 100)
+	old.Add(100)
+	old.Finish(true)
+	run := r.StartProgress("j-2", 100)
+	run.Add(40)
+	r.StartProgress("other", 10) // sweeps j-1 into the finished history
+	if st := same("j-2"); !st.Active || st.PointsDone != 40 {
+		t.Fatalf("running run: %+v", st)
+	}
+	if st := same("j-1"); st.Active || !st.OK || st.Percent != 100 {
+		t.Fatalf("finished run: %+v", st)
+	}
+	run.Finish(false)
+	if st := same("j-2"); st.Active || st.OK {
+		t.Fatalf("failed run: %+v", st)
+	}
+	again := r.StartProgress("j-1", 7) // a reused label: the newest wins
+	if st := same("j-1"); st.ID != again.id || !st.Active {
+		t.Fatalf("reused label found %+v, want run %d", st, again.id)
+	}
+	if n := testing.AllocsPerRun(10, func() { r.ProgressOf("j-2") }); n != 0 {
+		t.Fatalf("ProgressOf made %v allocations, want 0", n)
+	}
+}
+
 func TestProgressHistoryBounded(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < keepFinished*3; i++ {

@@ -207,6 +207,28 @@ func (r *Registry) ProgressSnapshot() []ProgressStat {
 	return out
 }
 
+// ProgressOf returns the newest run labelled label, finished ones included
+// until they age out of the history, and whether there is one. It is
+// ProgressSnapshot's first entry with that label, without a stat per run
+// or a sort.
+func (r *Registry) ProgressOf(label string) (ProgressStat, bool) {
+	s := &r.prog
+	s.mu.Lock()
+	var newest *Progress
+	for _, runs := range [2][]*Progress{s.active, s.finished} {
+		for i := len(runs) - 1; i >= 0; i-- {
+			if p := runs[i]; p.label == label && (newest == nil || p.id > newest.id) {
+				newest = p
+			}
+		}
+	}
+	s.mu.Unlock()
+	if newest == nil {
+		return ProgressStat{}, false
+	}
+	return newest.stat(), true
+}
+
 // latest returns the most recently started run, preferring an unfinished
 // one; nil when no run was ever tracked.
 func (s *progressSet) latest() *Progress {

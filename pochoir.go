@@ -627,6 +627,16 @@ func (s *Stencil[T]) checkpointInto(cp *Checkpoint[T]) (*Checkpoint[T], error) {
 	return cp, nil
 }
 
+// release gives the checkpoint's storage to the grid free list (see
+// Array.Release); cp may be nil.
+func (cp *Checkpoint[T]) release() {
+	if cp != nil {
+		for _, a := range cp.arrays {
+			a.Release()
+		}
+	}
+}
+
 // Restore rewinds the stencil to a checkpoint: the checkpoint's slots are
 // written back into every registered array, the resume cursor rewinds to
 // the checkpointed step count, and the poisoned state is cleared — the

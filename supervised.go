@@ -168,7 +168,8 @@ func (s *Stencil[T]) runSupervised(ctx context.Context, steps int, kern Kernel, 
 	}
 	// The run owns its checkpoint memory: cpStart, the current segment's
 	// start state, and cpEnd, shadow verification's copy of its result.
-	// Each is allocated once and overwritten every segment.
+	// Each is allocated once, overwritten every segment, and released to
+	// the grid free list when the run ends.
 	var cpStart, cpEnd *Checkpoint[T]
 	d := resilience.Driver{
 		Steps: steps,
@@ -230,6 +231,10 @@ func (s *Stencil[T]) runSupervised(ctx context.Context, steps int, kern Kernel, 
 	if err != nil {
 		s.writePostmortem(err, rep)
 	}
+	// The supervisor, the journal and the post-mortem are done with the
+	// run's checkpoints.
+	cpStart.release()
+	cpEnd.release()
 	return rep, err
 }
 
