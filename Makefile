@@ -31,11 +31,13 @@ test:
 # exposition, the zoid counter rising across runs, and a recovered supervised
 # run's progress never falling and ending at 100%. The grid free list's
 # tests run there too: storage handed between goroutines by Release and
-# NewArray must never be shared.
+# NewArray must never be shared; so do the accessors' reference and rank
+# tests, and the RunChecked tests that hold the accessors' in-domain fast
+# path to shape checking.
 race:
 	$(GO) test -race ./internal/core ./internal/sched ./internal/telemetry ./internal/loops ./internal/faultpoint ./internal/resilience ./internal/metrics ./internal/flight ./internal/wire ./internal/compiler ./internal/gateway ./internal/trace ./internal/profile
-	$(GO) test -race -run 'FreeList|Released' ./internal/grid
-	$(GO) test -race -run 'Panic|Cancel|Poison|Checkpoint|Restore|Fault|RegisterArray|Supervised|LoopsEngine|Monitor|Progress|Bundle|Recorder|Incident|Resume|Durable|ShareRunMetrics|ShadowVerify' .
+	$(GO) test -race -run 'FreeList|Released|AccessorsMatchReference|IndexRank' ./internal/grid
+	$(GO) test -race -run 'Panic|Cancel|Poison|Checkpoint|Restore|Fault|RegisterArray|Supervised|LoopsEngine|Monitor|Progress|Bundle|Recorder|Incident|Resume|Durable|ShareRunMetrics|ShadowVerify|RunChecked' .
 
 # soak runs the supervised-run soak with probabilistic faults armed at the
 # walker's base and cut sites: every visit rolls the dice, and the

@@ -38,14 +38,16 @@ func diff(a, b []int) []int {
 // application to establish the reference point.
 func (a *Array[T]) EnableShapeCheck(s *shape.Shape) {
 	a.checkShape = s
-	a.homeX = make([]int, a.ndims)
+	a.homeX = make([]int, len(a.dims))
 	a.checkErr = nil
+	a.direct = a.directRank()
 }
 
 // DisableShapeCheck turns off verification.
 func (a *Array[T]) DisableShapeCheck() {
 	a.checkShape = nil
 	a.checkErr = nil
+	a.direct = a.directRank()
 }
 
 // SetHome records the home point of the kernel application about to run.

@@ -5,12 +5,12 @@
 // The array provides two access paths, mirroring the paper's two kernel
 // clones (§4, "Handling boundary conditions by code cloning"):
 //
-//   - the checked path (Get/Set and their fixed-arity variants) consults the
+//   - the checked path (Get/Set, GetPeriodic/GetClamped) consults the
 //     registered boundary function whenever a spatial index falls outside
 //     the computing domain, and optionally enforces the declared stencil
 //     shape — this is the Phase-1 "template library" behaviour, including
 //     the Pochoir Guarantee check;
-//   - the unchecked interior path (Idx and direct Slot access) performs
+//   - the unchecked interior path (direct Slot access with Stride) performs
 //     only address arithmetic and is what Phase-2 generated code and the
 //     hand-specialized kernels use inside interior zoids.
 package grid
@@ -32,12 +32,15 @@ type Boundary[T any] func(a *Array[T], t int, idx []int) T
 // each with slots = depth+1 time copies reused modulo slots as the
 // computation proceeds. The last spatial dimension is unit-stride.
 type Array[T any] struct {
-	ndims   int
-	sizes   []int
-	strides []int
-	total   int // product of sizes: points per time slot
-	slots   int // depth + 1
-	data    []T
+	// direct is the rank while it is 1 or 2, slots is a power of two and no
+	// shape is checked, else 0: Get and Set then serve in-domain indices.
+	direct int
+	mask   int // slots-1 when slots is a power of two, else 0
+	total  int // product of the extents: points per time slot
+	data   []T
+	dims   []dim // slowest-varying first; backed by inline up to its length
+	inline [4]dim
+	slots  int // depth + 1
 
 	boundary Boundary[T]
 	owned    idxArena
@@ -62,20 +65,29 @@ func NewArray[T any](depth int, sizes ...int) (*Array[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Array[T]{
-		ndims:   len(sizes),
-		sizes:   append([]int(nil), sizes...),
-		strides: make([]int, len(sizes)),
-		total:   total,
-		slots:   depth + 1,
-		data:    take[T](n, true),
+	a := &Array[T]{total: total, slots: depth + 1, data: take[T](n, true)}
+	if a.slots&depth == 0 {
+		a.mask = depth
 	}
-	st := 1
-	for i := a.ndims - 1; i >= 0; i-- {
-		a.strides[i] = st
-		st *= a.sizes[i]
+	a.dims = a.inline[:0]
+	st := total
+	for _, s := range sizes {
+		st /= s
+		a.dims = append(a.dims, dim{s, st})
 	}
+	a.direct = a.directRank()
 	return a, nil
+}
+
+// dim is one spatial dimension: its extent and its linear stride in a slot.
+type dim struct{ n, stride int }
+
+// directRank is the value of the direct field.
+func (a *Array[T]) directRank() int {
+	if len(a.dims) > 2 || a.mask == 0 || a.checkShape != nil {
+		return 0
+	}
+	return len(a.dims)
 }
 
 // extent is the points per time slot of an array with these sizes and the
@@ -111,16 +123,22 @@ func MustNewArray[T any](depth int, sizes ...int) *Array[T] {
 }
 
 // NDims returns the number of spatial dimensions.
-func (a *Array[T]) NDims() int { return a.ndims }
+func (a *Array[T]) NDims() int { return len(a.dims) }
 
 // Size returns the extent of spatial dimension i (same order as Get/Set).
-func (a *Array[T]) Size(i int) int { return a.sizes[i] }
+func (a *Array[T]) Size(i int) int { return a.dims[i].n }
 
 // Sizes returns a copy of all spatial extents.
-func (a *Array[T]) Sizes() []int { return append([]int(nil), a.sizes...) }
+func (a *Array[T]) Sizes() []int {
+	s := make([]int, len(a.dims))
+	for i, d := range a.dims {
+		s[i] = d.n
+	}
+	return s
+}
 
 // Stride returns the linear stride of spatial dimension i within a slot.
-func (a *Array[T]) Stride(i int) int { return a.strides[i] }
+func (a *Array[T]) Stride(i int) int { return a.dims[i].stride }
 
 // Slots returns the number of temporal copies (stencil depth + 1).
 func (a *Array[T]) Slots() int { return a.slots }
@@ -131,11 +149,21 @@ func (a *Array[T]) PointsPerSlot() int { return a.total }
 // Slot returns the backing storage of time step t's slot (t taken modulo
 // the number of slots). Phase-2 specialized kernels walk this directly.
 func (a *Array[T]) Slot(t int) []T {
+	s := a.slot(t)
+	return a.data[s*a.total : (s+1)*a.total]
+}
+
+// slot is t modulo the slot count, never negative: a mask where the count
+// is a power of two, a division otherwise.
+func (a *Array[T]) slot(t int) int {
+	if a.mask != 0 {
+		return t & a.mask
+	}
 	s := t % a.slots
 	if s < 0 {
 		s += a.slots
 	}
-	return a.data[s*a.total : (s+1)*a.total]
+	return s
 }
 
 // RegisterBoundary associates the boundary function b with the array.
@@ -143,41 +171,65 @@ func (a *Array[T]) Slot(t int) []T {
 // one replaces the old (§2, Register_Boundary).
 func (a *Array[T]) RegisterBoundary(b Boundary[T]) { a.boundary = b }
 
-// inDomain reports whether idx lies inside the spatial domain.
-func (a *Array[T]) inDomain(idx []int) bool {
-	for i, x := range idx {
-		if x < 0 || x >= a.sizes[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Idx returns the linear offset of the in-domain spatial index idx within a
-// slot. It performs no checking.
-func (a *Array[T]) Idx(idx []int) int {
-	off := 0
-	for i, x := range idx {
-		off += x * a.strides[i]
-	}
-	return off
-}
-
 // Get returns the value at time t and spatial index idx. Off-domain
 // accesses are served by the registered boundary function; it is an error
-// (panic) to read off-domain without one. When shape checking is active the
-// access offset is verified against the declared stencil shape.
+// (panic) to read off-domain without one, or with an index of the wrong
+// rank. When shape checking is active the access offset is verified against
+// the declared stencil shape.
 //
 // idx never escapes Get, so a caller's variadic index stays on its stack and
-// an in-domain access allocates nothing.
+// an in-domain access allocates nothing. Where the direct field allows, an
+// in-domain index is served in place; anything else goes through at.
 func (a *Array[T]) Get(t int, idx ...int) T {
+	switch {
+	case len(idx) == 2 && a.direct == 2:
+		if x, y := idx[0], idx[1]; uint(x) < uint(a.inline[0].n) && uint(y) < uint(a.inline[1].n) {
+			return a.data[(t&a.mask)*a.total+x*a.inline[0].stride+y]
+		}
+	case len(idx) == 1 && a.direct == 1:
+		if x := idx[0]; uint(x) < uint(a.inline[0].n) {
+			return a.data[(t&a.mask)*a.total+x]
+		}
+	}
+	if i, ok := a.at(t, idx); ok {
+		return a.data[i]
+	}
+	return a.offDomain(t, a.owned.copyOf(idx))
+}
+
+// at is the element of data that holds time t at spatial index idx, found
+// in one pass over idx that tests each coordinate against its extent and
+// adds in its stride; ok is false where idx is off-domain. It verifies the
+// access first while shape checking is active, and panics on an index of
+// the wrong rank.
+func (a *Array[T]) at(t int, idx []int) (i int, ok bool) {
+	dims := a.checkRank(idx)
 	if a.checkShape != nil {
 		a.verify(t, idx)
 	}
-	if !a.inDomain(idx) {
-		return a.offDomain(t, a.owned.copyOf(idx))
+	for k, d := range dims {
+		x := idx[k]
+		if uint(x) >= uint(d.n) {
+			return 0, false
+		}
+		i += x * d.stride
 	}
-	return a.Slot(t)[a.Idx(idx)]
+	return a.slot(t)*a.total + i, true
+}
+
+// checkRank returns the array's dimensions, panicking unless idx has one
+// coordinate for each.
+func (a *Array[T]) checkRank(idx []int) []dim {
+	if len(idx) != len(a.dims) {
+		rankPanic(idx, len(a.dims))
+	}
+	return a.dims
+}
+
+// rankPanic is out of line so that checkRank stays small enough to inline.
+func rankPanic(idx []int, rank int) {
+	panic(fmt.Sprintf("grid: index %v has %d coordinates, array has rank %d",
+		append([]int(nil), idx...), len(idx), rank))
 }
 
 // offDomain serves an off-domain read from the boundary function, which
@@ -214,46 +266,51 @@ func (r *idxArena) copyOf(idx []int) []int {
 	return own
 }
 
-// Set stores v at time t and spatial index idx, which must be in-domain.
-// Like Get, it lets no part of idx escape.
+// Set stores v at time t and spatial index idx, which must be in-domain and
+// of the array's rank. Like Get, it lets no part of idx escape; it repeats
+// Get's direct path, which as a helper would cost a call (it does not inline).
 func (a *Array[T]) Set(t int, v T, idx ...int) {
-	if a.checkShape != nil {
-		a.verify(t, idx)
+	switch {
+	case len(idx) == 2 && a.direct == 2:
+		if x, y := idx[0], idx[1]; uint(x) < uint(a.inline[0].n) && uint(y) < uint(a.inline[1].n) {
+			a.data[(t&a.mask)*a.total+x*a.inline[0].stride+y] = v
+			return
+		}
+	case len(idx) == 1 && a.direct == 1:
+		if x := idx[0]; uint(x) < uint(a.inline[0].n) {
+			a.data[(t&a.mask)*a.total+x] = v
+			return
+		}
 	}
-	if !a.inDomain(idx) {
+	i, ok := a.at(t, idx)
+	if !ok {
 		panic(fmt.Sprintf("grid: off-domain write at t=%d idx=%v", t, append([]int(nil), idx...)))
 	}
-	a.Slot(t)[a.Idx(idx)] = v
+	a.data[i] = v
 }
 
 // GetClamped returns the value at t with each spatial coordinate clamped to
 // the domain; a convenience for Neumann-style boundary functions.
 func (a *Array[T]) GetClamped(t int, idx ...int) T {
 	off := 0
-	for i, x := range idx {
-		if x < 0 {
-			x = 0
-		} else if x >= a.sizes[i] {
-			x = a.sizes[i] - 1
-		}
-		off += x * a.strides[i]
+	for k, d := range a.checkRank(idx) {
+		off += min(max(idx[k], 0), d.n-1) * d.stride
 	}
-	return a.Slot(t)[off]
+	return a.data[a.slot(t)*a.total+off]
 }
 
 // GetPeriodic returns the value at t with each spatial coordinate wrapped
 // modulo the domain; a convenience for periodic boundary functions.
 func (a *Array[T]) GetPeriodic(t int, idx ...int) T {
 	off := 0
-	for i, x := range idx {
-		n := a.sizes[i]
-		x %= n
+	for k, d := range a.checkRank(idx) {
+		x := idx[k] % d.n
 		if x < 0 {
-			x += n
+			x += d.n
 		}
-		off += x * a.strides[i]
+		off += x * d.stride
 	}
-	return a.Slot(t)[off]
+	return a.data[a.slot(t)*a.total+off]
 }
 
 // Fill sets every point of time step t's slot to v.
@@ -356,7 +413,7 @@ func (a *Array[T]) CheckpointInto(cp *ArrayCheckpoint[T], from int) *ArrayCheckp
 	live := (a.slots - 1) * a.total
 	if cp == nil || !a.sameGeometry(cp) || len(cp.data) != live {
 		// Every element is copied over below, so the storage need not be zeroed.
-		cp = &ArrayCheckpoint[T]{sizes: append([]int(nil), a.sizes...), slots: a.slots, data: take[T](live, false), owned: true}
+		cp = &ArrayCheckpoint[T]{sizes: a.Sizes(), slots: a.slots, data: take[T](live, false), owned: true}
 	}
 	cp.from = from
 	for k := 0; k < a.slots-1; k++ {
@@ -368,11 +425,11 @@ func (a *Array[T]) CheckpointInto(cp *ArrayCheckpoint[T], from int) *ArrayCheckp
 // sameGeometry reports whether cp was taken from an array of a's spatial
 // extents and temporal depth.
 func (a *Array[T]) sameGeometry(cp *ArrayCheckpoint[T]) bool {
-	if cp.slots != a.slots || len(cp.sizes) != a.ndims {
+	if cp.slots != a.slots || len(cp.sizes) != len(a.dims) {
 		return false
 	}
 	for i, s := range cp.sizes {
-		if s != a.sizes[i] {
+		if s != a.dims[i].n {
 			return false
 		}
 	}
@@ -394,7 +451,7 @@ func (a *Array[T]) Restore(cp *ArrayCheckpoint[T]) error {
 		return fmt.Errorf("grid: checkpoint has %d time slots, array has %d", cp.slots, a.slots)
 	}
 	if !a.sameGeometry(cp) {
-		return fmt.Errorf("grid: checkpoint sizes %v differ from array sizes %v", cp.sizes, a.sizes)
+		return fmt.Errorf("grid: checkpoint sizes %v differ from array sizes %v", cp.sizes, a.Sizes())
 	}
 	for k := 0; k*a.total < len(cp.data); k++ {
 		copy(a.Slot(cp.from+k), cp.data[k*a.total:(k+1)*a.total])
@@ -406,11 +463,12 @@ func (a *Array[T]) Restore(cp *ArrayCheckpoint[T]) error {
 // innermost dimension — the analogue of the paper's overloaded "cout << u".
 func (a *Array[T]) Sprint(t int) string {
 	var b []byte
-	inner := a.sizes[a.ndims-1]
+	d := len(a.dims)
+	inner := a.dims[d-1].n
 	s := a.Slot(t)
 	for off := 0; off < a.total; off += inner {
 		// Blank line between higher-dimensional blocks.
-		if off > 0 && a.ndims >= 2 && off%(inner*a.sizes[a.ndims-2]) == 0 {
+		if off > 0 && d >= 2 && off%(inner*a.dims[d-2].n) == 0 {
 			b = append(b, '\n')
 		}
 		for i := 0; i < inner; i++ {

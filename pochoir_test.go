@@ -193,6 +193,24 @@ func TestRunCheckedRejectsShapeViolation(t *testing.T) {
 	}
 }
 
+// TestRunCheckedRejectsInDomainShapeViolation: a kernel whose only
+// undeclared access lands inside the domain, where the accessors' fast path
+// serves in-domain indices, is still flagged. Reading two steps back is
+// outside the depth-1 heat shape at every point.
+func TestRunCheckedRejectsInDomainShapeViolation(t *testing.T) {
+	sh := heat2DShape()
+	st := pochoir.New[float64](sh)
+	u := pochoir.MustArray[float64](sh.Depth(), 8, 8)
+	u.RegisterBoundary(pochoir.ZeroBoundary[float64]())
+	st.MustRegisterArray(u)
+	kern := pochoir.K2(func(tt, x, y int) {
+		u.Set(tt+1, u.Get(tt, x, y)+u.Get(tt-1, x, y), x, y)
+	})
+	if err := st.RunChecked(2, kern); err == nil {
+		t.Fatal("an undeclared in-domain access must violate the Pochoir Guarantee")
+	}
+}
+
 func TestRegisterArrayValidation(t *testing.T) {
 	sh := heat2DShape()
 	st := pochoir.New[float64](sh)
