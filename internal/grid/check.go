@@ -40,14 +40,14 @@ func (a *Array[T]) EnableShapeCheck(s *shape.Shape) {
 	a.checkShape = s
 	a.homeX = make([]int, len(a.dims))
 	a.checkErr = nil
-	a.direct = a.directRank()
+	a.direct = a.isDirect()
 }
 
 // DisableShapeCheck turns off verification.
 func (a *Array[T]) DisableShapeCheck() {
 	a.checkShape = nil
 	a.checkErr = nil
-	a.direct = a.directRank()
+	a.direct = a.isDirect()
 }
 
 // SetHome records the home point of the kernel application about to run.

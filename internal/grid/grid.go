@@ -32,9 +32,9 @@ type Boundary[T any] func(a *Array[T], t int, idx []int) T
 // each with slots = depth+1 time copies reused modulo slots as the
 // computation proceeds. The last spatial dimension is unit-stride.
 type Array[T any] struct {
-	// direct is the rank while it is 1 or 2, slots is a power of two and no
-	// shape is checked, else 0: Get and Set then serve in-domain indices.
-	direct int
+	// direct is set while the rank is 2, slots is a power of two and no shape
+	// is checked: Get and Set then serve in-domain indices through directAt.
+	direct bool
 	mask   int // slots-1 when slots is a power of two, else 0
 	total  int // product of the extents: points per time slot
 	data   []T
@@ -75,19 +75,16 @@ func NewArray[T any](depth int, sizes ...int) (*Array[T], error) {
 		st /= s
 		a.dims = append(a.dims, dim{s, st})
 	}
-	a.direct = a.directRank()
+	a.direct = a.isDirect()
 	return a, nil
 }
 
 // dim is one spatial dimension: its extent and its linear stride in a slot.
 type dim struct{ n, stride int }
 
-// directRank is the value of the direct field.
-func (a *Array[T]) directRank() int {
-	if len(a.dims) > 2 || a.mask == 0 || a.checkShape != nil {
-		return 0
-	}
-	return len(a.dims)
+// isDirect is the value of the direct field.
+func (a *Array[T]) isDirect() bool {
+	return len(a.dims) == 2 && a.mask != 0 && a.checkShape == nil
 }
 
 // extent is the points per time slot of an array with these sizes and the
@@ -179,22 +176,27 @@ func (a *Array[T]) RegisterBoundary(b Boundary[T]) { a.boundary = b }
 //
 // idx never escapes Get, so a caller's variadic index stays on its stack and
 // an in-domain access allocates nothing. Where the direct field allows, an
-// in-domain index is served in place; anything else goes through at.
+// in-domain index is served by directAt; anything else goes through at.
 func (a *Array[T]) Get(t int, idx ...int) T {
-	switch {
-	case len(idx) == 2 && a.direct == 2:
-		if x, y := idx[0], idx[1]; uint(x) < uint(a.inline[0].n) && uint(y) < uint(a.inline[1].n) {
-			return a.data[(t&a.mask)*a.total+x*a.inline[0].stride+y]
-		}
-	case len(idx) == 1 && a.direct == 1:
-		if x := idx[0]; uint(x) < uint(a.inline[0].n) {
-			return a.data[(t&a.mask)*a.total+x]
-		}
+	if i, ok := a.directAt(t, idx); ok {
+		return a.data[i]
 	}
 	if i, ok := a.at(t, idx); ok {
 		return a.data[i]
 	}
 	return a.offDomain(t, a.owned.copyOf(idx))
+}
+
+// directAt is the element of data that holds time t at an in-domain 2D index
+// of a direct array, with no call and no loop; ok is false for any other
+// index or array, which at then handles. It inlines into Get and Set.
+func (a *Array[T]) directAt(t int, idx []int) (i int, ok bool) {
+	if a.direct && len(idx) == 2 {
+		if x, y := idx[0], idx[1]; uint(x) < uint(a.inline[0].n) && uint(y) < uint(a.inline[1].n) {
+			return (t&a.mask)*a.total + x*a.inline[0].stride + y, true
+		}
+	}
+	return 0, false
 }
 
 // at is the element of data that holds time t at spatial index idx, found
@@ -267,20 +269,11 @@ func (r *idxArena) copyOf(idx []int) []int {
 }
 
 // Set stores v at time t and spatial index idx, which must be in-domain and
-// of the array's rank. Like Get, it lets no part of idx escape; it repeats
-// Get's direct path, which as a helper would cost a call (it does not inline).
+// of the array's rank. Like Get, it lets no part of idx escape.
 func (a *Array[T]) Set(t int, v T, idx ...int) {
-	switch {
-	case len(idx) == 2 && a.direct == 2:
-		if x, y := idx[0], idx[1]; uint(x) < uint(a.inline[0].n) && uint(y) < uint(a.inline[1].n) {
-			a.data[(t&a.mask)*a.total+x*a.inline[0].stride+y] = v
-			return
-		}
-	case len(idx) == 1 && a.direct == 1:
-		if x := idx[0]; uint(x) < uint(a.inline[0].n) {
-			a.data[(t&a.mask)*a.total+x] = v
-			return
-		}
+	if i, ok := a.directAt(t, idx); ok {
+		a.data[i] = v
+		return
 	}
 	i, ok := a.at(t, idx)
 	if !ok {

@@ -356,6 +356,21 @@ func TestShapeCheck(t *testing.T) {
 		t.Fatal("disable should clear error")
 	}
 	_ = a.Get(3, 6) // no longer checked
+
+	// A rank-2 array with a power-of-two slot count, whose in-domain
+	// accesses the direct path serves while nothing is checked, is checked
+	// once checking is on.
+	b := MustNewArray[float64](1, 4, 4)
+	b.EnableShapeCheck(shape.MustNew(2, [][]int{{1, 0, 0}, {0, 0, 0}}))
+	b.SetHome(3, []int{1, 1})
+	_ = b.Get(3, 1, 1)
+	if err := b.CheckErr(); err != nil {
+		t.Fatalf("compliant rank-2 access flagged: %v", err)
+	}
+	_ = b.Get(3, 1, 2)
+	if b.CheckErr() == nil {
+		t.Fatal("expected a shape violation on an in-domain rank-2 access")
+	}
 }
 
 func TestShapeErrorMessage(t *testing.T) {
