@@ -104,33 +104,52 @@ func BenchmarkHeat2D(b *testing.B) {
 	})
 }
 
+// benchClosure times run on b.N fresh instances of a closure-kernel stencil
+// built by mk, which do up point updates each, and reports allocations and
+// Mpts/s.
+func benchClosure(b *testing.B, up float64, mk func() (*pochoir.Stencil[float64], pochoir.Kernel), run func(st *pochoir.Stencil[float64], kern pochoir.Kernel) error) {
+	b.Helper()
+	b.ReportAllocs()
+	sts := make([]*pochoir.Stencil[float64], b.N)
+	kerns := make([]pochoir.Kernel, b.N)
+	for i := range sts {
+		sts[i], kerns[i] = mk()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run(sts[i], kerns[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(up*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpts/s")
+}
+
 // BenchmarkSupervisedHeat2D measures the resilience supervisor's overhead
 // on the Heat 2D workload. NoCheckpoint is the happy path — one segment, no
 // state copies, supervisor bookkeeping only — and is the 5%-of-Run
 // acceptance bench. Segmented adds a checkpoint every 8 steps (4 deep
 // copies of the 512x512 grid per run); Spill additionally persists each
 // checkpoint to the durable journal (the ≤10%-over-Segmented acceptance
-// bench for crash recovery); Verified instead shadow-recomputes a sampled
-// 4x4 box's dependency cone per segment.
+// bench for crash recovery); SpillEveryStep checkpoints and spills after
+// every step, the policy, grid and step count of the phase1-spill benchmark
+// workload (which has a zero boundary where this one is periodic); Verified
+// instead shadow-recomputes a sampled 4x4 box's dependency cone per segment.
 func BenchmarkSupervisedHeat2D(b *testing.B) {
 	const X, Y, steps, seed = 512, 512, 32, 7
 	up := float64(X*Y) * float64(steps)
 	benchSup := func(b *testing.B, run func(st *pochoir.Stencil[float64], kern pochoir.Kernel) error) {
 		b.Helper()
-		b.ReportAllocs()
-		sts := make([]*pochoir.Stencil[float64], b.N)
-		kerns := make([]pochoir.Kernel, b.N)
-		for i := range sts {
-			sts[i], _, kerns[i] = heatStencil(b, pochoir.Options{}, X, Y, seed)
+		benchClosure(b, up, func() (*pochoir.Stencil[float64], pochoir.Kernel) {
+			st, _, kern := heatStencil(b, pochoir.Options{}, X, Y, seed)
+			return st, kern
+		}, run)
+	}
+	supervised := func(p pochoir.SupervisePolicy) func(st *pochoir.Stencil[float64], kern pochoir.Kernel) error {
+		return func(st *pochoir.Stencil[float64], kern pochoir.Kernel) error {
+			_, err := st.RunSupervised(context.Background(), steps, kern, p)
+			return err
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := run(sts[i], kerns[i]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(up*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpts/s")
 	}
 	b.Run("Run", func(b *testing.B) {
 		benchSup(b, func(st *pochoir.Stencil[float64], kern pochoir.Kernel) error {
@@ -138,37 +157,76 @@ func BenchmarkSupervisedHeat2D(b *testing.B) {
 		})
 	})
 	b.Run("SupervisedNoCheckpoint", func(b *testing.B) {
-		benchSup(b, func(st *pochoir.Stencil[float64], kern pochoir.Kernel) error {
-			_, err := st.RunSupervised(context.Background(), steps, kern,
-				pochoir.SupervisePolicy{NoCheckpoint: true})
-			return err
-		})
+		benchSup(b, supervised(pochoir.SupervisePolicy{NoCheckpoint: true}))
 	})
 	b.Run("SupervisedSegmented", func(b *testing.B) {
-		benchSup(b, func(st *pochoir.Stencil[float64], kern pochoir.Kernel) error {
-			_, err := st.RunSupervised(context.Background(), steps, kern,
-				pochoir.SupervisePolicy{SegmentSteps: 8})
-			return err
-		})
+		benchSup(b, supervised(pochoir.SupervisePolicy{SegmentSteps: 8}))
 	})
 	b.Run("SupervisedSpill", func(b *testing.B) {
-		dir := b.TempDir()
-		benchSup(b, func(st *pochoir.Stencil[float64], kern pochoir.Kernel) error {
-			_, err := st.RunSupervised(context.Background(), steps, kern,
-				pochoir.SupervisePolicy{SegmentSteps: 8, SpillDir: dir})
-			return err
-		})
+		benchSup(b, supervised(pochoir.SupervisePolicy{SegmentSteps: 8, SpillDir: b.TempDir()}))
+	})
+	b.Run("SupervisedSpillEveryStep", func(b *testing.B) {
+		benchSup(b, supervised(pochoir.SupervisePolicy{SegmentSteps: 1, SpillDir: b.TempDir()}))
 	})
 	b.Run("SupervisedVerified", func(b *testing.B) {
-		benchSup(b, func(st *pochoir.Stencil[float64], kern pochoir.Kernel) error {
-			_, err := st.RunSupervised(context.Background(), steps, kern,
-				pochoir.SupervisePolicy{
-					SegmentSteps: 8,
-					Verify:       pochoir.VerifyPolicy{Enabled: true},
-				})
-			return err
-		})
+		benchSup(b, supervised(pochoir.SupervisePolicy{
+			SegmentSteps: 8,
+			Verify:       pochoir.VerifyPolicy{Enabled: true},
+		}))
 	})
+}
+
+// BenchmarkClosureRun is BenchmarkSupervisedHeat2D/Run's rank-1 and rank-3
+// siblings: a closure point kernel through Run, periodic, 32 steps, on as
+// many points as the 512² grid. Heat1D is the three-point heat kernel on
+// 2^18 points, Pt7 the Berkeley 7-point kernel on 64³. Their arrays take the
+// grid accessors' general path, which the rank-2 one skips.
+func BenchmarkClosureRun(b *testing.B) {
+	const steps, seed = 32, 7
+	cases := []struct {
+		name  string
+		sizes []int
+		sh    *pochoir.Shape
+		kern  func(u *pochoir.Array[float64]) pochoir.Kernel
+	}{
+		{"Heat1D", []int{1 << 18}, pochoir.MustShape(1, [][]int{{1, 0}, {0, 0}, {0, 1}, {0, -1}}),
+			func(u *pochoir.Array[float64]) pochoir.Kernel {
+				return pochoir.K1(func(t, x int) {
+					u.Set(t+1, 0.25*(u.Get(t, x-1)+2*u.Get(t, x)+u.Get(t, x+1)), x)
+				})
+			}},
+		{"Pt7", []int{64, 64, 64}, pochoir.MustShape(3, [][]int{
+			{1, 0, 0, 0}, {0, 0, 0, 0},
+			{0, 1, 0, 0}, {0, -1, 0, 0}, {0, 0, 1, 0}, {0, 0, -1, 0}, {0, 0, 0, 1}, {0, 0, 0, -1},
+		}),
+			func(u *pochoir.Array[float64]) pochoir.Kernel {
+				const alpha, beta = 0.4, 0.1
+				return pochoir.K3(func(t, x, y, z int) {
+					u.Set(t+1, alpha*u.Get(t, x, y, z)+beta*(u.Get(t, x+1, y, z)+u.Get(t, x-1, y, z)+
+						u.Get(t, x, y+1, z)+u.Get(t, x, y-1, z)+u.Get(t, x, y, z+1)+u.Get(t, x, y, z-1)), x, y, z)
+				})
+			}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			points := 1
+			for _, n := range c.sizes {
+				points *= n
+			}
+			benchClosure(b, float64(points*steps), func() (*pochoir.Stencil[float64], pochoir.Kernel) {
+				st := pochoir.New[float64](c.sh)
+				u := pochoir.MustArray[float64](c.sh.Depth(), c.sizes...)
+				u.RegisterBoundary(pochoir.PeriodicBoundary[float64]())
+				st.MustRegisterArray(u)
+				if err := u.CopyIn(0, randomGrid(points, seed)); err != nil {
+					b.Fatal(err)
+				}
+				return st, c.kern(u)
+			}, func(st *pochoir.Stencil[float64], kern pochoir.Kernel) error {
+				return st.Run(steps, kern)
+			})
+		})
+	}
 }
 
 // BenchmarkAllSignalsOn is the one observability budget: the served path —

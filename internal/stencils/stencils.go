@@ -9,8 +9,10 @@
 //
 //   - Pochoir: the Phase-2 path — TRAP decomposition with an interior and a
 //     boundary clone;
-//   - PochoirGeneric: the Phase-1 path — the same decomposition driving the
-//     checked point kernel everywhere (the "template library" behaviour);
+//   - PochoirGeneric: the Phase-1 path — the checked point kernel
+//     everywhere, through Run (the "template library" behaviour), whose
+//     walk in 2D sweeps whole rows where the hand-written clones' walk cuts
+//     them;
 //   - LoopsSerial / LoopsParallel: the LOOPS baseline of Fig. 1 — a serial
 //     or parallel-for loop nest per time step, using ghost cells for
 //     nonperiodic stencils and modular indexing for periodic ones, exactly

@@ -62,6 +62,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // Schema identifies the checkpoint wire format. It is not itself encoded
@@ -353,57 +354,41 @@ func Encode(w io.Writer, cp *Checkpoint) error {
 	return bw.Flush()
 }
 
-// encodeElems streams a typed slice through a chunk-sized scratch buffer.
+// hostLittleEndian reports whether this host's in-memory element bytes are
+// already the wire's little-endian encoding.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// encodeElems streams a typed slice through a chunk-sized scratch buffer,
+// or straight from its own memory where that already is the encoding.
 func encodeElems(w io.Writer, data any) error {
-	buf := make([]byte, chunk)
-	flush := func(n int) error {
-		_, err := w.Write(buf[:n])
-		return err
-	}
 	switch d := data.(type) {
 	case []float64:
-		// The common case gets a loop of its own: through encode64 it pays
-		// a func-value call per element.
-		per := len(buf) / 8
-		for off := 0; off < len(d); off += per {
-			n := min(per, len(d)-off)
-			for j, v := range d[off : off+n] {
-				binary.LittleEndian.PutUint64(buf[j*8:], math.Float64bits(v))
-			}
-			if err := flush(n * 8); err != nil {
-				return err
-			}
+		if hostLittleEndian {
+			// The common case converts nothing.
+			return writeChunks(w, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(d))), len(d)*8))
 		}
-		return nil
+		return encode64(w, d, math.Float64bits)
 	case []float32:
-		return encode32(d, buf, flush, func(v float32) uint32 { return math.Float32bits(v) })
+		return encode32(w, d, math.Float32bits)
 	case []int64:
-		return encode64(d, buf, flush, func(v int64) uint64 { return uint64(v) })
+		return encode64(w, d, func(v int64) uint64 { return uint64(v) })
 	case []int:
-		return encode64(d, buf, flush, func(v int) uint64 { return uint64(int64(v)) })
+		return encode64(w, d, func(v int) uint64 { return uint64(int64(v)) })
 	case []uint64:
-		return encode64(d, buf, flush, func(v uint64) uint64 { return v })
+		return encode64(w, d, func(v uint64) uint64 { return v })
 	case []uint:
-		return encode64(d, buf, flush, func(v uint) uint64 { return uint64(v) })
+		return encode64(w, d, func(v uint) uint64 { return uint64(v) })
 	case []int32:
-		return encode32(d, buf, flush, func(v int32) uint32 { return uint32(v) })
+		return encode32(w, d, func(v int32) uint32 { return uint32(v) })
 	case []uint32:
-		return encode32(d, buf, flush, func(v uint32) uint32 { return v })
+		return encode32(w, d, func(v uint32) uint32 { return v })
 	case []int16:
-		return encode16(d, buf, flush, func(v int16) uint16 { return uint16(v) })
+		return encode16(w, d, func(v int16) uint16 { return uint16(v) })
 	case []uint16:
-		return encode16(d, buf, flush, func(v uint16) uint16 { return v })
+		return encode16(w, d, func(v uint16) uint16 { return v })
 	case []int8:
-		for off := 0; off < len(d); off += chunk {
-			n := min(chunk, len(d)-off)
-			for i := 0; i < n; i++ {
-				buf[i] = byte(d[off+i])
-			}
-			if err := flush(n); err != nil {
-				return err
-			}
-		}
-		return nil
+		// Two's complement: an int8's byte is its encoding on any host.
+		return writeChunks(w, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(d))), len(d)))
 	case []uint8:
 		_, err := w.Write(d)
 		return err
@@ -411,42 +396,53 @@ func encodeElems(w io.Writer, data any) error {
 	return fmt.Errorf("wire: unsupported element type %T", data)
 }
 
-func encode64[T any](d []T, buf []byte, flush func(int) error, bits func(T) uint64) error {
-	per := len(buf) / 8
-	for off := 0; off < len(d); off += per {
-		n := min(per, len(d)-off)
+// writeChunks writes raw in chunk-sized pieces, so that each stays in cache
+// between the CRC writer's checksum and its copy out.
+func writeChunks(w io.Writer, raw []byte) error {
+	for off := 0; off < len(raw); off += chunk {
+		if _, err := w.Write(raw[off:min(off+chunk, len(raw))]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func encode64[T any](w io.Writer, d []T, bits func(T) uint64) error {
+	buf := make([]byte, chunk)
+	for off := 0; off < len(d); off += chunk / 8 {
+		n := min(chunk/8, len(d)-off)
 		for i := 0; i < n; i++ {
 			binary.LittleEndian.PutUint64(buf[i*8:], bits(d[off+i]))
 		}
-		if err := flush(n * 8); err != nil {
+		if _, err := w.Write(buf[:n*8]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func encode32[T any](d []T, buf []byte, flush func(int) error, bits func(T) uint32) error {
-	per := len(buf) / 4
-	for off := 0; off < len(d); off += per {
-		n := min(per, len(d)-off)
+func encode32[T any](w io.Writer, d []T, bits func(T) uint32) error {
+	buf := make([]byte, chunk)
+	for off := 0; off < len(d); off += chunk / 4 {
+		n := min(chunk/4, len(d)-off)
 		for i := 0; i < n; i++ {
 			binary.LittleEndian.PutUint32(buf[i*4:], bits(d[off+i]))
 		}
-		if err := flush(n * 4); err != nil {
+		if _, err := w.Write(buf[:n*4]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func encode16[T any](d []T, buf []byte, flush func(int) error, bits func(T) uint16) error {
-	per := len(buf) / 2
-	for off := 0; off < len(d); off += per {
-		n := min(per, len(d)-off)
+func encode16[T any](w io.Writer, d []T, bits func(T) uint16) error {
+	buf := make([]byte, chunk)
+	for off := 0; off < len(d); off += chunk / 2 {
+		n := min(chunk/2, len(d)-off)
 		for i := 0; i < n; i++ {
 			binary.LittleEndian.PutUint16(buf[i*2:], bits(d[off+i]))
 		}
-		if err := flush(n * 2); err != nil {
+		if _, err := w.Write(buf[:n*2]); err != nil {
 			return err
 		}
 	}

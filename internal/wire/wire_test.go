@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -307,5 +308,102 @@ func TestLiveSlotSection(t *testing.T) {
 	over := &Checkpoint{Sizes: []int{3, 2}, Arrays: []Array{{Slots: 1, Data: live}}}
 	if err := Encode(new(bytes.Buffer), over); err == nil {
 		t.Fatal("Encode took a section holding more slots than the array has")
+	}
+}
+
+// elementLoop is the reference float64 encoding: one little-endian
+// PutUint64 per element.
+func elementLoop(d []float64) []byte {
+	out := make([]byte, 8*len(d))
+	for i, v := range d {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+	}
+	return out
+}
+
+// writeSizes records the size of every write it is handed.
+type writeSizes struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (w *writeSizes) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestEncodeBulkMatchesElementLoop: a []float64 section encodes byte for
+// byte what the element loop writes, on the host's bulk path and on the
+// converting path big-endian hosts take, in writes of at most a chunk,
+// across chunk boundaries and for NaN payloads, -0, ±Inf and subnormals.
+// An []int8 section, also written from its own memory, is its two's
+// complement bytes.
+func TestEncodeBulkMatchesElementLoop(t *testing.T) {
+	special := []uint64{
+		0x7ff8000000000000, // quiet NaN
+		0x7ff0000000000001, // signalling NaN, lowest payload
+		0xfff4000000000abc, // negative NaN with a payload
+		0x8000000000000000, // -0
+		0x7ff0000000000000, // +Inf
+		0xfff0000000000000, // -Inf
+		0x0000000000000001, // smallest subnormal
+		0x800fffffffffffff, // largest negative subnormal
+	}
+	rng := rand.New(rand.NewSource(3))
+	per := chunk / 8
+	for _, n := range []int{0, 1, per - 1, per, per + 1, 3*per + 5} {
+		d := make([]float64, n)
+		for i := range d {
+			bits := rng.Uint64()
+			if i%5 == 0 {
+				bits = special[(i/5)%len(special)]
+			}
+			d[i] = math.Float64frombits(bits)
+		}
+		want := elementLoop(d)
+		var bulk writeSizes
+		if err := encodeElems(&bulk, d); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bulk.Bytes(), want) {
+			t.Fatalf("%d elements: encodeElems differs from the element loop", n)
+		}
+		for _, s := range bulk.sizes {
+			if s > chunk {
+				t.Fatalf("%d elements: a write of %d bytes, want at most %d", n, s, chunk)
+			}
+		}
+		var conv bytes.Buffer
+		if err := encode64(&conv, d, math.Float64bits); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(conv.Bytes(), want) {
+			t.Fatalf("%d elements: the converting path differs from the element loop", n)
+		}
+	}
+	var b bytes.Buffer
+	if err := encodeElems(&b, []int8{-128, -1, 0, 1, 127}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{0x80, 0xff, 0, 1, 0x7f}; !bytes.Equal(b.Bytes(), want) {
+		t.Fatalf("[]int8 encodes as % x, want % x", b.Bytes(), want)
+	}
+}
+
+// BenchmarkEncodeFloat64 encodes a 2 MiB single-array checkpoint, the size
+// of one slot of a 512² float64 grid, and reports its throughput.
+func BenchmarkEncodeFloat64(b *testing.B) {
+	const X, Y = 512, 512
+	d := make([]float64, X*Y)
+	for i := range d {
+		d[i] = float64(i) / 3
+	}
+	cp := &Checkpoint{Sizes: []int{X, Y}, Arrays: []Array{{Slots: 2, Data: d}}}
+	b.SetBytes(int64(8 * len(d)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := Encode(io.Discard, cp); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

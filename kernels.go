@@ -51,6 +51,15 @@ func (s *Stencil[T]) pointExecutor(kern Kernel) core.BaseFunc {
 	return s.executor(kern, false)
 }
 
+// pointClones pairs a generic executor with itself as both base-case
+// clones. It declares WholeRows: the executor pays no more at a row's end
+// than the slow path of the few accesses that leave the domain, so a 2D
+// base case under a nil Options.SpaceCutoff sweeps whole rows (DESIGN.md,
+// "Coarsening follows the clones").
+func pointClones(exec BaseFunc) BaseKernels {
+	return BaseKernels{Interior: exec, Boundary: exec, WholeRows: true}
+}
+
 // checkedPointExecutor additionally establishes the home point on every
 // registered array before each kernel application so accesses can be
 // verified against the declared shape (the Pochoir Guarantee).

@@ -2,6 +2,8 @@ package pochoir_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -192,6 +194,121 @@ func TestWholeRowsCoarsening(t *testing.T) {
 	}
 	if z, cut := firstCut(got); cut {
 		t.Fatalf("RunSupervised: zoid %v cuts the unit-stride dimension", z)
+	}
+}
+
+// TestPointExecutorSweepsWholeRows: the generic point executor declares
+// whole rows. A default 2D Run, RunChecked and RunSupervised decompose
+// exactly as under an explicit SpaceCutoff{100, 1<<30}, counter for
+// counter, and a unit-stride dimension longer than 100 makes that differ
+// from the §4 {100, 100}. Every geometry's result is bit for bit a serial
+// sweep of the point kernel, over TRAP/STRAP/LOOPS × serial/parallel ×
+// periodic/zero/clamp boundaries.
+func TestPointExecutorSweepsWholeRows(t *testing.T) {
+	const steps = 7
+	sh := heat2DShape()
+	boundaries := []struct {
+		name string
+		b    pochoir.Boundary[float64]
+	}{
+		{"periodic", pochoir.PeriodicBoundary[float64]()},
+		{"zero", pochoir.ZeroBoundary[float64]()},
+		{"clamp", pochoir.NeumannBoundary[float64]()},
+	}
+	paths := []struct {
+		name string
+		run  func(*pochoir.Stencil[float64], pochoir.Kernel) error
+	}{
+		{"Run", func(st *pochoir.Stencil[float64], k pochoir.Kernel) error { return st.Run(steps, k) }},
+		{"RunChecked", func(st *pochoir.Stencil[float64], k pochoir.Kernel) error { return st.RunChecked(steps, k) }},
+		{"RunSupervised", func(st *pochoir.Stencil[float64], k pochoir.Kernel) error {
+			_, err := st.RunSupervised(context.Background(), steps, k, pochoir.SupervisePolicy{SegmentSteps: 3})
+			return err
+		}},
+	}
+	// heat builds a stencil over an n×n array holding init, and its point
+	// kernel.
+	heat := func(opts pochoir.Options, b pochoir.Boundary[float64], n int, init []float64) (*pochoir.Stencil[float64], *pochoir.Array[float64], pochoir.Kernel) {
+		st := pochoir.NewWithOptions[float64](sh, opts)
+		u := pochoir.MustArray[float64](sh.Depth(), n, n)
+		u.RegisterBoundary(b)
+		st.MustRegisterArray(u)
+		if err := u.CopyIn(0, init); err != nil {
+			t.Fatal(err)
+		}
+		return st, u, pochoir.K2(func(tt, x, y int) {
+			c := u.Get(tt, x, y)
+			u.Set(tt+1, c+
+				cx*(u.Get(tt, x+1, y)-2*c+u.Get(tt, x-1, y))+
+				cy*(u.Get(tt, x, y+1)-2*c+u.Get(tt, x, y-1)), x, y)
+		})
+	}
+	result := func(u *pochoir.Array[float64], n int) []float64 {
+		out := make([]float64, n*n)
+		if err := u.CopyOut(steps, out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	// decomposition is what the walk decided: the counters less time,
+	// workers and scheduling.
+	decomposition := func(rec *pochoir.Recorder) pochoir.RunStats {
+		st := rec.Snapshot()
+		st.Wall, st.Workers, st.WorkerBusy, st.Spawns, st.Inlines = 0, 0, nil, 0, 0
+		return st
+	}
+	sameBits := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+
+	for _, n := range []int{1, 7, 100, 101, 257} {
+		init := randomGrid(n*n, int64(n))
+		for _, bd := range boundaries {
+			// The serial sweep: the point kernel over every point, one
+			// step at a time, with no walker.
+			_, u, kern := heat(pochoir.Options{}, bd.b, n, init)
+			for tt := 0; tt < steps; tt++ {
+				for x := 0; x < n; x++ {
+					for y := 0; y < n; y++ {
+						kern(tt, []int{x, y})
+					}
+				}
+			}
+			want := result(u, n)
+			for _, alg := range []core.Algorithm{core.TRAP, core.STRAP, core.LOOPS} {
+				for _, serial := range []bool{true, false} {
+					for _, path := range paths {
+						if path.name == "RunChecked" && !serial {
+							continue // RunChecked always runs serially
+						}
+						name := fmt.Sprintf("%d² %s %v serial=%v %s", n, bd.name, alg, serial, path.name)
+						var counts [3]pochoir.RunStats
+						for i, space := range [][]int{nil, {100, 1 << 30}, {100, 100}} {
+							rec := pochoir.NewRecorder()
+							st, u, kern := heat(pochoir.Options{Algorithm: alg, Serial: serial, SpaceCutoff: space, Telemetry: rec}, bd.b, n, init)
+							if err := path.run(st, kern); err != nil {
+								t.Fatalf("%s, SpaceCutoff %v: %v", name, space, err)
+							}
+							if got := result(u, n); !sameBits(got, want) {
+								t.Fatalf("%s, SpaceCutoff %v: differs from the serial sweep by %g", name, space, maxAbsDiff(got, want))
+							}
+							counts[i] = decomposition(rec)
+						}
+						if !reflect.DeepEqual(counts[0], counts[1]) {
+							t.Fatalf("%s: the default decomposes as %+v, SpaceCutoff{100, 1<<30} as %+v", name, counts[0], counts[1])
+						}
+						if cut := n > 100 && alg != core.LOOPS; cut == reflect.DeepEqual(counts[0], counts[2]) {
+							t.Fatalf("%s: the default decomposes as %+v, SpaceCutoff{100, 100} as %+v", name, counts[0], counts[2])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -177,8 +177,10 @@ type Options struct {
 	// above, never cutting the unit-stride dimension. A zero SpaceCutoff
 	// entry leaves that dimension uncoarsened: cut as far as the slopes allow.
 	// Base-case clones that declare BaseKernels.WholeRows extend the
-	// never-cut rule to 2D under a nil SpaceCutoff; an explicit
-	// SpaceCutoff always wins.
+	// never-cut rule to 2D under a nil SpaceCutoff: the compiler's
+	// row-program clones and the generic point executor behind Run,
+	// RunChecked and RunSupervised do; hand-written clones keep 100x100.
+	// An explicit SpaceCutoff always wins.
 	TimeCutoff  int
 	SpaceCutoff []int
 	// Grain is the minimum approximate subzoid volume processed on a
@@ -393,17 +395,10 @@ func (s *Stencil[T]) Run(steps int, kern Kernel) error {
 // A cancelled run leaves the arrays partially updated and the stencil
 // poisoned; see ErrPoisoned.
 func (s *Stencil[T]) RunContext(ctx context.Context, steps int, kern Kernel) error {
-	w, err := s.newWalker(false)
-	if err != nil {
-		return err
-	}
-	exec := s.pointExecutor(kern)
-	w.Boundary = exec
 	// The generic point executor always reduces coordinates and goes
 	// through checked accessors, so it is safe to use for interior zoids
 	// too; a specialized interior clone is what Phase 2 adds.
-	w.Interior = exec
-	return s.runWalker(ctx, w, steps)
+	return s.runClones(ctx, steps, pointClones(s.pointExecutor(kern)), false)
 }
 
 // RunChecked is Run with the Pochoir Guarantee enforced: every access the
@@ -419,17 +414,9 @@ func (s *Stencil[T]) RunChecked(steps int, kern Kernel) error {
 			a.DisableShapeCheck()
 		}
 	}()
-	w, err := s.newWalker(false)
-	if err != nil {
-		return err
-	}
 	// Shape checking mutates per-array state (the home point), so force
 	// serial execution.
-	w.Serial = true
-	exec := s.checkedPointExecutor(kern)
-	w.Boundary = exec
-	w.Interior = exec
-	if err := s.runWalker(context.Background(), w, steps); err != nil {
+	if err := s.runClones(context.Background(), steps, pointClones(s.checkedPointExecutor(kern)), true); err != nil {
 		return err
 	}
 	for _, a := range s.arrays {
@@ -452,7 +439,10 @@ type BaseKernels struct {
 	// at near-interior speed, so base cases should sweep whole rows: under
 	// a nil Options.SpaceCutoff the walker then never cuts the unit-stride
 	// dimension, in 2D as the §4 heuristic already does in 3D and above.
-	// The compiler's row-program clones set it.
+	// The compiler's row-program clones set it, and so does the generic
+	// point executor that Run, RunChecked and RunSupervised pair with
+	// itself. A hand-written pair should not: every whole-row base case
+	// touches the edge, so its interior clone would never run.
 	WholeRows bool
 }
 
@@ -480,13 +470,21 @@ func (s *Stencil[T]) RunSpecialized(steps int, b BaseKernels) error {
 	if b.Boundary == nil {
 		return fmt.Errorf("pochoir: RunSpecialized requires a boundary clone")
 	}
+	return s.runClones(context.Background(), steps, b, false)
+}
+
+// runClones runs steps time steps on the base-case clones b, decomposed for
+// b's WholeRows declaration, serially when Options.Serial or forceSerial
+// asks for it.
+func (s *Stencil[T]) runClones(ctx context.Context, steps int, b BaseKernels, forceSerial bool) error {
 	w, err := s.newWalker(b.WholeRows)
 	if err != nil {
 		return err
 	}
+	w.Serial = w.Serial || forceSerial
 	w.Interior = b.Interior
 	w.Boundary = b.Boundary
-	return s.runWalker(context.Background(), w, steps)
+	return s.runWalker(ctx, w, steps)
 }
 
 // cursor tracks how many steps have been run so resumed Runs continue

@@ -164,7 +164,7 @@ func (s *Stencil[T]) runSupervised(ctx context.Context, steps int, kern Kernel, 
 	exec := s.pointExecutor(kern)
 	clones := s.compiled
 	if clones.Boundary == nil {
-		clones = BaseKernels{Interior: exec, Boundary: exec}
+		clones = pointClones(exec)
 	}
 	// The run owns its checkpoint memory: cpStart, the current segment's
 	// start state, and cpEnd, shadow verification's copy of its result.
