@@ -1,7 +1,7 @@
 # Developer targets. `make verify` is the pre-merge gate: build, vet, the
 # full test suite, and a race-detector pass over the concurrency-bearing
-# packages (the parallel engine, the scheduler, and the sharded telemetry
-# recorder).
+# packages (the parallel engine, the scheduler, and the per-walk telemetry
+# shards with the recorder that accumulates them).
 
 GO ?= go
 GOFMT ?= gofmt
@@ -22,8 +22,9 @@ test:
 	$(GO) test ./...
 
 # The race target exercises the packages that share memory across
-# goroutines; the telemetry recorder's shard free list and snapshotting in
-# particular must stay race-clean. The root-package run replays the
+# goroutines; a walk's shard free list and the recorder's accumulation and
+# snapshotting in particular must stay race-clean, also with stencils that
+# share a recorder run concurrently. The root-package run replays the
 # hardened-execution suite (panic isolation, cancellation, poisoning,
 # checkpoint/restore, fault injection) and the supervised-resilience suite
 # (segment retries, degradation ladder, shadow verification) under the
@@ -32,12 +33,13 @@ test:
 # run's progress never falling and ending at 100%. The grid free list's
 # tests run there too: storage handed between goroutines by Release and
 # NewArray must never be shared; so do the accessors' reference and rank
-# tests, and the RunChecked tests that hold the accessors' in-domain fast
-# path to shape checking.
+# tests, the RunChecked tests that hold the accessors' in-domain fast path
+# to shape checking, and the cross-signal agreement of every walker sink on
+# parallel walks.
 race:
 	$(GO) test -race ./internal/core ./internal/sched ./internal/telemetry ./internal/loops ./internal/faultpoint ./internal/resilience ./internal/metrics ./internal/flight ./internal/wire ./internal/compiler ./internal/gateway ./internal/trace ./internal/profile
 	$(GO) test -race -run 'FreeList|Released|AccessorsMatchReference|IndexRank' ./internal/grid
-	$(GO) test -race -run 'Panic|Cancel|Poison|Checkpoint|Restore|Fault|RegisterArray|Supervised|LoopsEngine|Monitor|Progress|Bundle|Recorder|Incident|Resume|Durable|ShareRunMetrics|ShadowVerify|RunChecked' .
+	$(GO) test -race -run 'Panic|Cancel|Poison|Checkpoint|Restore|Fault|RegisterArray|Supervised|LoopsEngine|Monitor|Progress|Bundle|Recorder|Incident|Resume|Durable|ShareRunMetrics|ShadowVerify|RunChecked|SignalsAgree' .
 
 # soak runs the supervised-run soak with probabilistic faults armed at the
 # walker's base and cut sites: every visit rolls the dice, and the

@@ -3,7 +3,8 @@
 // server listening: while the run executes, any HTTP client can scrape
 //
 //	/metrics        Prometheus text exposition (zoids, cuts, base-case
-//	                points, per-engine throughput, supervisor counters)
+//	                points, per-engine throughput, each added once per
+//	                supervised segment; supervisor counters)
 //	/statusz        JSON snapshot of every metric + process vitals
 //	/progressz      live percent-complete, point rate, and ETA
 //	/debug/pprof/   the standard Go runtime profiles

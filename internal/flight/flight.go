@@ -16,9 +16,9 @@
 // Write-path design (the load-bearing part):
 //
 //   - The recorder is sharded: a small power-of-two array of rings, and a
-//     writer picks its ring from the address of a stack variable — the same
-//     registration-free trick as the metrics counter stripes — so concurrent
-//     workers land on different rings without locks or per-goroutine state.
+//     writer picks its ring from the address of a stack variable — a
+//     registration-free trick — so concurrent workers land on different
+//     rings without locks or per-goroutine state.
 //
 //   - Each ring slot is a per-slot seqlock of atomic words: a writer claims
 //     a slot with one atomic add on the shard cursor, zeroes the slot's
@@ -338,9 +338,10 @@ func New(ringSize int) *Recorder {
 	return r
 }
 
-// laneIndex derives a shard index from the address of a stack variable, as
-// the metrics counter stripes do: goroutine stacks occupy disjoint address
-// ranges, so concurrent workers spread across lanes with no registration.
+// laneIndex derives a shard index from the address of a stack variable:
+// goroutine stacks occupy disjoint address ranges, so concurrent workers
+// spread across lanes with no registration; the Fibonacci multiplier mixes
+// the high bits so nearby stacks land apart.
 func laneIndex() uint32 {
 	var b byte
 	return uint32((uint64(uintptr(unsafe.Pointer(&b))) >> 6) * 0x9e3779b97f4a7c15 >> 32)

@@ -2,20 +2,16 @@
 // registry of counters, gauges, and histograms that instrumented runs update
 // lock-free while an embedded monitor server (see monitor.go) scrapes them.
 //
-// It complements internal/telemetry, which records every decomposition
-// decision into goroutine-private shards but may only be aggregated while
-// the run is quiescent. Metrics invert that trade: far fewer instruments
-// (a handful of counters per layer), but every one readable at any moment —
-// mid-run, from another goroutine, over HTTP — which is what a long-running
-// service needs.
+// The walker's decomposition is counted once, in the walk's telemetry
+// shards (internal/telemetry); RunMetrics.Fold adds each finished walk's
+// Stats to the registry, so those series advance once per walk. What must
+// move mid-run — the progress estimator, the active run and worker gauges,
+// the supervisor's counters — is updated live.
 //
 // Concurrency design:
 //
-//   - Counters are striped: each holds a small power-of-two array of
-//     cache-line-padded atomic cells, and an increment picks its cell from
-//     the address of a stack variable, so concurrent workers (whose stacks
-//     occupy disjoint address ranges) land on different cells without any
-//     registration, locks, or per-goroutine state. Reads sum the cells.
+//   - Counters are a single int64 atomic. No counter is updated per
+//     walker event, so none needs striping across workers.
 //
 //   - Gauges are a single float64-bits atomic (set/add/max via CAS).
 //
@@ -25,7 +21,7 @@
 //   - The registry lock covers only registration and enumeration (scrapes),
 //     never the instrument hot paths.
 //
-// Like telemetry, arming is strictly opt-in: engines carry nil instrument
+// Arming is strictly opt-in: engines carry nil instrument
 // sets by default and every instrumentation point is guarded by a single
 // pointer check, so disarmed runs execute the unmodified hot path.
 package metrics
@@ -34,13 +30,11 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
 // Kind classifies a registered metric for exposition.
@@ -108,70 +102,26 @@ type metric interface {
 	describe() *Desc
 }
 
-// numStripes is the per-counter cell count: enough to spread GOMAXPROCS
-// incrementers, bounded so a registry of dozens of counters stays small.
-func numStripes() int {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) {
-		n <<= 1
-	}
-	if n > 64 {
-		n = 64
-	}
-	return n
-}
-
-// stripe is one padded counter cell; the padding keeps cells on distinct
-// cache lines so concurrent incrementers do not false-share.
-type stripe struct {
-	n atomic.Int64
-	_ [120]byte
-}
-
-// stripeIndex derives a cell index from the address of a stack variable.
-// Goroutine stacks occupy disjoint address ranges, so concurrent
-// incrementers spread across cells with no registration and no shared
-// state; the Fibonacci multiplier mixes the high bits so nearby stacks land
-// apart. Any distribution is correct — Value sums every cell — this only
-// affects contention.
-func stripeIndex() uint32 {
-	var b byte
-	return uint32((uint64(uintptr(unsafe.Pointer(&b))) >> 6) * 0x9e3779b97f4a7c15 >> 32)
-}
-
-// Counter is a monotonically increasing striped atomic counter.
+// Counter is a monotonically increasing atomic counter.
 type Counter struct {
-	desc    *Desc
-	mask    uint32
-	stripes []stripe
+	desc *Desc
+	n    atomic.Int64
 }
 
-func newCounter(d *Desc) *Counter {
-	n := numStripes()
-	return &Counter{desc: d, mask: uint32(n - 1), stripes: make([]stripe, n)}
-}
+func newCounter(d *Desc) *Counter { return &Counter{desc: d} }
 
 func (c *Counter) describe() *Desc { return c.desc }
 
 // Add increments the counter by n (n must be >= 0 for Prometheus semantics;
-// this is not checked on the hot path).
-func (c *Counter) Add(n int64) {
-	c.stripes[stripeIndex()&c.mask].n.Add(n)
-}
+// this is not checked).
+func (c *Counter) Add(n int64) { c.n.Add(n) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current total. It is safe to call concurrently with
-// increments; the result is the sum of a consistent-enough snapshot of the
-// cells (each cell read is atomic).
-func (c *Counter) Value() int64 {
-	var total int64
-	for i := range c.stripes {
-		total += c.stripes[i].n.Load()
-	}
-	return total
-}
+// increments.
+func (c *Counter) Value() int64 { return c.n.Load() }
 
 // Gauge is a float64-valued instrument that can go up and down.
 type Gauge struct {
@@ -265,31 +215,27 @@ func newHistogram(d *Desc, buckets int) *Histogram {
 
 func (h *Histogram) describe() *Desc { return h.desc }
 
-// bucketIndex returns the bucket v lands in: the smallest i with v <= 2^i
-// (the bit length of v-1), clamped to +Inf.
-func (h *Histogram) bucketIndex(v int64) int {
-	idx := 0
-	if v > 1 {
-		idx = bits.Len64(uint64(v - 1))
+// addBins adds le[e] observations to the bucket of bound 2^e (e past the
+// last bound: +Inf), and sum and count to the running totals.
+func (h *Histogram) addBins(le []int64, sum, count int64) {
+	for e, n := range le {
+		if n != 0 {
+			h.counts[min(e, len(h.bounds))].Add(n)
+		}
 	}
-	if idx >= len(h.bounds) {
-		idx = len(h.bounds)
-	}
-	return idx
+	h.sum.Add(sum)
+	h.count.Add(count)
 }
 
 // Observe records one observation of v. Values below 1 land in the first
 // bucket; values above the last bound land in +Inf.
-func (h *Histogram) Observe(v int64) {
-	h.counts[h.bucketIndex(v)].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
-}
+func (h *Histogram) Observe(v int64) { h.ObserveExemplar(v, "", 0) }
 
 // ObserveExemplar records v like Observe and, when traceID is non-empty,
 // stamps the landing bucket's exemplar with the trace that produced it.
 func (h *Histogram) ObserveExemplar(v int64, traceID string, unixNS int64) {
-	idx := h.bucketIndex(v)
+	// The smallest idx with v <= 2^idx (the bit length of v-1), or +Inf.
+	idx := min(bits.Len64(uint64(max(v, 1)-1)), len(h.bounds))
 	h.counts[idx].Add(1)
 	h.sum.Add(v)
 	h.count.Add(1)

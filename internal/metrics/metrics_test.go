@@ -11,12 +11,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pochoir/internal/core"
+	"pochoir/internal/telemetry"
 )
 
 // TestCounterConcurrentExact is the -race registry concurrency test:
-// GOMAXPROCS goroutines hammer one striped counter and the total must be
-// exact — striping may spread increments anywhere, but no increment may be
-// lost or double-counted.
+// GOMAXPROCS goroutines hammer one counter and the total must be exact: no
+// increment may be lost or double-counted.
 func TestCounterConcurrentExact(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_concurrent_total", "concurrency test")
@@ -485,6 +487,51 @@ func TestRunAndSupervisorSets(t *testing.T) {
 	}
 	if err := CheckExposition(buf.Bytes()); err != nil {
 		t.Fatalf("instrument-set exposition invalid: %v", err)
+	}
+}
+
+// TestFoldMatchesObserve: a walk's Stats folded into the run set give the
+// base-volume histogram exactly what observing each volume would have, le
+// bins, sum and count, including volumes past the last bound; the engine's
+// points and the last-walk gauges come from the same Stats, the gauges only
+// when the walk kept busy time.
+func TestFoldMatchesObserve(t *testing.T) {
+	vols := []int64{1, 2, 3, 4, 5, 127, 128, 129, 1 << 23, 1<<23 + 1, 1 << 40}
+	untimed := telemetry.NewWalk(false)
+	untimed.Release(untimed.Acquire())
+	st := untimed.Stats()
+	m := NewRunMetrics(NewRegistry())
+	m.Fold(&st, core.STRAP)
+	if m.LastWorkers.Value() != 0 || m.LastWallSeconds.Value() != 0 {
+		t.Fatal("a walk without busy time set the last-walk gauges")
+	}
+	w := telemetry.NewWalk(true)
+	s := w.Acquire()
+	for i, v := range vols {
+		s.Base(v, i%2 == 0)
+		s.End()
+	}
+	w.Release(s)
+	st = w.Stats()
+	m.Fold(&st, core.STRAP)
+	ref := NewRunMetrics(NewRegistry()).BaseVolume
+	for _, v := range vols {
+		ref.Observe(v)
+	}
+	_, got := m.BaseVolume.Buckets()
+	_, want := ref.Buckets()
+	if fmt.Sprint(got) != fmt.Sprint(want) || m.BaseVolume.Sum() != ref.Sum() || m.BaseVolume.Count() != ref.Count() {
+		t.Fatalf("folded buckets %v (sum %d, count %d), observed %v (sum %d, count %d)",
+			got, m.BaseVolume.Sum(), m.BaseVolume.Count(), want, ref.Sum(), ref.Count())
+	}
+	if p := m.EnginePoints[core.STRAP].Value(); p != st.BasePoints || m.EnginePoints[core.TRAP].Value() != 0 {
+		t.Fatalf("STRAP points = %d, want the walk's %d and none on TRAP", p, st.BasePoints)
+	}
+	if m.Zoids.Value() != int64(len(vols)) || m.BaseInterior.Value() != 6 || m.BaseBoundary.Value() != 5 {
+		t.Fatalf("zoids %d, bases %d/%d; want %d, 6/5", m.Zoids.Value(), m.BaseInterior.Value(), m.BaseBoundary.Value(), len(vols))
+	}
+	if m.LastWorkers.Value() != 1 || m.LastWallSeconds.Value() <= 0 {
+		t.Fatalf("last-walk gauges: %v workers, %v s", m.LastWorkers.Value(), m.LastWallSeconds.Value())
 	}
 }
 

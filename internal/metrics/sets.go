@@ -13,7 +13,8 @@ import (
 	"pochoir/internal/telemetry"
 )
 
-// RunMetrics is the walker/scheduler instrument set.
+// RunMetrics is the walker/scheduler instrument set. Fold writes it once
+// per walk, but for the gauges and the fork-depth histogram, which move live.
 type RunMetrics struct {
 	// Run lifecycle.
 	RunsStarted *Counter
@@ -43,8 +44,8 @@ type RunMetrics struct {
 	ActiveWorkers *Gauge
 	ForkDepth     *Histogram
 
-	// RunStats bridge, set from the telemetry delta at run/segment
-	// boundaries when both systems are armed.
+	// The achieved parallelism, wall time and workers of the last walk
+	// that kept time.
 	LastParallelism *Gauge
 	LastWallSeconds *Gauge
 	LastWorkers     *Gauge
@@ -89,6 +90,31 @@ func resolveRunMetrics(r *Registry) *RunMetrics {
 			"Base-case points executed, by engine.", Label{"engine", core.Algorithm(a).String()})
 	}
 	return m
+}
+
+// Fold adds the Stats of one finished walk of engine alg, which counted each
+// event once in its telemetry shards. A walk that kept time (one with a
+// telemetry recorder) also sets the last-walk gauges.
+func (m *RunMetrics) Fold(st *telemetry.Stats, alg core.Algorithm) {
+	m.Zoids.Add(st.Zoids())
+	m.Cuts[core.CutHyper].Add(st.HyperCuts)
+	m.Cuts[core.CutSpace].Add(st.SpaceCuts)
+	m.Cuts[core.CutCircle].Add(st.CircleCuts)
+	m.Cuts[core.CutTime].Add(st.TimeCuts)
+	m.BaseInterior.Add(st.InteriorBases)
+	m.BaseBoundary.Add(st.BoundaryBases())
+	m.BasePoints.Add(st.BasePoints)
+	m.BaseVolume.addBins(st.BaseVolumeLe[:], st.BasePoints, st.Bases)
+	if alg >= 0 && int(alg) < len(m.EnginePoints) {
+		m.EnginePoints[alg].Add(st.BasePoints)
+	}
+	m.Spawns.Add(st.Spawns)
+	m.Inlines.Add(st.Inlines)
+	if st.WorkerBusy != nil {
+		m.LastParallelism.Set(st.AchievedParallelism())
+		m.LastWallSeconds.Set(st.Wall.Seconds())
+		m.LastWorkers.Set(float64(st.Workers))
+	}
 }
 
 // SupervisorMetrics is the resilience supervisor's instrument set.

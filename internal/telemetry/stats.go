@@ -8,15 +8,16 @@ import (
 	"time"
 )
 
-// Stats is the aggregate view of a recorder: decomposition counters, the
-// base-case volume histogram, scheduler decisions, and per-worker busy
-// time. It is a plain value; Delta subtracts an earlier snapshot to get a
-// per-Run summary.
+// Stats is the aggregate view of a walk or a recorder: decomposition
+// counters, the base-case volume histograms, scheduler decisions, and
+// per-worker busy time. It is a plain value; Delta subtracts an earlier
+// snapshot of the same recorder.
 type Stats struct {
-	// Wall is the accumulated wall-clock time of instrumented runs.
+	// Wall is the walk's wall-clock time; a recorder's is the accumulated
+	// wall-clock time of its instrumented runs.
 	Wall time.Duration
-	// Workers is the number of worker shards (concurrently live worker
-	// goroutines at peak).
+	// Workers is the number of worker shards: a walk's concurrently live
+	// worker goroutines at peak, the most of any one walk for a recorder.
 	Workers int
 
 	// Decomposition node counts by cut kind.
@@ -41,6 +42,10 @@ type Stats struct {
 	// BaseVolumeHist[b] counts base cases whose zoid volume v satisfies
 	// floor(log2(v)) == b.
 	BaseVolumeHist [volumeBuckets]int64
+	// BaseVolumeLe[e] counts base cases whose zoid volume v satisfies
+	// 2^(e-1) < v <= 2^e (v <= 1 in bin 0): the le bins of a Prometheus
+	// histogram, which floor-log2 bins do not align with.
+	BaseVolumeLe [volumeBuckets]int64
 
 	// Scheduler decisions: tasks run on fresh goroutines vs. inline.
 	Spawns  int64
@@ -166,34 +171,42 @@ func (st Stats) Summary() Summary {
 }
 
 // Delta returns the difference st - prev, the activity between two
-// snapshots of the same recorder (e.g. one Stencil.Run).
+// snapshots of the same recorder.
 func (st Stats) Delta(prev Stats) Stats {
 	out := st
 	out.Wall -= prev.Wall
-	out.TimeCuts -= prev.TimeCuts
-	out.HyperCuts -= prev.HyperCuts
-	out.SpaceCuts -= prev.SpaceCuts
-	out.CircleCuts -= prev.CircleCuts
-	for k := range out.HyperByK {
-		out.HyperByK[k] -= prev.HyperByK[k]
-	}
-	out.Fanout -= prev.Fanout
-	out.Levels -= prev.Levels
-	out.Bases -= prev.Bases
-	out.InteriorBases -= prev.InteriorBases
-	out.BasePoints -= prev.BasePoints
-	for b := range out.BaseVolumeHist {
-		out.BaseVolumeHist[b] -= prev.BaseVolumeHist[b]
-	}
-	out.Spawns -= prev.Spawns
-	out.Inlines -= prev.Inlines
 	out.WorkerBusy = append([]time.Duration(nil), st.WorkerBusy...)
-	for i := range out.WorkerBusy {
-		if i < len(prev.WorkerBusy) {
-			out.WorkerBusy[i] -= prev.WorkerBusy[i]
-		}
-	}
+	out.addCounters(&prev, -1)
 	return out
+}
+
+// addCounters adds sign times o's counters — every field but Wall and
+// Workers — to st; worker i's busy time goes to worker i's.
+func (st *Stats) addCounters(o *Stats, sign int64) {
+	st.TimeCuts += sign * o.TimeCuts
+	st.HyperCuts += sign * o.HyperCuts
+	st.SpaceCuts += sign * o.SpaceCuts
+	st.CircleCuts += sign * o.CircleCuts
+	for k := range st.HyperByK {
+		st.HyperByK[k] += sign * o.HyperByK[k]
+	}
+	st.Fanout += sign * o.Fanout
+	st.Levels += sign * o.Levels
+	st.Bases += sign * o.Bases
+	st.InteriorBases += sign * o.InteriorBases
+	st.BasePoints += sign * o.BasePoints
+	for b := range st.BaseVolumeHist {
+		st.BaseVolumeHist[b] += sign * o.BaseVolumeHist[b]
+		st.BaseVolumeLe[b] += sign * o.BaseVolumeLe[b]
+	}
+	st.Spawns += sign * o.Spawns
+	st.Inlines += sign * o.Inlines
+	for i, b := range o.WorkerBusy {
+		if i == len(st.WorkerBusy) {
+			st.WorkerBusy = append(st.WorkerBusy, 0)
+		}
+		st.WorkerBusy[i] += time.Duration(sign) * b
+	}
 }
 
 // WriteReport renders the human-readable stats report.

@@ -25,8 +25,8 @@ func TestBaseVolumePercentileZeroGuard(t *testing.T) {
 }
 
 func TestBaseVolumePercentile(t *testing.T) {
-	r := New()
-	s := r.Acquire()
+	w := NewWalk(true)
+	s := w.Acquire()
 	// 9 bases of volume 64 (bucket 6) and 1 of volume 1024 (bucket 10).
 	for i := 0; i < 9; i++ {
 		s.Base(64, true)
@@ -34,8 +34,8 @@ func TestBaseVolumePercentile(t *testing.T) {
 	}
 	s.Base(1024, true)
 	s.End()
-	r.Release(s)
-	st := r.Snapshot()
+	w.Release(s)
+	st := w.Stats()
 
 	if p50 := st.BaseVolumePercentile(0.50); p50 != 1.5*64 {
 		t.Fatalf("p50 = %v, want %v", p50, 1.5*64)

@@ -5,27 +5,26 @@
 // time. It keeps counters only; the spans of a walk go to the run's trace
 // (internal/trace), the one span model.
 //
-// The design has two halves:
+// The design has three parts:
 //
-//   - Recorder owns the clock epoch and a pool of Shards. Telemetry is
-//     strictly opt-in: a run's probe carries a *Recorder that is nil by
-//     default, and every recording point is guarded by a single pointer
-//     check.
+//   - Walk is the counter set of one walk (one Run, or one attempt at a
+//     supervised segment) and a pool of its Shards. Each walker event is
+//     counted once, in a shard. The walk's Stats, taken once after
+//     Walker.Run returns (whose fork-join sync publishes every shard's
+//     writes), feed every consumer: LastRunStats, a Recorder, the registry.
 //
-//   - Shard is one worker goroutine's counters. A goroutine acquires a shard
-//     when it starts working and releases it when it finishes; all
-//     recording then happens on goroutine-private state, so the hot path is
-//     a few integer adds with no atomics and no lock contention. Shards are
-//     recycled through a free list, so the shard count tracks the number of
-//     concurrently live workers.
+//   - Shard is one worker goroutine's counters, held between Acquire and
+//     Release, so the hot path is a few integer adds with no atomics and no
+//     lock contention. Released shards are recycled, so the shard count
+//     tracks the number of concurrently live workers.
 //
-// Aggregation (Snapshot) must only run while the instrumented computation
-// is quiescent — after Walker.Run returns, whose fork-join sync publishes
-// every shard's writes.
+//   - Recorder accumulates the Stats of finished walks; its Snapshot is
+//     safe at any time, from any goroutine.
 package telemetry
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -41,29 +40,20 @@ const volumeBuckets = 64
 // Shard is the goroutine-private recording surface. A shard must only be
 // used by the goroutine that acquired it, between Acquire and Release.
 type Shard struct {
-	rec *Recorder
+	walk *Walk
 	// baseStart is the clock at the open base case's start. Base cases
 	// never nest on one goroutine, so one slot is all the busy-time
 	// accounting needs.
 	baseStart int64
 	inBase    bool
+	busyNS    int64
 
-	timeCuts   int64
-	hyperCuts  int64
-	spaceCuts  int64
-	circleCuts int64
-	hyperByK   [MaxCutDims + 1]int64
-	fanout     int64
-	levels     int64
-
-	bases         int64
-	interiorBases int64
-	basePoints    int64
-	baseHist      [volumeBuckets]int64
-
-	spawns  int64
-	inlines int64
-	busyNS  int64
+	// c holds the shard's counters but for the volume histograms, which
+	// Walk.Stats derives from baseVol.
+	c Stats
+	// baseVol[p][e] counts base cases whose volume has the cell (e, p) of
+	// volumeCell: one increment serves both of Stats' histograms.
+	baseVol [2][volumeBuckets]int64
 }
 
 // End closes the open base case, charging its time to the shard's busy
@@ -71,59 +61,65 @@ type Shard struct {
 func (s *Shard) End() {
 	if s.inBase {
 		s.inBase = false
-		s.busyNS += s.rec.now() - s.baseStart
+		s.busyNS += s.walk.now() - s.baseStart
 	}
 }
 
 // HyperCut counts a hyperspace cut over k dimensions that produced fanout
 // subzoids in levels dependency levels.
 func (s *Shard) HyperCut(k, fanout, levels int) {
-	s.hyperCuts++
+	s.c.HyperCuts++
 	if k >= 0 && k <= MaxCutDims {
-		s.hyperByK[k]++
+		s.c.HyperByK[k]++
 	}
-	s.fanout += int64(fanout)
-	s.levels += int64(levels)
+	s.c.Fanout += int64(fanout)
+	s.c.Levels += int64(levels)
 }
 
 // SpaceCut counts a STRAP cut; circle selects the periodic full-extent
 // variant.
 func (s *Shard) SpaceCut(circle bool) {
 	if circle {
-		s.circleCuts++
+		s.c.CircleCuts++
 	} else {
-		s.spaceCuts++
+		s.c.SpaceCuts++
 	}
 }
 
 // TimeCut counts a time cut.
-func (s *Shard) TimeCut() { s.timeCuts++ }
+func (s *Shard) TimeCut() { s.c.TimeCuts++ }
 
 // Base opens a base-case invocation over volume space-time points,
 // dispatched to the interior or boundary clone; End closes it.
 func (s *Shard) Base(volume int64, interior bool) {
-	s.bases++
-	s.basePoints += volume
-	s.baseHist[log2Bucket(volume)]++
+	s.c.Bases++
+	s.c.BasePoints += volume
+	e, p := volumeCell(volume)
+	s.baseVol[p][e]++
 	if interior {
-		s.interiorBases++
+		s.c.InteriorBases++
 	}
-	s.inBase, s.baseStart = true, s.rec.now()
+	if s.walk.timed {
+		s.inBase, s.baseStart = true, s.walk.now()
+	}
 }
 
 // Spawned and Inlined count the walker's decisions to run subzoids on fresh
 // goroutines vs. the current one.
-func (s *Shard) Spawned(n int) { s.spawns += int64(n) }
-func (s *Shard) Inlined(n int) { s.inlines += int64(n) }
+func (s *Shard) Spawned(n int) { s.c.Spawns += int64(n) }
+func (s *Shard) Inlined(n int) { s.c.Inlines += int64(n) }
 
-// log2Bucket returns the histogram bucket of v: floor(log2(v)), clamped.
-func log2Bucket(v int64) int {
-	b := 0
-	for v > 1 && b < volumeBuckets-1 {
-		v >>= 1
-		b++
+// volumeCell keys volume v's histogram cell: e is the bit length of v−1,
+// the smallest e with v ≤ 2^e (v's le bin), and p is 1 when v is a power of
+// two, so floor(log2(v)) is e−1+p. Volumes below 2 land in (0, 1).
+func volumeCell(v int64) (e, p int) {
+	if v <= 1 {
+		return 0, 1
 	}
-	return b
+	if v&(v-1) == 0 {
+		p = 1
+	}
+	return bits.Len64(uint64(v - 1)), p
 }
 
 // SupKind classifies one supervisor decision (see SupEvent). The
@@ -229,55 +225,105 @@ func (e SupEvent) String() string {
 	return s
 }
 
-// Recorder owns the epoch clock, the shard pool, and the wall-time
-// accounting. The zero value is not usable; call New.
-type Recorder struct {
+// Walk is the counter set of one walk: its clock epoch and its shards. The
+// zero value is not usable; call NewWalk.
+type Walk struct {
 	epoch time.Time
+	timed bool // keep time: two clock reads per walk and per base case
 
+	mu     sync.Mutex
+	shards []*Shard // the first n are this walk's; the rest, zeroed, spare
+	n      int
+	free   []*Shard // released in this walk
+}
+
+// walks recycles finished walks with their shards, so a served job's walk
+// allocates nothing.
+var walks = sync.Pool{New: func() any { return new(Walk) }}
+
+// NewWalk starts the counter set of a walk; its Stats' Wall runs from here.
+// Unless timed, the walk keeps no time: its Stats' Wall is zero and their
+// WorkerBusy nil.
+func NewWalk(timed bool) *Walk {
+	w := walks.Get().(*Walk)
+	if w.timed = timed; timed {
+		w.epoch = time.Now()
+	}
+	return w
+}
+
+func (w *Walk) now() int64 { return time.Since(w.epoch).Nanoseconds() }
+
+// Acquire hands out a worker shard, recycling released ones so the shard
+// count tracks concurrently live workers. It is called at goroutine spawn
+// boundaries only, never per event.
+func (w *Walk) Acquire() *Shard {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if n := len(w.free); n > 0 {
+		s := w.free[n-1]
+		w.free = w.free[:n-1]
+		return s
+	}
+	if w.n == len(w.shards) {
+		w.shards = append(w.shards, &Shard{walk: w})
+	}
+	w.n++
+	return w.shards[w.n-1]
+}
+
+// Release returns a shard to the pool when its goroutine finishes. A base
+// case a panic left open is charged its partial busy time first.
+func (w *Walk) Release(s *Shard) {
+	s.End()
+	w.mu.Lock()
+	w.free = append(w.free, s)
+	w.mu.Unlock()
+}
+
+// Stats sums the walk's shards once the walk has returned, and recycles the
+// walk, which must not be used after.
+func (w *Walk) Stats() (st Stats) {
+	st.Workers = w.n
+	if w.timed {
+		st.Wall, st.WorkerBusy = time.Since(w.epoch), make([]time.Duration, w.n)
+	}
+	for i, s := range w.shards[:w.n] {
+		st.addCounters(&s.c, 1)
+		for p := range s.baseVol {
+			for e, n := range &s.baseVol[p] {
+				if n != 0 {
+					st.BaseVolumeLe[e] += n
+					st.BaseVolumeHist[e-1+p] += n
+				}
+			}
+		}
+		if w.timed {
+			st.WorkerBusy[i] = time.Duration(s.busyNS)
+		}
+		*s = Shard{walk: w}
+	}
+	w.n, w.free = 0, w.free[:0]
+	walks.Put(w)
+	return st
+}
+
+// Recorder accumulates the Stats of finished walks and the wall time of
+// instrumented runs.
+type Recorder struct {
 	mu       sync.Mutex
-	shards   []*Shard
-	free     []*Shard
-	wallNS   int64
+	total    Stats
 	runStart time.Time
 	running  int
 }
 
 // New creates an empty recorder. Pass it to the engine via
 // pochoir.Options.Telemetry to enable recording.
-func New() *Recorder {
-	return &Recorder{epoch: time.Now()}
-}
-
-func (r *Recorder) now() int64 { return time.Since(r.epoch).Nanoseconds() }
-
-// Acquire hands out a worker shard, recycling released ones so the shard
-// count tracks concurrently live workers. It is called at goroutine spawn
-// boundaries only, never per event.
-func (r *Recorder) Acquire() *Shard {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := len(r.free); n > 0 {
-		s := r.free[n-1]
-		r.free = r.free[:n-1]
-		return s
-	}
-	s := &Shard{rec: r}
-	r.shards = append(r.shards, s)
-	return s
-}
-
-// Release returns a shard to the pool when its goroutine finishes. A base
-// case a panic left open is charged its partial busy time first.
-func (r *Recorder) Release(s *Shard) {
-	s.End()
-	r.mu.Lock()
-	r.free = append(r.free, s)
-	r.mu.Unlock()
-}
+func New() *Recorder { return &Recorder{} }
 
 // RunStarted marks the beginning of an instrumented run; wall time
-// accumulates between RunStarted and RunFinished (nested pairs count the
-// outermost interval once).
+// accumulates between RunStarted and RunFinished (overlapping runs count
+// their union once).
 func (r *Recorder) RunStarted() {
 	r.mu.Lock()
 	if r.running == 0 {
@@ -287,45 +333,25 @@ func (r *Recorder) RunStarted() {
 	r.mu.Unlock()
 }
 
-// RunFinished closes the interval opened by RunStarted.
-func (r *Recorder) RunFinished() {
+// RunFinished closes the interval opened by RunStarted and adds the walk's
+// counters and worker i's busy time to the totals. Workers is the most any
+// one walk used; Wall stays the union of the runs' intervals.
+func (r *Recorder) RunFinished(st *Stats) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.running--
 	if r.running == 0 {
-		r.wallNS += time.Since(r.runStart).Nanoseconds()
+		r.total.Wall += time.Since(r.runStart)
 	}
-	r.mu.Unlock()
+	r.total.addCounters(st, 1)
+	r.total.Workers = max(r.total.Workers, st.Workers)
 }
 
-// Snapshot aggregates all shards into cumulative Stats. It must only be
-// called while no instrumented run is executing.
+// Snapshot returns the totals of every walk finished so far, at any time.
 func (r *Recorder) Snapshot() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := Stats{
-		Wall:       time.Duration(r.wallNS),
-		Workers:    len(r.shards),
-		WorkerBusy: make([]time.Duration, len(r.shards)),
-	}
-	for i, s := range r.shards {
-		st.TimeCuts += s.timeCuts
-		st.HyperCuts += s.hyperCuts
-		st.SpaceCuts += s.spaceCuts
-		st.CircleCuts += s.circleCuts
-		for k := range s.hyperByK {
-			st.HyperByK[k] += s.hyperByK[k]
-		}
-		st.Fanout += s.fanout
-		st.Levels += s.levels
-		st.Bases += s.bases
-		st.InteriorBases += s.interiorBases
-		st.BasePoints += s.basePoints
-		for b := range s.baseHist {
-			st.BaseVolumeHist[b] += s.baseHist[b]
-		}
-		st.Spawns += s.spawns
-		st.Inlines += s.inlines
-		st.WorkerBusy[i] = time.Duration(s.busyNS)
-	}
+	st := r.total
+	st.WorkerBusy = append([]time.Duration(nil), st.WorkerBusy...)
 	return st
 }

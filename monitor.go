@@ -8,8 +8,9 @@ import (
 
 // MetricsRegistry is the live metrics registry: a set of Prometheus-style
 // counters, gauges, and histograms that armed runs update lock-free and a
-// monitor scrapes at any moment — the mid-run complement to the
-// post-run telemetry Recorder. Pass one via Options.Metrics to instrument
+// monitor scrapes at any moment. The walker's counters advance once per walk
+// (once per supervised segment attempt); progress and the active run and
+// worker gauges move mid-run. Pass one via Options.Metrics to instrument
 // every Run/RunSupervised of a stencil, and expose it with ServeMonitor or
 // MonitorHandler. One registry may be shared by any number of stencils.
 type MetricsRegistry = metrics.Registry

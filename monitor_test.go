@@ -170,7 +170,8 @@ func TestMonitorLiveEndpoints(t *testing.T) {
 // a supervised run that panics mid-segment, restores its checkpoint, and
 // recovers must publish a percent-complete series that never decreases —
 // redone work counts again rather than rewinding the estimate — and must
-// finish at exactly 100 with a bit-identical grid.
+// finish at exactly 100 with a bit-identical grid, the registry's point
+// counter equal to the estimator's points done.
 func TestSupervisedProgressMonotone(t *testing.T) {
 	const X, Y, steps, seed = 48, 48, 12, 17
 	opts := pochoir.Options{Grain: 1, TimeCutoff: 2, SpaceCutoff: []int{16, 16}}
@@ -262,11 +263,20 @@ func TestSupervisedProgressMonotone(t *testing.T) {
 	if v := metricValue(t, expo, "pochoir_progress_percent"); v != 100 {
 		t.Fatalf("pochoir_progress_percent = %v after recovery, want 100", v)
 	}
+	// The failed attempt's partial walk is folded into the registry as a
+	// finished walk is, so the point counter still agrees with the
+	// estimator, which counted those points as they ran.
+	if v := metricValue(t, expo, "pochoir_base_points_total"); v != float64(final.PointsDone) || final.PointsDone <= final.PointsTotal {
+		t.Fatalf("pochoir_base_points_total = %v, progress points done %d of %d; want equal and past the total",
+			v, final.PointsDone, final.PointsTotal)
+	}
 }
 
 // TestStencilsShareRunMetrics: the walker instrument set is resolved once
 // per registry, not once per stencil. Every served job builds a fresh
 // stencil, so a per-stencil cache re-resolved the whole set for each job.
+// Without a telemetry recorder the walks keep no time, so the
+// last-walk gauges stay unset.
 func TestStencilsShareRunMetrics(t *testing.T) {
 	reg := pochoir.NewMetrics()
 	opts := pochoir.Options{Metrics: reg}
@@ -283,5 +293,8 @@ func TestStencilsShareRunMetrics(t *testing.T) {
 	}
 	if got := sets[0].RunsStarted.Value(); got != 2 {
 		t.Fatalf("runs started = %d, want 2", got)
+	}
+	if sets[0].LastWorkers.Value() != 0 {
+		t.Fatal("runs without a telemetry recorder set pochoir_last_workers")
 	}
 }

@@ -101,9 +101,10 @@ type Boundary[T any] = grid.Boundary[T]
 // Options.Telemetry to count every decomposition decision of a run — cut
 // kinds, hyperspace-cut fanout and dependency levels, base-case volumes and
 // clone dispatch, spawn decisions, and per-worker busy time. It keeps
-// counters, not spans: aggregate with Recorder.Snapshot, and
-// Stencil.LastRunStats summarizes the most recent Run. The walk's spans go
-// to Options.Trace (see WriteChromeTrace).
+// counters, not spans: each walk counts its own, Stencil.LastRunStats
+// summarizes the most recent Run, and the recorder accumulates the totals
+// of every finished walk, which Recorder.Snapshot reads at any time. The
+// walk's spans go to Options.Trace (see WriteChromeTrace).
 type Recorder = telemetry.Recorder
 
 // RunStats is the aggregate telemetry of a run; see Recorder.
@@ -186,12 +187,12 @@ type Options struct {
 	// Grain is the minimum approximate subzoid volume processed on a
 	// fresh goroutine; zero selects core.DefaultGrain.
 	Grain int64
-	// Telemetry, when non-nil, counts the run's decomposition decisions in
-	// the recorder (see Recorder).
+	// Telemetry, when non-nil, adds each walk's decomposition counters to
+	// the recorder when the walk ends (see Recorder).
 	Telemetry *Recorder
-	// Metrics, when non-nil, arms the live metrics registry: zoid, cut,
-	// and base-case counters, point throughput, worker activity, and a
-	// run-progress estimator, all scrapeable mid-run through ServeMonitor.
+	// Metrics, when non-nil, arms the metrics registry served by
+	// ServeMonitor: walker counters, added once per walk (per supervised
+	// segment attempt), and live run and worker gauges and progress.
 	Metrics *MetricsRegistry
 	// ProgressLabel overrides the label under which this stencil's runs
 	// appear in the registry's /progressz snapshot (default "run", or
@@ -492,7 +493,8 @@ func (s *Stencil[T]) runClones(ctx context.Context, steps int, b BaseKernels, fo
 // engine panic, cancellation, deadline — poisons the stencil: the arrays
 // are partially updated, so further runs are refused until Reset or
 // Restore. Telemetry stays consistent either way: a failed run still
-// closes its spans and publishes its (partial) stats to LastRunStats.
+// closes its spans and publishes its (partial) counters to LastRunStats,
+// the recorder and the registry.
 func (s *Stencil[T]) runWalker(ctx context.Context, w *core.Walker, steps int) error {
 	if s.poisoned {
 		return ErrPoisoned
@@ -520,27 +522,31 @@ func (s *Stencil[T]) runWalker(ctx context.Context, w *core.Walker, steps int) e
 	if ownProg {
 		prog = s.opts.Metrics.StartProgress(s.progressLabel("run"), int64(steps)*s.gridVolume())
 	}
-	probe := &runProbe{tel: s.opts.Telemetry, met: met, prog: prog, fr: s.flightRecorder()}
+	tel := s.opts.Telemetry
+	probe := &runProbe{met: met, prog: prog, fr: s.flightRecorder()}
+	if tel != nil || met != nil {
+		probe.counts = telemetry.NewWalk(tel != nil) // time is a recorder's to keep
+	}
 	if tr := s.opts.Trace; tr != nil {
 		probe.walk, probe.open = &walkTrace{tr: tr}, []trace.SpanID{s.walkParent}
 	}
 	w.Probe = probe
 
-	var pre RunStats
-	if s.opts.Telemetry != nil {
-		pre = s.opts.Telemetry.Snapshot()
+	if tel != nil {
+		tel.RunStarted()
 	}
 	err := w.RunContext(ctx, t0, t1)
-	if s.opts.Telemetry != nil {
-		st := s.opts.Telemetry.Snapshot().Delta(pre)
-		s.lastStats = &st
+	if probe.counts != nil {
+		// The walk counted each event once; its Stats, taken once, are
+		// this run's summary, the recorder's share and the registry's.
+		st := probe.counts.Stats()
+		if tel != nil {
+			tel.RunFinished(&st)
+			last := st // only a recorded walk's Stats reach the heap
+			s.lastStats = &last
+		}
 		if met != nil {
-			// Bridge the aggregate run stats — only computable from the
-			// quiescent telemetry shards — into scrapeable gauges at the
-			// run/segment boundary.
-			met.LastParallelism.Set(st.AchievedParallelism())
-			met.LastWallSeconds.Set(st.Wall.Seconds())
-			met.LastWorkers.Set(float64(st.Workers))
+			met.Fold(&st, w.Algorithm)
 		}
 	}
 	if ownProg {
@@ -561,10 +567,11 @@ func (s *Stencil[T]) runWalker(ctx context.Context, w *core.Walker, steps int) e
 	return nil
 }
 
-// LastRunStats returns the telemetry summary of the most recent successful
-// Run/RunChecked/RunSpecialized call — only that call's activity, even when
-// the recorder is shared across resumed runs or stencils. It returns nil
-// when Options.Telemetry was not set.
+// LastRunStats returns the telemetry summary of the most recent walk (a
+// Run/RunChecked/RunSpecialized call, or a supervised segment attempt):
+// only that walk's activity, even when the recorder is shared across
+// resumed runs or concurrently running stencils. It returns nil when
+// Options.Telemetry was not set.
 func (s *Stencil[T]) LastRunStats() *RunStats { return s.lastStats }
 
 // StepsRun returns the total number of time steps executed so far.

@@ -34,20 +34,19 @@ func init() {
 }
 
 // runProbe is the core.Probe of one run: it hands each walker event to the
-// sinks the stencil's Options arm — telemetry counters, the live metrics and
-// progress estimator, the flight recorder, the trace, any of them nil — and
-// keeps the run's pprof labels. The trace is the one sink that keeps spans: a
-// "walk" span, and under it every cut and base case. A spawned task gets a
-// copy with its own shard, lane and span stack.
+// sinks the stencil's Options arm — the walk's counters, the live metrics'
+// gauges and progress estimator, the flight recorder, the trace, any of them
+// nil — and keeps the run's pprof labels. The trace is the one sink that
+// keeps spans: a "walk" span, and under it every cut and base case. A
+// spawned task gets a copy with its own shard, lane and span stack.
 type runProbe struct {
-	tel  *telemetry.Recorder
-	met  *metrics.RunMetrics
-	prog *metrics.Progress
-	fr   *flight.Recorder
-	walk *walkTrace // nil when the run has no trace
+	counts *telemetry.Walk // nil unless Telemetry or Metrics is armed
+	met    *metrics.RunMetrics
+	prog   *metrics.Progress
+	fr     *flight.Recorder
+	walk   *walkTrace // nil when the run has no trace
 
-	sh        *telemetry.Shard // this goroutine's, while tel is set
-	eng       *metrics.Counter // met.EnginePoints of the run's engine
+	sh        *telemetry.Shard // this goroutine's, while counts is set
 	ctx, lctx context.Context  // the caller's, and it plus phase=walk
 
 	lane int // this goroutine's track in the trace
@@ -141,9 +140,6 @@ func (p *runProbe) RunStart(ctx context.Context, alg core.Algorithm, t0, t1 int)
 	if m := p.met; m != nil {
 		m.RunsStarted.Inc()
 		m.RunsActive.Inc()
-		if alg >= 0 && int(alg) < len(m.EnginePoints) {
-			p.eng = m.EnginePoints[alg]
-		}
 	}
 	// Label the run goroutine phase=walk, merged with the caller's labels
 	// (the gateway's tenant/job/priority, the supervisor's engine), before
@@ -151,9 +147,8 @@ func (p *runProbe) RunStart(ctx context.Context, alg core.Algorithm, t0, t1 int)
 	// run self-attributes.
 	p.ctx, p.lctx = ctx, pprof.WithLabels(ctx, profile.LabelsWalk)
 	pprof.SetGoroutineLabels(p.lctx)
-	if p.tel != nil {
-		p.tel.RunStarted()
-		p.sh = p.tel.Acquire()
+	if p.counts != nil {
+		p.sh = p.counts.Acquire()
 	}
 	if w := p.walk; w != nil {
 		w.span = w.tr.StartSpan("walk", p.open[0],
@@ -163,9 +158,8 @@ func (p *runProbe) RunStart(ctx context.Context, alg core.Algorithm, t0, t1 int)
 }
 
 func (p *runProbe) RunEnd(err error) {
-	if p.tel != nil {
-		p.tel.Release(p.sh) // charges a base case a panic left open
-		p.tel.RunFinished()
+	if p.counts != nil {
+		p.counts.Release(p.sh) // charges a base case a panic left open
 	}
 	if w := p.walk; w != nil {
 		status := trace.StatusOK
@@ -189,14 +183,10 @@ func (p *runProbe) RunEnd(err error) {
 // A span token is the depth of the trace span the call opened on this
 // goroutine's stack (0: none stored) shifted left by one, its low bit set
 // when Base relabeled the goroutine and End must restore the run's labels;
-// with nothing to undo — no span, no labels, no telemetry base case — it is
+// with nothing to undo — no span, no labels, no counted base case — it is
 // -1, and End is not called.
 func (p *runProbe) Cut(kind core.CutKind, arg, fanout int) int {
 	p.fr.Record(flight.EvCut, int64(kind), int64(arg), int64(fanout))
-	if m := p.met; m != nil {
-		m.Zoids.Inc()
-		m.Cuts[kind].Inc()
-	}
 	if sh := p.sh; sh != nil {
 		switch kind {
 		case core.CutHyper:
@@ -223,19 +213,6 @@ func (p *runProbe) Cut(kind core.CutKind, arg, fanout int) int {
 
 func (p *runProbe) Base(t0, t1, lo0, hi0 int, interior bool, vol int64) int {
 	p.fr.Record(flight.EvBase, flight.PackPair(t0, t1), flight.PackPair(lo0, hi0), vol<<1|b2i(interior))
-	if m := p.met; m != nil {
-		m.Zoids.Inc()
-		if interior {
-			m.BaseInterior.Inc()
-		} else {
-			m.BaseBoundary.Inc()
-		}
-		m.BasePoints.Add(vol)
-		m.BaseVolume.Observe(vol)
-		if p.eng != nil {
-			p.eng.Add(vol)
-		}
-	}
 	if p.prog != nil {
 		p.prog.Add(vol)
 	}
@@ -279,12 +256,12 @@ func (p *runProbe) End(span int) {
 	}
 }
 
+// Spawned counts the fork in the shard and its depth in the registry.
 func (p *runProbe) Spawned(depth int) {
 	if p.sh != nil {
 		p.sh.Spawned(1)
 	}
 	if m := p.met; m != nil {
-		m.Spawns.Inc()
 		m.ForkDepth.Observe(int64(depth))
 	}
 }
@@ -293,12 +270,9 @@ func (p *runProbe) Inlined(n int) {
 	if p.sh != nil {
 		p.sh.Inlined(n)
 	}
-	if m := p.met; m != nil {
-		m.Inlines.Add(int64(n))
-	}
 }
 
-// Task gives a spawned goroutine its own telemetry shard, so recording stays
+// Task gives a spawned goroutine its own counter shard, so recording stays
 // contention-free, and its own trace lane and span stack, rooted at the cut
 // that spawns it: Task runs on the spawning goroutine, where that cut is the
 // open span on top.
@@ -306,12 +280,12 @@ func (p *runProbe) Task() core.Probe {
 	if m := p.met; m != nil {
 		m.ActiveWorkers.Inc()
 	}
-	if p.tel == nil && p.walk == nil {
+	if p.counts == nil && p.walk == nil {
 		return p
 	}
 	q := *p
-	if p.tel != nil {
-		q.sh = p.tel.Acquire()
+	if p.counts != nil {
+		q.sh = p.counts.Acquire()
 	}
 	if w := p.walk; w != nil {
 		q.lane, q.open = w.acquireLane(), []trace.SpanID{p.open[len(p.open)-1]}
@@ -321,7 +295,7 @@ func (p *runProbe) Task() core.Probe {
 
 func (p *runProbe) Release() {
 	if p.sh != nil {
-		p.tel.Release(p.sh)
+		p.counts.Release(p.sh)
 	}
 	if w := p.walk; w != nil {
 		p.finish(1, trace.StatusError) // what a panic left open on this task

@@ -4,9 +4,13 @@ package pochoir_test
 // must tell the same story. Telemetry, the live metrics, the progress
 // estimator, the flight record and the trace each count the run's base-case
 // points on their own; all five must equal steps × grid volume, which the
-// decomposition partitions exactly. Telemetry's zoid, per-clone base, spawn
-// and inline counts must equal the metrics counters, the per-clone counts
-// the flight record's, and its base count the trace's base spans.
+// decomposition partitions exactly. The registry's walker counters are
+// folded from the walk's telemetry Stats, so telemetry's zoid, per-clone
+// base, spawn and inline counts equal them by construction; the checks that
+// compare independent sources are the per-clone counts against the flight
+// record's, the base count against the trace's base spans, the registry's
+// base-volume histogram against the flight record's volumes, and its
+// fork-depth count against the spawns.
 
 import (
 	"fmt"
@@ -152,6 +156,32 @@ func TestSignalsAgree(t *testing.T) {
 					if flightInterior != in || flightBases-flightInterior != bd {
 						t.Errorf("interior/boundary bases: flight %d/%d, metrics %d/%d",
 							flightInterior, flightBases-flightInterior, in, bd)
+					}
+					if p := met.EnginePoints[alg].Value(); p != want {
+						t.Errorf("pochoir_engine_points_total{engine=%q} = %d, want steps × volume = %d", alg, p, want)
+					}
+					if n := met.ForkDepth.Count(); n != ts.Spawns {
+						t.Errorf("pochoir_fork_depth_count = %d, telemetry Spawns = %d", n, ts.Spawns)
+					}
+					// The registry's le bins against the flight record's own
+					// base volumes, binned here by the bounds' definition.
+					bounds, counts := met.BaseVolume.Buckets()
+					wantBins := make([]int64, len(counts))
+					for _, ev := range evs {
+						if ev.Kind == flight.EvBase {
+							v, b := ev.A2>>1, 0
+							for b < len(bounds) && v > bounds[b] {
+								b++
+							}
+							wantBins[b]++
+						}
+					}
+					if fmt.Sprint(counts) != fmt.Sprint(wantBins) {
+						t.Errorf("pochoir_base_volume_points buckets %v, flight EvBase volumes bin to %v", counts, wantBins)
+					}
+					if met.BaseVolume.Sum() != flightPoints || met.BaseVolume.Count() != flightBases {
+						t.Errorf("pochoir_base_volume_points _sum/_count = %d/%d, flight EvBase volumes %d over %d bases",
+							met.BaseVolume.Sum(), met.BaseVolume.Count(), flightPoints, flightBases)
 					}
 					if ts.Bases == 0 || ts.Zoids() <= ts.Bases && alg != core.LOOPS {
 						t.Errorf("implausible decomposition: %d bases of %d zoids", ts.Bases, ts.Zoids())

@@ -8,6 +8,7 @@ package pochoir_test
 
 import (
 	"strconv"
+	"sync"
 	"testing"
 
 	"pochoir"
@@ -125,5 +126,60 @@ func TestLastRunStatsNilWithoutRecorder(t *testing.T) {
 	}
 	if st.LastRunStats() != nil {
 		t.Fatal("LastRunStats must be nil when Options.Telemetry is unset")
+	}
+}
+
+// TestRecorderSharedAcrossConcurrentStencils: two stencils share one
+// recorder and run at once. Each walk counts into its own shards, so every
+// LastRunStats covers only its own run, the recorder's total is the sum of
+// both stencils' work, and snapshots taken mid-run are race-free.
+func TestRecorderSharedAcrossConcurrentStencils(t *testing.T) {
+	const X, Y, runs, steps = 96, 96, 4, 4
+	rec := pochoir.NewRecorder()
+	stop := make(chan struct{})
+	snapped := make(chan int64)
+	go func() {
+		var last int64
+		for {
+			select {
+			case <-stop:
+				snapped <- last
+				return
+			default:
+				last = max(last, rec.Snapshot().BasePoints)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	points := make([]int64, 2)
+	for i := range points {
+		st, _, kern := heatStencil(t, pochoir.Options{Telemetry: rec}, X, Y, int64(i))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range runs {
+				if err := st.Run(steps, kern); err != nil {
+					t.Error(err)
+					return
+				}
+				if got := st.LastRunStats().BasePoints; got != steps*X*Y {
+					t.Errorf("stencil %d: LastRunStats covers %d points, want its own run's %d", i, got, steps*X*Y)
+				}
+				points[i] += st.LastRunStats().BasePoints
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if mid := <-snapped; mid > 2*runs*steps*X*Y {
+		t.Errorf("a snapshot read %d points, more than both stencils made", mid)
+	}
+	for i, p := range points {
+		if p != runs*steps*X*Y {
+			t.Errorf("stencil %d: LastRunStats sum to %d points, want steps × volume = %d", i, p, runs*steps*X*Y)
+		}
+	}
+	if total := rec.Snapshot().BasePoints; total != points[0]+points[1] {
+		t.Errorf("recorder total %d, want the two stencils' %d + %d", total, points[0], points[1])
 	}
 }
